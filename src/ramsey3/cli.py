@@ -672,3 +672,7 @@ def main(argv: Optional[list[str]] = None) -> int:
 
 def entrypoint() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

@@ -225,7 +225,8 @@ def extend_coloring_lower_bound(
     if u not in h.vertices or v not in h.vertices or u == v:
         raise ValueError("need two distinct vertices of the hypergraph")
     s = t - 2
-    uv_edges = sorted(e for e in h.edges if u in e and v in e)
+    nbhd = sorted(h.thirds(u, v))
+    uv_edges = [canon_edge((u, v, w)) for w in nbhd]
     if len(uv_edges) >= s * s:
         raise ValueError(f"codegree {len(uv_edges)} not below (t-2)^2 = {s * s}")
     rest = Hypergraph(h.r, h.vertices, h.edges - set(uv_edges), h.labels)
@@ -235,13 +236,10 @@ def extend_coloring_lower_bound(
     if check_free(rest, c_partial, t):
         raise ValueError("partial coloring is not free")
 
-    nbhd = sorted({w for e in uv_edges for w in e if w not in (u, v)})
-
     def blue_spanning(bset: tuple[int, ...]) -> bool:
         for anchor in (u, v):
-            span = set(bset) | {anchor}
-            for e in h.edges:
-                if set(e) <= span and c_partial.assignment[e] != BLUE:
+            for e in itertools.combinations(sorted((*bset, anchor)), 3):
+                if e in h.edges and c_partial.assignment[e] != BLUE:
                     return False
         return True
 

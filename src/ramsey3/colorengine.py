@@ -17,7 +17,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from .hypercore import Edge, Hypergraph, canon_edge, enumerate_cliques
+from .hypercore import Edge, Hypergraph, canon_edge, enumerate_cliques, json_int
 
 __all__ = [
     "BudgetExceeded",
@@ -82,11 +82,16 @@ class EdgeColoring:
     @classmethod
     def from_json_dict(cls, doc: Mapping[str, object]) -> "EdgeColoring":
         try:
-            k = int(doc["k"])  # type: ignore[arg-type]
-            pairs = doc["colors"]
-        except (KeyError, TypeError, ValueError) as exc:
+            k = json_int(doc["k"], "k")
+            pairs = [
+                (tuple(json_int(x, "edge vertex") for x in e), json_int(c, "color"))
+                for e, c in doc["colors"]  # type: ignore[union-attr]
+            ]
+        except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed coloring document: {exc}") from exc
-        return cls.of(k, {tuple(e): c for e, c in pairs})  # type: ignore[union-attr]
+        if len(dict(pairs)) != len(pairs):
+            raise ValueError("coloring document repeats an edge")
+        return cls(k, dict(pairs))
 
 
 @dataclass(frozen=True)
@@ -115,11 +120,13 @@ class VertexColoring:
     @classmethod
     def from_json_dict(cls, doc: Mapping[str, object]) -> "VertexColoring":
         try:
-            k = int(doc["k"])  # type: ignore[arg-type]
-            pairs = doc["colors"]
-        except (KeyError, TypeError, ValueError) as exc:
+            k = json_int(doc["k"], "k")
+            pairs = [(json_int(v, "vertex"), json_int(c, "color")) for v, c in doc["colors"]]  # type: ignore[union-attr]
+        except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed coloring document: {exc}") from exc
-        return cls(k, {int(v): int(c) for v, c in pairs})  # type: ignore[union-attr]
+        if len(dict(pairs)) != len(pairs):
+            raise ValueError("coloring document repeats a vertex")
+        return cls(k, dict(pairs))
 
 
 @dataclass(frozen=True)
@@ -444,7 +451,10 @@ def admissible_patterns(
         raise ValueError("vertex not in hypergraph")
     if u == v:
         raise ValueError("special pair needs two distinct vertices")
-    specials = sorted(e for e in h.edges if u in e and v in e)
+    if h.r == 3:
+        specials = sorted(canon_edge((u, v, w)) for w in h.thirds(u, v))
+    else:
+        specials = sorted(e for e in h.edges if u in e and v in e)
     ell = len(specials)
     search = _Search(h, t, k)
     special_idx = [search.index[e] for e in specials]

@@ -396,10 +396,8 @@ def build_rainbow(k: int, sender: TaggedGadget) -> TaggedGadget:
         raise ValueError("rainbow needs at least two colors")
     c1, c2, u_e, u_f = _sender_parts(sender)
     star = [(i, k, k + 1) for i in range(k)]
-    acc = Hypergraph.build(3, star)
-    for i, j in itertools.combinations(range(k), 2):
-        pairs = GlueMap.of([(k, c1), (k + 1, c2), (i, u_e), (j, u_f)])
-        acc = glue(acc, sender.h, pairs).h
+    copies = [[(k, c1), (k + 1, c2), (i, u_e), (j, u_f)] for i, j in itertools.combinations(range(k), 2)]
+    acc = glue(Hypergraph.build(3, star), sender.h, [GlueMap.of(p) for p in copies]).h
     rb = tuple(canon_edge(e) for e in star)
     union = set().union(*map(set, rb))
     if len(union) != k + 2:
@@ -557,13 +555,10 @@ def build_BEL(
 
     n_h = h.num_vertices
     base = glue(h, rainbow_g.h)
-    acc = base.h
     eprime = [tuple(sorted(base.map_b[v] for v in e)) for e in rainbow_g.rainbow]
     fe, ff = sorted(far.e), sorted(far.f)
-    for g in sorted(h.edges):
-        c = coloring.color(g)
-        pairs = list(zip(sorted(g), fe)) + list(zip(eprime[c - 1], ff))
-        acc = glue(acc, far.h, GlueMap.of(pairs)).h
+    copies = [list(zip(g, fe)) + list(zip(eprime[coloring.color(g) - 1], ff)) for g in sorted(h.edges)]
+    acc = glue(base.h, far.h, [GlueMap.of(p) for p in copies]).h
 
     expected = n_h + rainbow_g.h.num_vertices + h.num_edges * (far.h.num_vertices - 6)
     if acc.num_vertices != expected:

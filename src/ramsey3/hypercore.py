@@ -6,7 +6,8 @@ distance between edges, and vertex identification (gluing) used by the
 gadget builders.
 
 All values are immutable after construction and every operation is a
-pure function, so objects may be shared and cached freely.
+pure function, so objects may be shared freely, and a 3-graph may keep
+the one pair index that every pair question reads (Hypergraph.pairs).
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ import heapq
 import itertools
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property
 from math import inf
-from typing import Iterable, Mapping, Optional
+from typing import Collection, Iterable, Mapping, Optional, Sequence, Union
 
 Edge = tuple[int, ...]
 
@@ -123,6 +124,23 @@ class Hypergraph:
         vs = self.vertices | {v for e in es for v in e}
         return Hypergraph(self.r, vs, self.edges | es, self.labels)
 
+    @cached_property
+    def pairs(self) -> dict[int, dict[int, set[int]]]:
+        """Read-only pair index of a 3-graph: pairs[u][v], u < v, is {w : uvw an edge}."""
+        if self.r != 3:
+            raise ValueError("the pair index is defined for 3-uniform hypergraphs")
+        idx: dict[int, dict[int, set[int]]] = {}
+        for a, b, c in self.edges:
+            row = idx.setdefault(a, {})
+            row.setdefault(b, set()).add(c)
+            row.setdefault(c, set()).add(b)
+            idx.setdefault(b, {}).setdefault(c, set()).add(a)
+        return idx
+
+    def thirds(self, u: int, v: int) -> Collection[int]:
+        """Third vertices of the edges through {u, v}; empty at codegree zero."""
+        return self.pairs.get(min(u, v), {}).get(max(u, v), ())
+
 
 def fano_plane() -> Hypergraph:
     """The seven lines of the Fano plane; linear and not 2-colorable."""
@@ -152,6 +170,8 @@ def degree(h: Hypergraph, s: Iterable[int]) -> int:
         raise ValueError("vertex not in hypergraph")
     if not 1 <= len(ss) <= h.r - 1:
         raise ValueError(f"degree wants a set of size 1..{h.r - 1}, got {len(ss)}")
+    if h.r == 3 and len(ss) == 2:
+        return len(h.thirds(*ss))
     return sum(1 for e in h.edges if ss <= set(e))
 
 
@@ -174,13 +194,19 @@ def min_positive_codegree(h: Hypergraph) -> Optional[int]:
     """Minimum codegree over vertex pairs of positive codegree; None if all are zero."""
     if h.r < 3:
         raise ValueError("codegree needs uniformity at least 3")
-    cnt = Counter(sub for e in h.edges for sub in itertools.combinations(e, 2))
-    return min(cnt.values()) if cnt else None
+    return min((degree(h, p) for e in h.edges for p in itertools.combinations(e, 2)), default=None)
 
 
-@lru_cache(maxsize=4096)
-def _cliques_cached(h: Hypergraph, t: int) -> tuple[tuple[int, ...], ...]:
-    verts = sorted(h.vertices)
+def enumerate_cliques(h: Hypergraph, t: int) -> tuple[tuple[int, ...], ...]:
+    """All t-subsets of V(h) spanning complete r-uniform subhypergraphs.
+
+    Results are sorted tuples in lexicographic order.  Uniformity 2 and 3
+    are supported; t must be at least r.
+    """
+    if h.r not in (2, 3):
+        raise ValueError("clique enumeration supports uniformity 2 and 3 only")
+    if t < h.r:
+        raise ValueError("clique size below the uniformity")
     out: list[tuple[int, ...]] = []
     if h.r == 2:
         adj: dict[int, set[int]] = defaultdict(set)
@@ -200,15 +226,10 @@ def _cliques_cached(h: Hypergraph, t: int) -> tuple[tuple[int, ...], ...]:
                 extend2(stack, nxt)
                 stack.pop()
 
-        extend2([], verts)
+        extend2([], sorted(h.vertices))
         return tuple(out)
 
-    third: dict[tuple[int, int], set[int]] = defaultdict(set)
-    for e in h.edges:
-        a, b, c = e
-        third[(a, b)].add(c)
-        third[(a, c)].add(b)
-        third[(b, c)].add(a)
+    pairs = h.pairs
 
     def extend3(stack: list[int], cands: list[int]) -> None:
         if len(stack) == t:
@@ -216,15 +237,13 @@ def _cliques_cached(h: Hypergraph, t: int) -> tuple[tuple[int, ...], ...]:
             return
         for idx, w in enumerate(cands):
             # u may join stack+[w] only if {s, w, u} is an edge for every s on the stack
+            rows = [pairs[s][w] for s in stack]
             nxt = []
             for u in cands[idx + 1 :]:
-                ok = True
-                for s in stack:
-                    pair = (s, w) if s < w else (w, s)
-                    if u not in third.get(pair, ()):
-                        ok = False
+                for row in rows:
+                    if u not in row:
                         break
-                if ok:
+                else:
                     nxt.append(u)
             if len(stack) + 1 + len(nxt) < t:
                 continue
@@ -232,21 +251,10 @@ def _cliques_cached(h: Hypergraph, t: int) -> tuple[tuple[int, ...], ...]:
             extend3(stack, nxt)
             stack.pop()
 
-    extend3([], verts)
+    # every later member of a clique shares an edge with its first vertex
+    for v in sorted(pairs):
+        extend3([v], sorted(pairs[v]))
     return tuple(out)
-
-
-def enumerate_cliques(h: Hypergraph, t: int) -> tuple[tuple[int, ...], ...]:
-    """All t-subsets of V(h) spanning complete r-uniform subhypergraphs.
-
-    Results are sorted tuples in lexicographic order.  Uniformity 2 and 3
-    are supported; t must be at least r.
-    """
-    if h.r not in (2, 3):
-        raise ValueError("clique enumeration supports uniformity 2 and 3 only")
-    if t < h.r:
-        raise ValueError("clique size below the uniformity")
-    return _cliques_cached(h, t)
 
 
 def path_distance(h: Hypergraph, e: Iterable[int], f: Iterable[int]) -> int | float:
@@ -268,13 +276,8 @@ def path_distance(h: Hypergraph, e: Iterable[int], f: Iterable[int]) -> int | fl
         return 3
     fset = frozenset(cf)
 
-    by_pair: dict[tuple[int, int], list[int]] = defaultdict(list)
     by_vertex: dict[int, list[Edge]] = defaultdict(list)
     for g in h.edges:
-        a, b, c = g
-        by_pair[(a, b)].append(c)
-        by_pair[(a, c)].append(b)
-        by_pair[(b, c)].append(a)
         for v in g:
             by_vertex[v].append(g)
 
@@ -294,8 +297,7 @@ def path_distance(h: Hypergraph, e: Iterable[int], f: Iterable[int]) -> int | fl
         if frozenset(frontier) == fset:
             return n
         _, a2, a3 = frontier
-        pair = (a2, a3) if a2 < a3 else (a3, a2)
-        for w in by_pair.get(pair, ()):
+        for w in h.thirds(a2, a3):
             if w in used:
                 continue
             nk = ((a2, a3, w), used | {w})
@@ -343,15 +345,16 @@ class GlueResult:
 def glue(
     a: Hypergraph,
     b: Hypergraph,
-    m: GlueMap = GlueMap(),
+    m: Union[GlueMap, Sequence[GlueMap]] = GlueMap(),
     b_label_prefix: Optional[str] = None,
 ) -> GlueResult:
-    """Disjoint union of a and b followed by the identifications in m.
+    """Disjoint union of a and copies of b, followed by the identifications.
 
-    The identification must be a partial injection between the two sides;
-    anything that would merge two vertices of the same side is rejected.
-    Output ids are dense.  When a's ids are already 0..n-1 they are kept
-    verbatim (map_a is the identity), which the gadget builders rely on.
+    m is one GlueMap or a sequence of them, one copy of b per map, each a
+    partial injection from a to its copy.  Output ids are dense: a's ids
+    (kept verbatim when already 0..n-1, which the gadget builders rely
+    on), then each copy's new vertices, so one call equals the fold of
+    single-copy calls.  map_b is the vertex map of the last copy.
 
     Raises:
         ValueError: on uniformity mismatch, unknown vertices, or a
@@ -359,38 +362,35 @@ def glue(
     """
     if a.r != b.r:
         raise ValueError("cannot glue hypergraphs of different uniformity")
-    partner_ab: dict[int, int] = {}
-    partner_ba: dict[int, int] = {}
-    for x, y in m.pairs:
-        if x not in a.vertices or y not in b.vertices:
-            raise ValueError(f"glue pair ({x}, {y}) uses unknown vertices")
-        if partner_ab.get(x, y) != y or partner_ba.get(y, x) != x:
-            raise ValueError("non-injective glue")
-        partner_ab[x] = y
-        partner_ba[y] = x
-
+    copies = [m] if isinstance(m, GlueMap) else m
     map_a = {v: i for i, v in enumerate(sorted(a.vertices))}
-    next_id = len(a.vertices)
-    map_b: dict[int, int] = {}
-    for v in sorted(b.vertices):
-        if v in partner_ba:
-            map_b[v] = map_a[partner_ba[v]]
-        else:
-            map_b[v] = next_id
-            next_id += 1
-
-    edges = {tuple(sorted(map_a[x] for x in e)) for e in a.edges}
-    edges |= {tuple(sorted(map_b[x] for x in e)) for e in b.edges}
-
     labels: dict[int, str] = {map_a[v]: lab for v, lab in a.labels.items()}
-    for v in sorted(b.vertices):
-        lab = b.labels.get(v)
-        if v not in partner_ba and b_label_prefix is not None:
-            lab = f"{b_label_prefix}{lab if lab is not None else v}"
-        if lab is None:
-            continue
-        nv = map_b[v]
-        labels[nv] = f"{labels[nv]}|{lab}" if nv in labels else lab
+    edges = {tuple(sorted(map_a[x] for x in e)) for e in a.edges}
+    next_id = len(map_a)
+    map_b: dict[int, int] = {}
+    for gm in copies:
+        partner_ab = dict(gm.pairs)
+        partner_ba = {y: x for x, y in gm.pairs}
+        if not partner_ab.keys() <= a.vertices or not partner_ba.keys() <= b.vertices:
+            raise ValueError(f"glue pairs {gm.pairs} use unknown vertices")
+        if any(partner_ab[x] != y or partner_ba[y] != x for x, y in gm.pairs):
+            raise ValueError("non-injective glue")
+        map_b = {}
+        for v in sorted(b.vertices):
+            if v in partner_ba:
+                map_b[v] = map_a[partner_ba[v]]
+            else:
+                map_b[v] = next_id
+                next_id += 1
+        edges.update(tuple(sorted(map_b[x] for x in e)) for e in b.edges)
+        for v in sorted(b.vertices):
+            lab = b.labels.get(v)
+            if v not in partner_ba and b_label_prefix is not None:
+                lab = f"{b_label_prefix}{lab if lab is not None else v}"
+            if lab is None:
+                continue
+            nv = map_b[v]
+            labels[nv] = f"{labels[nv]}|{lab}" if nv in labels else lab
 
     h = Hypergraph(a.r, frozenset(range(next_id)), frozenset(edges), labels)
     return GlueResult(h, map_a, map_b)
@@ -462,31 +462,51 @@ def to_json_dict(h: Hypergraph, tags: Optional[Mapping[str, object]] = None) -> 
     return doc
 
 
-def from_json_dict(doc: Mapping[str, object]) -> tuple[Hypergraph, dict]:
-    """Parse a hypergraph document; returns the hypergraph and its tags."""
-    try:
-        r = int(doc["r"])  # type: ignore[arg-type]
-        n = int(doc["n"])  # type: ignore[arg-type]
-        raw_edges = doc.get("edges", [])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed hypergraph document: {exc}") from exc
-    if n < 0:
-        raise ValueError("vertex count must be nonnegative")
-    edges = [canon_edge(e, r) for e in raw_edges]  # type: ignore[union-attr]
-    for e in edges:
-        if e and (e[0] < 0 or e[-1] >= n):
-            raise ValueError(f"edge {e!r} outside vertex range 0..{n - 1}")
-    labels = {int(k): str(v) for k, v in (doc.get("labels") or {}).items()}  # type: ignore[union-attr]
-    h = Hypergraph.build(r, edges, vertices=range(n), labels=labels)
+def json_int(x: object, what: str) -> int:
+    """x when it is a JSON integer; bools, floats and strings raise ValueError."""
+    if type(x) is not int:
+        raise ValueError(f"{what} must be an integer, got {x!r}")
+    return x
 
-    tags: dict[str, object] = {}
-    for key, val in (doc.get("tags") or {}).items():  # type: ignore[union-attr]
-        if key in _VERTEX_TAGS or key == "dist":
-            tags[key] = int(val)
-        elif key in _EDGE_TAGS or key == "S":
-            tags[key] = tuple(sorted(int(x) for x in val))
-        elif key == "rainbow":
-            tags[key] = tuple(tuple(sorted(int(x) for x in e)) for e in val)
-        else:
-            raise ValueError(f"unknown tag {key!r}")
+
+def _json_vertices(xs: object, n: int, what: str) -> list[int]:
+    if not isinstance(xs, (list, tuple)):
+        raise ValueError(f"{what} must be a list of vertices, got {xs!r}")
+    vs = [json_int(x, what) for x in xs]
+    for v in vs:
+        if not 0 <= v < n:
+            raise ValueError(f"{what} {xs!r} outside vertex range 0..{n - 1}")
+    return vs
+
+
+def from_json_dict(doc: Mapping[str, object]) -> tuple[Hypergraph, dict]:
+    """Parse a hypergraph document; returns the hypergraph and its tags.
+
+    r, n and every vertex id must be JSON integers, and every vertex,
+    in edges and in tags alike, must lie in 0..n-1.
+    """
+    try:
+        r = json_int(doc["r"], "r")
+        n = json_int(doc["n"], "n")
+        if n < 0:
+            raise ValueError("vertex count must be nonnegative")
+        raw_edges = doc.get("edges", [])
+        edges = [canon_edge(_json_vertices(e, n, "edge"), r) for e in raw_edges]  # type: ignore[union-attr]
+        labels = {int(k): str(v) for k, v in (doc.get("labels") or {}).items()}  # type: ignore[union-attr]
+        h = Hypergraph.build(r, edges, vertices=range(n), labels=labels)
+
+        tags: dict[str, object] = {}
+        for key, val in (doc.get("tags") or {}).items():  # type: ignore[union-attr]
+            if key == "dist":
+                tags[key] = json_int(val, "dist")
+            elif key in _VERTEX_TAGS:
+                tags[key] = _json_vertices([val], n, f"tag {key}")[0]
+            elif key in _EDGE_TAGS or key == "S":
+                tags[key] = tuple(sorted(_json_vertices(val, n, f"tag {key}")))
+            elif key == "rainbow":
+                tags[key] = tuple(tuple(sorted(_json_vertices(e, n, "rainbow edge"))) for e in val)  # type: ignore[union-attr]
+            else:
+                raise ValueError(f"unknown tag {key!r}")
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ValueError(f"malformed hypergraph document: {exc}") from exc
     return h, tags

@@ -183,9 +183,12 @@ def property_b_toy_check(
     total = k ** len(pairs)
     if total > limit:
         raise BudgetExceeded(f"{total} pair colorings exceed the limit")
+    cliques = [enumerate_cliques(h, t - 1) for h in family]
     for assignment in itertools.product(range(1, k + 1), repeat=len(pairs)):
-        psi = EdgeColoring(k, dict(zip(pairs, assignment)))
-        if count_bad_supported(family, psi, t) == 0:
+        col = dict(zip(pairs, assignment))
+        # member i supports a clique when all of the clique's pairs have color i
+        if not any(all(col[pq] == i for pq in itertools.combinations(q, 2))
+                   for i, qs in enumerate(cliques, start=1) for q in qs):
             return False
     return True
 
@@ -194,7 +197,6 @@ def property_b_toy_check(
 class RamseyEntry:
     value: int
     note: str = ""
-    engine_verified: bool = False
 
 
 class RamseyTable:

@@ -1,6 +1,10 @@
 """End-to-end command checks through main(argv)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -256,3 +260,20 @@ def test_root_compat_flags(tmp_path, capsys):
     code, _ = run(capsys, "--jobs", "4", "--deterministic", "arrow", path,
                   "-t", "3", "-k", "2")
     assert code == 0
+
+
+def test_json_with_non_integer_fields_exits_1(tmp_path, capsys):
+    path = tmp_path / "h.json"
+    path.write_text('{"r": 3, "n": 3.9, "edges": [[0, 1.7, 2]]}')
+    code, out = run(capsys, "cliques", str(path), "-t", "3")
+    assert code == 1 and "must be an integer" in out
+
+
+@pytest.mark.parametrize("module", ["ramsey3", "ramsey3.cli"])
+def test_python_m_entry(tmp_path, module):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", module, "arrow", "missing.json", "-t", "3", "-k", "2"],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 3, proc.stderr
+    assert "io error" in proc.stderr

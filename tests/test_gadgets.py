@@ -1,6 +1,7 @@
 """Gadget assembly: senders, rainbow stars, equalizers, distance chains."""
 
 import itertools
+import time
 
 import pytest
 
@@ -22,7 +23,7 @@ from ramsey3.gadgets import (
     mock_sender,
     verify_clique_block_cover,
 )
-from ramsey3.hypercore import codegree, degree, induced
+from ramsey3.hypercore import codegree, degree, enumerate_cliques, induced
 from ramsey3.codegree import augment_apex_pair, build_partition_host
 
 
@@ -243,6 +244,20 @@ def test_bel_on_toy_host():
     assert g.h.num_vertices == expected
     # the forced pair keeps codegree zero
     assert codegree(g.h, host.a, host.b) == 0
+
+
+def test_sparse_carrier_cliques_within_budget():
+    # the t=5 carrier: 1,341 vertices but only 1,634 edges
+    host = build_partition_host(5)
+    g = build_BEL(host.h, host.coloring, 2, 5, far_mock(), build_rainbow(2, mock_sender()))
+    assert (g.h.num_vertices, g.h.num_edges) == (1341, 1634)
+    t0 = time.perf_counter()
+    k4s = enumerate_cliques(g.h, 4)
+    triangles = enumerate_cliques(g.h, 3)
+    elapsed = time.perf_counter() - t0
+    assert len(k4s) == 60 and len(triangles) == 1634
+    assert sorted(triangles) == sorted(g.h.edges)
+    assert elapsed < 5.0, f"took {elapsed:.2f}s, budget 5.0s"
 
 
 def test_bel_rejects_close_far_gadget():

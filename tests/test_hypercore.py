@@ -1,6 +1,10 @@
 """Hypergraph model: construction, degrees, cliques, distance, gluing."""
 
+import gc
+import itertools
 import math
+import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -23,9 +27,22 @@ from ramsey3 import (
     path_distance,
     to_json_dict,
 )
+from ramsey3.colorengine import EdgeColoring, VertexColoring
 from ramsey3.hypercore import canon_edge, codegree
 
 from _oracles import brute_cliques, random_small_hypergraph
+
+
+def seeded_inputs(seed):
+    """The small oracle input, a dense 3-graph and a larger sparse one."""
+    rng = random.Random(seed)
+
+    def sample(n, p):
+        triples = [e for e in itertools.combinations(range(n), 3) if rng.random() < p]
+        return Hypergraph.build(3, triples, vertices=range(n))
+
+    return [random_small_hypergraph(seed), sample(rng.randrange(6, 10), 0.7),
+            sample(rng.randrange(14, 21), 0.06)]
 
 
 # -- construction ------------------------------------------------------
@@ -145,9 +162,34 @@ def test_cliques_validation():
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 def test_cliques_match_subset_scan(seed):
-    h = random_small_hypergraph(seed)
-    t = h.r + 1
-    assert list(enumerate_cliques(h, t)) == brute_cliques(h, t)
+    for h in seeded_inputs(seed):
+        for t in (h.r + 1, h.r + 2):
+            assert list(enumerate_cliques(h, t)) == brute_cliques(h, t)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_pair_queries_match_edge_scan(seed):
+    for h in seeded_inputs(seed):
+        for v in h.vertices:
+            assert degree(h, (v,)) == sum(1 for e in h.edges if v in e)
+        if h.r < 3:
+            continue
+        scan = {p: sum(1 for e in h.edges if set(p) <= set(e))
+                for p in itertools.combinations(sorted(h.vertices), 2)}
+        for (u, v), want in scan.items():
+            assert codegree(h, u, v) == codegree(h, v, u) == degree(h, (u, v)) == want
+        assert min_positive_codegree(h) == min((c for c in scan.values() if c), default=None)
+
+
+def test_enumerate_cliques_keeps_no_reference():
+    for r, t in ((3, 4), (2, 3)):
+        h = Hypergraph.complete(6, r)
+        ref = weakref.ref(h)
+        assert len(enumerate_cliques(h, t)) == math.comb(6, t)
+        del h
+        gc.collect()
+        assert ref() is None
 
 
 # -- tight-path distance -----------------------------------------------
@@ -256,6 +298,29 @@ def test_glue_vertex_count(seed, npairs):
         assert canon_edge(tuple(res.map_b[v] for v in e)) in res.h.edges
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(0, 4))
+def test_glue_many_copies_equals_fold(seed, copies):
+    rng = random.Random(seed)
+    a = random_small_hypergraph(seed)
+    a = Hypergraph(a.r, a.vertices, a.edges, {v: f"a{v}" for v in a.vertices if v % 2})
+    nb = rng.randrange(a.r, 7)
+    b = Hypergraph.build(a.r, [e for e in itertools.combinations(range(nb), a.r) if rng.random() < 0.4],
+                         vertices=range(nb), labels={v: f"b{v}" for v in range(nb) if rng.random() < 0.5})
+    maps = []
+    for _ in range(copies):
+        j = rng.randrange(0, min(len(a.vertices), len(b.vertices)) + 1)
+        maps.append(GlueMap(tuple(zip(rng.sample(sorted(a.vertices), j),
+                                      rng.sample(sorted(b.vertices), j)))))
+    once = glue(a, b, maps, b_label_prefix="c")
+    acc, last = a, None
+    for m in maps:
+        last = glue(acc, b, m, b_label_prefix="c")
+        acc = last.h
+    assert once.h == acc and once.h.labels == acc.labels
+    assert once.map_b == (last.map_b if last else {})
+
+
 # -- induced / linear ---------------------------------------------------
 
 def test_induced():
@@ -301,6 +366,26 @@ def test_json_rejects_garbage():
         from_json_dict({"r": 3, "n": 2, "edges": [[0, 1, 2]]})
     with pytest.raises(ValueError):
         from_json_dict({"r": 3, "n": 4, "edges": [[0, 1]]})
+    # no float, bool or string where an integer belongs, no vertex outside 0..n-1, no repeats
+    for doc in ({"r": 3, "n": 3.9, "edges": [[0, 1, 2]]},
+                {"r": 3, "n": 3, "edges": [[0, 1.7, 2]]},
+                {"r": True, "n": 3, "edges": [[0]]},
+                {"r": 3, "n": "3", "edges": [[0, 1, 2]]},
+                {"r": 3, "n": 3, "edges": [[0, 1, 2]], "tags": {"a": 7}},
+                {"r": 3, "n": 3, "edges": [[0, 1, 2]], "tags": {"e": [0, 1, 5]}},
+                {"r": 3, "n": 3, "edges": 5}):
+        with pytest.raises(ValueError):
+            from_json_dict(doc)
+    for doc in ({"k": 2, "colors": [[[0, 1, 2], 1.9]]},
+                {"k": 2.0, "colors": [[[0, 1, 2], 1]]},
+                {"k": 2, "colors": [[[0, True, 2], 1]]},
+                {"k": 2, "colors": [[[0, 1, 2], 1], [[1, 0, 2], 2]]}):
+        with pytest.raises(ValueError):
+            EdgeColoring.from_json_dict(doc)
+    for doc in ({"k": 2, "colors": [[0, 1.9]]}, {"k": 2, "colors": [["0", 1]]},
+                {"k": 2, "colors": [[0, 1], [0, 2]]}):
+        with pytest.raises(ValueError):
+            VertexColoring.from_json_dict(doc)
 
 
 @settings(max_examples=60, deadline=None)
