@@ -1,8 +1,10 @@
 """Command line front end.
 
 Exit codes: 0 success, 1 domain or usage error, 2 undecided within
-budget, 3 input/output error.  Hypergraph-valued results are always
-emitted as JSON documents; purely informational commands print a human
+budget (a search node budget ran out, or the interpreter ran out of
+recursion depth or memory, as the CNF solver and the vertex-coloring
+search still can), 3 input/output error.  Hypergraph-valued results are
+always emitted as JSON documents; purely informational commands print a human
 summary unless --json is given.  Commands that consume randomness
 require an explicit --seed.  --jobs and --deterministic are accepted
 for interface stability: the engines are sequential and deterministic,
@@ -121,6 +123,8 @@ def _cmd_arrow(args: argparse.Namespace) -> int:
         "arrows": verdict.arrows,
         "status": verdict.status,
         "nodes": verdict.nodes,
+        "propagations": verdict.propagations,
+        "conflicts": verdict.conflicts,
         "witness": _coloring_doc(verdict.witness),
     }
     if verdict.arrows is None:
@@ -141,12 +145,15 @@ def _cmd_minimalize(args: argparse.Namespace) -> int:
 def _cmd_free_coloring(args: argparse.Namespace) -> int:
     h = _load_hypergraph(args.input)
     res = find_free_coloring(h, args.t, args.k, budget=args.budget)
-    if res.found is None:
-        _write(args, json.dumps({"found": None, "nodes": res.nodes}))
-        return 2
-    doc = {"found": res.found, "nodes": res.nodes, "coloring": _coloring_doc(res.coloring)}
+    doc = {
+        "found": res.found,
+        "nodes": res.nodes,
+        "propagations": res.propagations,
+        "conflicts": res.conflicts,
+        "coloring": _coloring_doc(res.coloring),
+    }
     _write(args, json.dumps(doc))
-    return 0
+    return 2 if res.found is None else 0
 
 
 def _cmd_cnf(args: argparse.Namespace) -> int:
@@ -293,7 +300,7 @@ def _cmd_codegree_force_check(args: argparse.Namespace) -> int:
             if not 0 <= i < len(bundle):
                 raise ValueError(f"drop index {i} outside 0..{len(bundle) - 1}")
             del bundle[i]
-    forced = cd.forced_pattern_check(host, bundle, assignment_limit=args.limit)
+    forced = cd.forced_pattern_check(host, bundle, budget=args.budget)
     doc = {"t": args.t, "apex_edges": len(bundle), "forced": forced}
     _emit(args, doc, f"forced: {'yes' if forced else 'no'} ({len(bundle)} apex edges)")
     return 0
@@ -579,7 +586,7 @@ def _build_parser() -> _Parser:
     p = c.add_parser("force-check", help="is a monochromatic clique forced")
     p.add_argument("-t", type=int, required=True)
     p.add_argument("--drop", default=None, help="apex bundle indices to delete, e.g. 0,3")
-    p.add_argument("--limit", type=int, default=1 << 20)
+    p.add_argument("--budget", type=int, default=None, help="search node budget")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_codegree_force_check)
 
@@ -661,6 +668,12 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 1
     except BudgetExceeded as err:
         print(f"undecided: {err}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("undecided: recursion depth exhausted", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("undecided: out of memory", file=sys.stderr)
         return 2
     except (OSError, json.JSONDecodeError) as err:
         print(f"io error: {err}", file=sys.stderr)

@@ -6,7 +6,10 @@ so that once all (t-2)^2 triples {a, b, u} are added, every 2-coloring
 of those triples completes a monochromatic K_t: an all-blue grid column
 gives a blue clique, and failing that a red transversal gives a red one.
 Deleting even one apex triple breaks the forcing, so the codegree
-(t-2)^2 is exactly the threshold.
+(t-2)^2 is exactly the threshold.  forced_pattern_check decides this
+with colorengine's search core over the apex triples alone, the host
+colors folded into each clique's forbidden color, which settles t=7
+(25 apex triples) where enumerating all 2^25 colorings could not.
 
 The converse direction is the extension argument: around a pair of
 codegree below (t-2)^2, any free coloring of the rest of the hypergraph
@@ -22,7 +25,7 @@ from fractions import Fraction
 from math import comb
 from typing import Iterable, Optional
 
-from .colorengine import ArrowVerdict, BudgetExceeded, EdgeColoring, arrows, check_free
+from .colorengine import ArrowVerdict, BudgetExceeded, EdgeColoring, SearchCore, arrows, check_free
 from .hypercore import Edge, Hypergraph, canon_edge, codegree, enumerate_cliques
 
 __all__ = [
@@ -136,13 +139,16 @@ def count_host_cliques(host: PartitionHost) -> int:
 def forced_pattern_check(
     host: PartitionHost,
     apex_edges: Optional[Iterable[Iterable[int]]] = None,
-    assignment_limit: int = 1 << 20,
+    budget: Optional[int] = None,
 ) -> bool:
     """Does every 2-coloring of the apex edges complete a mono K_t?
 
-    apex_edges defaults to the full bundle.  The check is exhaustive
-    over 2^m assignments; m beyond the limit raises BudgetExceeded
-    rather than burning time silently.
+    apex_edges defaults to the full bundle.  The host colors are folded
+    into one constraint per clique over its apex edges only: the clique
+    is monochromatic when its apex edges all take the color its host
+    edges share.  The answer is True exactly when the search core finds
+    no apex coloring avoiding every constraint; a search needing more
+    than budget decisions raises BudgetExceeded.
     """
     bundle = apex_bundle(host) if apex_edges is None else tuple(
         canon_edge(e) for e in apex_edges
@@ -151,39 +157,23 @@ def forced_pattern_check(
     for e in bundle:
         if e not in full:
             raise ValueError(f"{e!r} is not an apex triple of this host")
-    m = len(bundle)
-    if 2**m > assignment_limit:
-        raise BudgetExceeded(f"2^{m} apex assignments exceed the limit")
 
     aug = host.h.plus_edges(bundle)
     idx = {e: i for i, e in enumerate(bundle)}
-    # per clique: bitmask of its apex edges + the color its fixed edges force
-    constraints: list[tuple[int, int]] = []
+    constraints: list[tuple[list[int], int]] = []
     for q in enumerate_cliques(aug, host.t):
-        mask = 0
-        fixed_cols = set()
+        members = []
+        mask = (1 << BLUE) | (1 << RED)
         for e in itertools.combinations(q, 3):
             if e in idx:
-                mask |= 1 << idx[e]
+                members.append(idx[e])
             else:
-                fixed_cols.add(host.coloring.assignment[e])
-        if len(fixed_cols) > 1:
-            continue
-        col = fixed_cols.pop() if fixed_cols else None
-        constraints.append((mask, col))  # type: ignore[arg-type]
-
-    for assign in range(2**m):
-        mono = False
-        for mask, col in constraints:
-            blue_part = assign & mask
-            if (col in (None, BLUE) and blue_part == mask) or (
-                col in (None, RED) and blue_part == 0
-            ):
-                mono = True
-                break
-        if not mono:
-            return False
-    return True
+                mask &= 1 << host.coloring.assignment[e]
+        constraints.append((members, mask))
+    res = SearchCore(bundle, 2, constraints).solve(budget)
+    if res.found is None:
+        raise BudgetExceeded(f"forced check exceeded {budget} nodes")
+    return not res.found
 
 
 @dataclass(frozen=True)

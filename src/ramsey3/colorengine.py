@@ -2,9 +2,17 @@
 
 The central question answered here is whether every k-coloring of the
 edges of a hypergraph contains a monochromatic complete subhypergraph on
-t vertices.  The search is a complete backtracker with forward checking,
-so "yes" and "no" answers are both proofs; a node budget turns long runs
-into an explicit Unknown verdict instead of an open-ended wait.
+t vertices.  One search core, SearchCore, decides it and every other
+coloring question in the package: its constraints say "these variables
+are not all one color of this mask", so a t-clique is one constraint
+with the full mask, a pinned or pre-colored edge narrows the mask, and
+codegree's forced-pattern check and randomlab's property-B check are
+instances too.  The core is a complete search with unit propagation on
+an explicit stack, so "yes" and "no" answers are both proofs at any
+size; a node budget turns long runs into an explicit Unknown verdict
+instead of an open-ended wait.  Results count nodes (decisions),
+propagations and conflicts.  solve_cnf is a separate DPLL kept as an
+independent check, sharing no code with the core.
 
 Works for uniformity 2 and 3.  The 2-uniform case doubles as a sanity
 surface: classical Ramsey facts such as r(3, 3) = 6 are cheap to check
@@ -26,6 +34,7 @@ __all__ = [
     "PatternSet",
     "ArrowVerdict",
     "SearchResult",
+    "SearchCore",
     "check_free",
     "find_free_coloring",
     "arrows",
@@ -64,7 +73,11 @@ class EdgeColoring:
 
     @classmethod
     def of(cls, k: int, assignment: Mapping[Iterable[int], int]) -> "EdgeColoring":
-        return cls(k, {canon_edge(e): int(c) for e, c in assignment.items()})
+        """Coloring from edges in any vertex order; colors must be integers."""
+        pairs = [(canon_edge(e), json_int(c, "color")) for e, c in assignment.items()]
+        if len(dict(pairs)) != len(pairs):
+            raise ValueError("assignment repeats an edge up to reordering")
+        return cls(k, dict(pairs))
 
     def color(self, e: Iterable[int]) -> int:
         return self.assignment[canon_edge(e)]
@@ -163,6 +176,8 @@ class ArrowVerdict:
     witness: Optional[EdgeColoring]
     nodes: int
     status: str
+    propagations: int = 0
+    conflicts: int = 0
 
     def __post_init__(self) -> None:
         if self.status not in ("complete", "unknown"):
@@ -175,11 +190,28 @@ class ArrowVerdict:
 
 @dataclass(frozen=True)
 class SearchResult:
-    """found: True (coloring below), False (proven none), None (budget)."""
+    """found: True (coloring below), False (proven none), None (budget).
+
+    nodes counts decisions, propagations the colors forced by
+    propagation, conflicts the dead ends met.
+    """
 
     found: Optional[bool]
     coloring: Optional[EdgeColoring]
     nodes: int
+    propagations: int = 0
+    conflicts: int = 0
+
+
+def _mono_cliques(
+    cliques: Iterable[tuple[int, ...]], r: int, assignment: Mapping[Edge, int]
+) -> list[tuple[tuple[int, ...], int]]:
+    out = []
+    for q in cliques:
+        cols = {assignment[e] for e in itertools.combinations(q, r)}
+        if len(cols) == 1:
+            out.append((q, cols.pop()))
+    return out
 
 
 def check_free(
@@ -193,136 +225,203 @@ def check_free(
     missing = [e for e in h.edges if e not in coloring.assignment]
     if missing:
         raise ValueError(f"coloring misses {len(missing)} edges, e.g. {sorted(missing)[0]!r}")
-    out = []
-    for q in enumerate_cliques(h, t):
-        cols = {coloring.assignment[e] for e in itertools.combinations(q, h.r)}
-        if len(cols) == 1:
-            out.append((q, cols.pop()))
-    return out
+    return _mono_cliques(enumerate_cliques(h, t), h.r, coloring.assignment)
 
 
-class _Search:
-    """Backtracking core shared by the arrowing operations.
+class SearchCore:
+    """Complete coloring search over masked "not all one color" constraints.
 
-    Edges are ordered by descending number of t-cliques through them so
-    the constrained part of the hypergraph is decided first.  Forward
-    checking keeps, for every clique with one uncolored edge whose
-    colored edges are monochromatic, a block on that color; an uncolored
-    edge with every color blocked cuts the branch immediately.
+    The variables (edges, or pairs) take colors 1..k.  A constraint is
+    a list of variable indices with a mask of forbidden colors, bit c
+    standing for color c: its members must not all take one color of
+    the mask.  A member-less constraint with a nonempty mask can never
+    hold.  One instance may be solved many times with different pins.
+
+    The solver keeps an explicit stack of decisions over one trail of
+    assignments and color blocks, so depth is bounded by memory, not by
+    the interpreter's recursion limit.  When all but one member of a
+    constraint share a forbidden color, that color is blocked on the
+    last member; a variable left with one unblocked color is assigned
+    at once (a propagation, not a node), and a variable with none, or a
+    constraint completed in a forbidden color, is a conflict.  The next
+    decision is the first free member of the live constraint with the
+    fewest free members among those through the last decided variable,
+    else the first free variable in descending constraint count.  With
+    no pins and every mask full the colors are interchangeable, so a
+    decision opens at most one color not yet in use.
     """
 
-    def __init__(self, h: Hypergraph, t: int, k: int) -> None:
+    def __init__(
+        self, variables: Sequence[Edge], k: int, constraints: Iterable[tuple[Sequence[int], int]]
+    ) -> None:
         if k < 1:
             raise ValueError("need at least one color")
-        self.h, self.t, self.k = h, t, k
-        cliques = enumerate_cliques(h, t)
-        weight: dict[Edge, int] = {e: 0 for e in h.edges}
-        cedges_raw = []
-        for q in cliques:
-            qe = [canon_edge(e) for e in itertools.combinations(q, h.r)]
-            cedges_raw.append(qe)
-            for e in qe:
-                weight[e] += 1
-        self.edges: list[Edge] = sorted(h.edges, key=lambda e: (-weight[e], e))
-        self.index: dict[Edge, int] = {e: i for i, e in enumerate(self.edges)}
-        self.cedges: list[list[int]] = [sorted(self.index[e] for e in qe) for qe in cedges_raw]
-        self.cliques_of: list[list[int]] = [[] for _ in self.edges]
-        for qi, qe in enumerate(self.cedges):
-            for i in qe:
-                self.cliques_of[i].append(qi)
+        self.variables, self.k = tuple(variables), k
+        n = len(self.variables)
+        self.full = full = (1 << (k + 1)) - 2
+        kept = [(list(mem), mask & full) for mem, mask in constraints if mask & full]
+        self.cons_of: list[list[int]] = [[] for _ in range(n)]
+        for qi, (mem, _) in enumerate(kept):
+            for v in mem:
+                self.cons_of[v].append(qi)
+        self.order = sorted(range(n), key=lambda v: -len(self.cons_of[v]))
+        rank = {v: i for i, v in enumerate(self.order)}
+        self.members = [sorted(mem, key=rank.__getitem__) for mem, _ in kept]
+        self.mask = [mask for _, mask in kept]
+        self.size = [len(mem) for mem in self.members]
+        self.blocked = [0] * n
+        for mem, mask in zip(self.members, self.mask):
+            if len(mem) == 1:
+                self.blocked[mem[0]] |= mask
+        self.units = [v for v in range(n) if (full & ~self.blocked[v]).bit_count() < 2]
+        self.void = any(not mem for mem in self.members)
+        self.symmetric = all(mask == full for mask in self.mask)
 
-    def decide(
-        self,
-        budget: Optional[int] = None,
-        fixed: Optional[Mapping[int, int]] = None,
-        ladder: bool = True,
-    ) -> tuple[Optional[bool], Optional[dict[Edge, int]], int]:
-        """Search for a coloring avoiding monochromatic cliques.
+    def solve(self, budget: Optional[int] = None, pins: Optional[Mapping[int, int]] = None) -> "SearchResult":
+        """A coloring meeting every constraint, with the pinned colors.
 
-        fixed maps edge index -> forced color; the value-symmetry ladder
-        (a branch may open color c only when colors below c are in use)
-        must be off whenever colors are pinned.
+        found is None when more than budget decisions were needed.
         """
-        if fixed and ladder:
-            raise ValueError("symmetry ladder is unsound with pinned colors")
-        m, k = len(self.edges), self.k
-        csize = [len(qe) for qe in self.cedges]
-        color = [0] * m
-        n_assigned = [0] * len(self.cedges)
-        count = [[0] * (k + 1) for _ in self.cedges]
-        blocked = [[0] * (k + 1) for _ in range(m)]
-        nblocked = [0] * m
-        trail: list[tuple[int, int]] = []
-        nodes = 0
+        k, full, n = self.k, self.full, len(self.variables)
+        members, mask, size, cons_of, order = self.members, self.mask, self.size, self.cons_of, self.order
+        k1 = k + 1
+        for v, c in (pins or {}).items():
+            if not 0 <= v < n:
+                raise ValueError(f"pinned index {v} out of range")
+            if not 1 <= c <= k:
+                raise ValueError(f"pinned color {c} outside 1..{k}")
+        ladder = self.symmetric and not pins
+        free = list(size)
+        cnt = [0] * (len(size) * k1)
+        col = [0] * n
+        blocked = list(self.blocked)
+        trail: list[int] = []  # v >= 0 assigned v; ~(j * k1 + c) blocked color c on j
+        nodes = props = conflicts = 0
+        top = 0
 
-        def place(i: int, c: int) -> bool:
-            color[i] = c
-            ok = True
-            for q in self.cliques_of[i]:
-                n_assigned[q] += 1
-                cq = count[q]
-                cq[c] += 1
-                if cq[c] == csize[q]:
-                    ok = False
-                elif n_assigned[q] == csize[q] - 1 and cq[c] == csize[q] - 1:
-                    j = next(j for j in self.cedges[q] if color[j] == 0)
-                    blocked[j][c] += 1
-                    if blocked[j][c] == 1:
-                        nblocked[j] += 1
-                        if nblocked[j] == k:
-                            ok = False
-                    trail.append((j, c))
-            return ok
-
-        def unplace(i: int, c: int, mark: int) -> None:
-            while len(trail) > mark:
-                j, x = trail.pop()
-                blocked[j][x] -= 1
-                if blocked[j][x] == 0:
-                    nblocked[j] -= 1
-            for q in self.cliques_of[i]:
-                n_assigned[q] -= 1
-                count[q][c] -= 1
-            color[i] = 0
-
-        def spend() -> None:
-            nonlocal nodes
-            nodes += 1
-            if budget is not None and nodes > budget:
-                raise BudgetExceeded(f"search exceeded {budget} nodes")
-
-        def bt(i: int, maxused: int) -> bool:
-            while i < m and color[i] != 0:
-                i += 1
-            if i == m:
-                return True
-            limit = min(k, maxused + 1) if ladder else k
-            bl = blocked[i]
-            for c in range(1, limit + 1):
-                if bl[c]:
+        def run(pending: list[tuple[int, int]]) -> bool:
+            """Assign pending (var, color) pairs, color 0 meaning forced."""
+            nonlocal props, top
+            while pending:
+                v, c = pending.pop()
+                if col[v]:
+                    if c and c != col[v]:
+                        return False
                     continue
-                spend()
-                mark = len(trail)
-                if place(i, c) and bt(i + 1, max(maxused, c)):
-                    return True
-                unplace(i, c, mark)
-            return False
+                if c == 0:
+                    rest = full & ~blocked[v]
+                    if not rest:
+                        return False
+                    c = rest.bit_length() - 1
+                    props += 1
+                if c > top:
+                    top = c
+                col[v] = c
+                trail.append(v)
+                bit = 1 << c
+                ok = True
+                for q in cons_of[v]:
+                    f = free[q] - 1
+                    free[q] = f
+                    i = q * k1 + c
+                    a = cnt[i] + 1
+                    cnt[i] = a
+                    if a + f == size[q] and mask[q] & bit:
+                        if f == 0:
+                            ok = False
+                        elif f == 1:
+                            for j in members[q]:
+                                if not col[j]:
+                                    break
+                            b = blocked[j]
+                            if not b & bit:
+                                b |= bit
+                                blocked[j] = b
+                                trail.append(~(j * k1 + c))
+                                rest = full & ~b
+                                if not rest:
+                                    ok = False
+                                elif not rest & (rest - 1):
+                                    pending.append((j, 0))
+                if not ok:
+                    return False
+            return True
 
-        try:
-            for i, c in sorted((fixed or {}).items()):
-                if not 0 <= i < m:
-                    raise ValueError(f"fixed index {i} out of range")
-                if not 1 <= c <= k:
-                    raise ValueError(f"fixed color {c} outside 1..{k}")
-                spend()
-                if not place(i, c):
-                    return False, None, nodes
-            found = bt(0, 0)
-        except BudgetExceeded:
-            return None, None, nodes
-        if not found:
-            return False, None, nodes
-        return True, {self.edges[i]: color[i] for i in range(m)}, nodes
+        def undo(mark: int) -> None:
+            while len(trail) > mark:
+                x = trail.pop()
+                if x >= 0:
+                    c = col[x]
+                    col[x] = 0
+                    for q in cons_of[x]:
+                        free[q] += 1
+                        cnt[q * k1 + c] -= 1
+                else:
+                    j, c = divmod(~x, k1)
+                    blocked[j] &= ~(1 << c)
+
+        def result(found: Optional[bool]) -> SearchResult:
+            coloring = EdgeColoring(k, dict(zip(self.variables, col))) if found else None
+            return SearchResult(found, coloring, nodes, props, conflicts)
+
+        if self.void or not run([*(pins or {}).items(), *((v, 0) for v in self.units)]):
+            conflicts += 1
+            return result(False)
+        stack: list[list[int]] = []  # [var, color tried, trail mark, top, scan position]
+        last, pos = -1, 0
+        while True:
+            v = -1
+            if last >= 0:
+                c = col[last]
+                bit = 1 << c
+                best, bestf = -1, n + 1
+                for q in cons_of[last]:
+                    f = free[q]
+                    if f and f < bestf and mask[q] & bit and cnt[q * k1 + c] + f == size[q]:
+                        best, bestf = q, f
+                if best >= 0:
+                    for v in members[best]:
+                        if not col[v]:
+                            break
+            if v < 0:
+                while pos < n and col[order[pos]]:
+                    pos += 1
+                if pos == n:
+                    return result(True)
+                v = order[pos]
+            stack.append([v, 0, len(trail), top, pos])
+            while True:
+                frame = stack[-1]
+                v, c, mark, top, pos = frame
+                undo(mark)
+                lim = min(k, top + 1) if ladder else k
+                b = blocked[v]
+                c += 1
+                while c <= lim and b >> c & 1:
+                    c += 1
+                if c > lim:
+                    stack.pop()
+                    if not stack:
+                        return result(False)
+                    continue
+                frame[1] = c
+                nodes += 1
+                if budget is not None and nodes > budget:
+                    return result(None)
+                if run([(v, c)]):
+                    last = v
+                    break
+                conflicts += 1
+
+
+def _clique_core(h: Hypergraph, t: int, k: int) -> tuple[SearchCore, tuple[tuple[int, ...], ...]]:
+    """The free-coloring question on h as a core over its sorted edges."""
+    cliques = enumerate_cliques(h, t)
+    edges = sorted(h.edges)
+    index = {e: i for i, e in enumerate(edges)}
+    full = (1 << (k + 1)) - 2
+    cons = [([index[e] for e in itertools.combinations(q, h.r)], full) for q in cliques]
+    return SearchCore(edges, k, cons), cliques
 
 
 def find_free_coloring(
@@ -331,28 +430,27 @@ def find_free_coloring(
     """Decide whether some k-coloring of E(h) avoids monochromatic t-cliques.
 
     Complete search: found=False proves no free coloring exists.  Any
-    returned coloring is re-verified with check_free before it leaves.
+    returned coloring is re-verified against the cliques before it
+    leaves.
     """
-    found, witness, nodes = _Search(h, t, k).decide(budget=budget)
-    if found is None:
-        return SearchResult(None, None, nodes)
-    if not found:
-        return SearchResult(False, None, nodes)
-    coloring = EdgeColoring(k, witness or {})
-    bad = check_free(h, coloring, t)
-    if bad:
-        raise RuntimeError(f"search produced a non-free coloring: {bad[:3]!r}")
-    return SearchResult(True, coloring, nodes)
+    core, cliques = _clique_core(h, t, k)
+    res = core.solve(budget)
+    if res.coloring is not None:
+        bad = _mono_cliques(cliques, h.r, res.coloring.assignment)
+        if bad:
+            raise RuntimeError(f"search produced a non-free coloring: {bad[:3]!r}")
+    return res
 
 
 def arrows(h: Hypergraph, t: int, k: int, budget: Optional[int] = None) -> ArrowVerdict:
     """Does every k-coloring of E(h) contain a monochromatic t-clique?"""
     res = find_free_coloring(h, t, k, budget=budget)
+    counts = (res.propagations, res.conflicts)
     if res.found is None:
-        return ArrowVerdict(None, None, res.nodes, "unknown")
+        return ArrowVerdict(None, None, res.nodes, "unknown", *counts)
     if res.found:
-        return ArrowVerdict(False, res.coloring, res.nodes, "complete")
-    return ArrowVerdict(True, None, res.nodes, "complete")
+        return ArrowVerdict(False, res.coloring, res.nodes, "complete", *counts)
+    return ArrowVerdict(True, None, res.nodes, "complete", *counts)
 
 
 def is_minimal_ramsey(
@@ -456,8 +554,9 @@ def admissible_patterns(
     else:
         specials = sorted(e for e in h.edges if u in e and v in e)
     ell = len(specials)
-    search = _Search(h, t, k)
-    special_idx = [search.index[e] for e in specials]
+    core, _ = _clique_core(h, t, k)
+    index = {e: i for i, e in enumerate(core.variables)}
+    special_idx = [index[e] for e in specials]
     sigmas = [dict(zip(range(1, k + 1), perm)) for perm in itertools.permutations(range(1, k + 1))]
 
     patterns: dict[tuple[int, ...], EdgeColoring] = {}
@@ -467,18 +566,17 @@ def admissible_patterns(
         if rep in patterns:
             continue
         multiset: list[int] = []
-        for colour, cnt in enumerate(rep, start=1):
-            multiset.extend([colour] * cnt)
+        for color, cnt in enumerate(rep, start=1):
+            multiset.extend([color] * cnt)
         for assign in sorted(set(itertools.permutations(multiset))):
-            fixed = dict(zip(special_idx, assign))
-            found, witness, nodes = search.decide(budget=remaining, fixed=fixed, ladder=False)
+            res = core.solve(remaining, pins=dict(zip(special_idx, assign)))
             if remaining is not None:
-                remaining = max(0, remaining - nodes)
-            if found is None:
+                remaining = max(0, remaining - res.nodes)
+            if res.found is None:
                 complete = False
                 break
-            if found:
-                base = EdgeColoring(k, witness or {})
+            if res.found:
+                base = res.coloring
                 for sigma in sigmas:
                     w = base.recolored(sigma)
                     p = tuple(sum(1 for e in specials if w.assignment[e] == c) for c in range(1, k + 1))

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import operator
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -45,8 +46,8 @@ __all__ = [
 
 
 def canon_edge(verts: Iterable[int], r: Optional[int] = None) -> Edge:
-    """Sorted tuple form of an edge; rejects repeats and negative ids."""
-    vs = tuple(sorted(int(v) for v in verts))
+    """Sorted tuple form of an edge; rejects repeats, negative and non-integer ids."""
+    vs = tuple(sorted(map(operator.index, verts)))
     if len(set(vs)) != len(vs):
         raise ValueError(f"edge {tuple(verts)!r} has repeated vertices")
     if r is not None and len(vs) != r:

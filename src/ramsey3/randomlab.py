@@ -14,7 +14,6 @@ exact log2 form.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import math
 import random
@@ -23,7 +22,7 @@ from fractions import Fraction
 from math import comb
 from typing import Optional, Sequence, Union
 
-from .colorengine import BudgetExceeded, EdgeColoring
+from .colorengine import BudgetExceeded, EdgeColoring, SearchCore
 from .hypercore import Edge, Hypergraph, enumerate_cliques
 
 __all__ = [
@@ -54,6 +53,8 @@ def derive_seed(*parts: Union[str, int]) -> int:
     Hash-based so it is independent of PYTHONHASHSEED and identical
     across runs and platforms.
     """
+    import hashlib  # deferred: loading OpenSSL costs every importer 3.5 MiB of RSS
+
     text = "/".join(str(p) for p in parts)
     digest = hashlib.blake2b(text.encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "big")
@@ -167,30 +168,30 @@ def count_bad_supported(
 
 
 def property_b_toy_check(
-    family: Sequence[Hypergraph], t: int, limit: int = 1 << 22
+    family: Sequence[Hypergraph], t: int, budget: Optional[int] = None
 ) -> bool:
     """Does every pair coloring support a clique in some member?
 
-    Exhausts all k^C(n,2) colorings of the pairs, so it is only for tiny
-    n; anything past the limit raises BudgetExceeded.  True means no
-    coloring of an apex link could avoid a monochromatic clique.
+    The pairs of the shared vertex set are the search core's variables,
+    colored 1..k for k members; each (t-1)-clique of member i is one
+    constraint, its pairs not all of color i.  True means the core finds
+    no coloring, so no coloring of an apex link could avoid a
+    monochromatic clique.  A search needing more than budget decisions
+    raises BudgetExceeded.
     """
     if not family:
         raise ValueError("empty family")
-    k = len(family)
-    n = len(family[0].vertices)
-    pairs = list(itertools.combinations(range(n), 2))
-    total = k ** len(pairs)
-    if total > limit:
-        raise BudgetExceeded(f"{total} pair colorings exceed the limit")
-    cliques = [enumerate_cliques(h, t - 1) for h in family]
-    for assignment in itertools.product(range(1, k + 1), repeat=len(pairs)):
-        col = dict(zip(pairs, assignment))
-        # member i supports a clique when all of the clique's pairs have color i
-        if not any(all(col[pq] == i for pq in itertools.combinations(q, 2))
-                   for i, qs in enumerate(cliques, start=1) for q in qs):
-            return False
-    return True
+    pairs = list(itertools.combinations(sorted(family[0].vertices), 2))
+    index = {pq: i for i, pq in enumerate(pairs)}
+    constraints = [
+        ([index[pq] for pq in itertools.combinations(q, 2)], 1 << i)
+        for i, h in enumerate(family, start=1)
+        for q in enumerate_cliques(h, t - 1)
+    ]
+    res = SearchCore(pairs, len(family), constraints).solve(budget)
+    if res.found is None:
+        raise BudgetExceeded(f"property B check exceeded {budget} nodes")
+    return not res.found
 
 
 @dataclass(frozen=True)

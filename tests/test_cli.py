@@ -34,6 +34,7 @@ def test_arrow_yes_and_json(tmp_path, capsys):
     code, out = run(capsys, "arrow", path, "-t", "3", "-k", "2", "--json")
     doc = json.loads(out)
     assert code == 0 and doc["arrows"] is True and doc["witness"] is None
+    assert doc["nodes"] > 0 and doc["propagations"] > 0 and doc["conflicts"] > 0
 
 
 def test_arrow_no_with_witness(tmp_path, capsys):
@@ -82,8 +83,21 @@ def test_free_coloring_json(tmp_path, capsys):
     code, out = run(capsys, "free-coloring", path, "-t", "4", "-k", "2")
     doc = json.loads(out)
     assert code == 0 and doc["found"] is True
+    assert {"nodes", "propagations", "conflicts"} <= set(doc)
     col = EdgeColoring.from_json_dict(doc["coloring"])
     assert check_free(Hypergraph.complete(5, 3), col, 4) == []
+
+
+@pytest.mark.parametrize("exc", [RecursionError, MemoryError])
+def test_resource_exhaustion_exits_2(tmp_path, capsys, monkeypatch, exc):
+    def exhausted(problem):
+        raise exc()
+
+    monkeypatch.setattr("ramsey3.cli.solve_cnf", exhausted)
+    path = write_graph(tmp_path, Hypergraph.complete(4, 3))
+    code, out = run(capsys, "cnf", path, "-t", "4", "-k", "2", "--solve")
+    assert code == 2
+    assert "Traceback" not in out and len(out.strip().splitlines()) == 1
 
 
 def test_cnf_dimacs_and_solve(tmp_path, capsys):
@@ -180,7 +194,7 @@ def test_codegree_force_check_and_drop(capsys):
                     "--drop", "0", "--json")
     assert code == 0 and json.loads(out)["forced"] is False
     code, out = run(capsys, "codegree", "force-check", "-t", "5",
-                    "--limit", "10")
+                    "--budget", "10")
     assert code == 2
 
 

@@ -1,5 +1,6 @@
 """Partition hosts, forced apex patterns, greedy coloring extension."""
 
+import time
 from fractions import Fraction
 from math import comb
 
@@ -112,10 +113,21 @@ def test_forced_pattern_each_deletion_fails():
         assert forced_pattern_check(host, apex_edges=rest) is False
 
 
+def test_forced_pattern_t7_within_time():
+    # 2^25 apex colorings: settled by search, never enumerated
+    host = build_partition_host(7)
+    bundle = apex_bundle(host)
+    start = time.perf_counter()
+    assert forced_pattern_check(host) is True
+    assert forced_pattern_check(host, apex_edges=bundle[1:]) is False
+    elapsed = time.perf_counter() - start
+    assert elapsed < 20.0, f"took {elapsed:.2f}s, budget 20.0s"
+
+
 def test_forced_pattern_budget():
     host = build_partition_host(5)
     with pytest.raises(BudgetExceeded):
-        forced_pattern_check(host, assignment_limit=100)
+        forced_pattern_check(host, budget=10)
 
 
 def test_forced_pattern_rejects_foreign_edges():

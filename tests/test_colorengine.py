@@ -3,7 +3,10 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import ramsey3.colorengine as colorengine
 from ramsey3 import (
     ArrowVerdict,
     EdgeColoring,
@@ -14,6 +17,7 @@ from ramsey3 import (
     admissible_vertex_coloring,
     arrows,
     check_free,
+    enumerate_cliques,
     export_cnf,
     fano_plane,
     find_free_coloring,
@@ -21,6 +25,8 @@ from ramsey3 import (
     minimalize,
     solve_cnf,
 )
+from ramsey3.colorengine import SearchCore
+from ramsey3.randomlab import sample_h3
 
 from _oracles import (
     brute_free_exists,
@@ -48,6 +54,11 @@ def test_edge_coloring_validation():
         EdgeColoring(0, {})
     c = EdgeColoring(2, {(2, 1, 0): 1})
     assert c.color((0, 1, 2)) == 1
+    assert EdgeColoring.of(2, {(2, 1, 0): 1}) == c
+    with pytest.raises(ValueError):
+        EdgeColoring.of(2, {(0, 1, 2): 1, (1, 0, 2): 2})
+    with pytest.raises(ValueError):
+        EdgeColoring.of(2, {(0, 1, 2): 1.9})
 
 
 def test_edge_coloring_recolored():
@@ -115,6 +126,77 @@ def test_search_witness_is_reverified():
 def test_single_edge_cannot_avoid_itself():
     h = Hypergraph.build(3, [(0, 1, 2)])
     assert find_free_coloring(h, 3, 2).found is False
+
+
+def test_find_free_coloring_enumerates_cliques_once(monkeypatch):
+    calls = []
+
+    def counting(h, t):
+        calls.append((h, t))
+        return enumerate_cliques(h, t)
+
+    monkeypatch.setattr(colorengine, "enumerate_cliques", counting)
+    h = Hypergraph.complete(7, 3)
+    assert find_free_coloring(h, 4, 2).found is True
+    assert calls == [(h, 4)]
+
+
+@pytest.mark.parametrize("n", [9, 10])
+def test_free_coloring_of_complete_3graphs(n):
+    # [KNOWN] R(4,4;3) = 13, so K_n^(3) has a free 2-coloring for n <= 12
+    h = Hypergraph.complete(n, 3)
+    res = find_free_coloring(h, 4, 2, budget=100_000)
+    assert res.found is True
+    assert not brute_mono_cliques(h, dict(res.coloring.assignment), 4)
+    assert res.propagations > 0 and res.conflicts > 0
+
+
+def test_search_depth_is_not_recursion_bound():
+    # 1,053 edges, more than the interpreter's default recursion limit
+    h = sample_h3(23, 0.6, 20150205)
+    assert h.num_edges > 1000
+    res = find_free_coloring(h, 6, 2, budget=100_000)
+    assert res.found is True
+    assert not brute_mono_cliques(h, dict(res.coloring.assignment), 6)
+
+
+@st.composite
+def masked_instances(draw):
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(1, 3))
+    full = (1 << (k + 1)) - 2
+    cons = draw(st.lists(
+        st.tuples(st.lists(st.integers(0, n - 1), max_size=4, unique=True), st.integers(0, full)),
+        max_size=8))
+    if draw(st.booleans()):  # color-symmetric, where the search breaks value symmetry
+        return n, k, [(mem, full) for mem, _ in cons], {}
+    pins = draw(st.dictionaries(st.integers(0, n - 1), st.integers(1, k), max_size=3))
+    return n, k, cons, pins
+
+
+def _violates(colors, k, cons):
+    """Some constraint's members all take one color of its mask."""
+    return any(
+        mask >> c & 1 and all(colors[v] == c for v in mem)
+        for mem, mask in cons for c in range(1, k + 1)
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(masked_instances())
+def test_core_matches_brute_force(inst):
+    n, k, cons, pins = inst
+    brute = any(
+        all(colors[v] == c for v, c in pins.items()) and not _violates(colors, k, cons)
+        for colors in itertools.product(range(1, k + 1), repeat=n)
+    )
+    variables = [(v,) for v in range(n)]
+    res = SearchCore(variables, k, cons).solve(pins=pins)
+    assert res.found == brute
+    if res.found:
+        colors = [res.coloring.color(e) for e in variables]
+        assert all(colors[v] == c for v, c in pins.items())
+        assert not _violates(colors, k, cons)
 
 
 # -- arrowing -----------------------------------------------------------
@@ -195,6 +277,15 @@ def test_admissible_patterns_closed_under_color_swap():
     ps = admissible_patterns(K5, 0, 1, 4, 2)
     for p in ps.patterns:
         assert tuple(reversed(p)) in ps.patterns
+
+
+def test_admissible_patterns_same_for_every_pair_of_k8():
+    # every pair of K_8^(3) is equivalent, so each must give all 7 patterns
+    k8 = Hypergraph.complete(8, 3)
+    for u, v in itertools.combinations(range(8), 2):
+        ps = admissible_patterns(k8, u, v, 4, 2, budget=1_000_000)
+        assert ps.complete, (u, v)
+        assert set(ps.patterns) == {(a, 6 - a) for a in range(7)}, (u, v)
 
 
 def test_admissible_patterns_budget_incomplete():

@@ -78,6 +78,10 @@ def test_canon_edge():
     assert canon_edge((2, 0, 1)) == (0, 1, 2)
     with pytest.raises(ValueError):
         canon_edge((0, 0, 1))
+    with pytest.raises(TypeError):
+        canon_edge((0, 1.7, 2))
+    with pytest.raises(TypeError):
+        Hypergraph.build(3, [(0, 1.7, 2)])
 
 
 def test_minus_plus_edges():

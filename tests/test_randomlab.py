@@ -137,7 +137,7 @@ def test_property_b_toy():
     k4 = Hypergraph.complete(4, 3)
     assert property_b_toy_check((k4, k4), 4) is False
     with pytest.raises(BudgetExceeded):
-        property_b_toy_check((k6, k6), 4, limit=100)
+        property_b_toy_check((k6, k6), 4, budget=10)
 
 
 # -- Ramsey table and the counting bound -------------------------------------
