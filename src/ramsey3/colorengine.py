@@ -239,16 +239,23 @@ class SearchCore:
 
     The solver keeps an explicit stack of decisions over one trail of
     assignments and color blocks, so depth is bounded by memory, not by
-    the interpreter's recursion limit.  When all but one member of a
-    constraint share a forbidden color, that color is blocked on the
-    last member; a variable left with one unblocked color is assigned
-    at once (a propagation, not a node), and a variable with none, or a
-    constraint completed in a forbidden color, is a conflict.  The next
+    the interpreter's recursion limit.  Each constraint carries one live
+    color: 0 while no member is assigned, c while every assigned member
+    has color c and c is in the mask, dead otherwise.  The assignment
+    that gives a live constraint a second color, or a color outside its
+    mask, kills it and keeps its previous live color for the undo; later
+    assignments skip it until that undo revives it.  Each assignment
+    lists the constraints it counted and those it killed, and undo and
+    branching visit only those.  When all but one member of a live
+    constraint are assigned, its color is blocked on the last member; a
+    variable left with one unblocked color is assigned at once (a
+    propagation, not a node), and a variable with none, or a constraint
+    whose members all take its live color, is a conflict.  The next
     decision is the first free member of the live constraint with the
-    fewest free members among those through the last decided variable,
-    else the first free variable in descending constraint count.  With
-    no pins and every mask full the colors are interchangeable, so a
-    decision opens at most one color not yet in use.
+    fewest free members among those the last decision counted, else the
+    first free variable in descending constraint count.  With no pins
+    and every mask full the colors are interchangeable, so a decision
+    opens at most one color not yet in use.
     """
 
     def __init__(
@@ -292,7 +299,9 @@ class SearchCore:
                 raise ValueError(f"pinned color {c} outside 1..{k}")
         ladder = self.symmetric and not pins
         free = list(size)
-        cnt = [0] * (len(size) * k1)
+        live = [0] * len(size)  # live color, or ~(live color before death) < 0
+        upd: list[list[int]] = [[] for _ in range(n)]  # constraints an assignment counted
+        kill: list[list[int]] = [[] for _ in range(n)]  # constraints an assignment killed
         col = [0] * n
         blocked = list(self.blocked)
         trail: list[int] = []  # v >= 0 assigned v; ~(j * k1 + c) blocked color c on j
@@ -319,43 +328,50 @@ class SearchCore:
                 col[v] = c
                 trail.append(v)
                 bit = 1 << c
-                ok = True
+                counted = upd[v] = []
+                killed = kill[v] = []
                 for q in cons_of[v]:
+                    a = live[q]
+                    if a < 0:
+                        continue
+                    if a and a != c or not mask[q] & bit:
+                        live[q] = ~a
+                        killed.append(q)
+                        continue
+                    live[q] = c
                     f = free[q] - 1
                     free[q] = f
-                    i = q * k1 + c
-                    a = cnt[i] + 1
-                    cnt[i] = a
-                    if a + f == size[q] and mask[q] & bit:
+                    counted.append(q)
+                    if f < 2:
                         if f == 0:
-                            ok = False
-                        elif f == 1:
-                            for j in members[q]:
-                                if not col[j]:
-                                    break
-                            b = blocked[j]
-                            if not b & bit:
-                                b |= bit
-                                blocked[j] = b
-                                trail.append(~(j * k1 + c))
-                                rest = full & ~b
-                                if not rest:
-                                    ok = False
-                                elif not rest & (rest - 1):
-                                    pending.append((j, 0))
-                if not ok:
-                    return False
+                            return False
+                        for j in members[q]:
+                            if not col[j]:
+                                break
+                        b = blocked[j]
+                        if not b & bit:
+                            b |= bit
+                            blocked[j] = b
+                            trail.append(~(j * k1 + c))
+                            rest = full & ~b
+                            if not rest:
+                                return False
+                            if not rest & (rest - 1):
+                                pending.append((j, 0))
             return True
 
         def undo(mark: int) -> None:
             while len(trail) > mark:
                 x = trail.pop()
                 if x >= 0:
-                    c = col[x]
                     col[x] = 0
-                    for q in cons_of[x]:
-                        free[q] += 1
-                        cnt[q * k1 + c] -= 1
+                    for q in upd[x]:
+                        f = free[q] + 1
+                        free[q] = f
+                        if f == size[q]:
+                            live[q] = 0
+                    for q in kill[x]:
+                        live[q] = ~live[q]
                 else:
                     j, c = divmod(~x, k1)
                     blocked[j] &= ~(1 << c)
@@ -373,11 +389,10 @@ class SearchCore:
             v = -1
             if last >= 0:
                 c = col[last]
-                bit = 1 << c
                 best, bestf = -1, n + 1
-                for q in cons_of[last]:
+                for q in upd[last]:
                     f = free[q]
-                    if f and f < bestf and mask[q] & bit and cnt[q * k1 + c] + f == size[q]:
+                    if f and f < bestf and live[q] == c:
                         best, bestf = q, f
                 if best >= 0:
                     for v in members[best]:
@@ -414,27 +429,33 @@ class SearchCore:
                 conflicts += 1
 
 
-def _clique_core(h: Hypergraph, t: int, k: int) -> tuple[SearchCore, tuple[tuple[int, ...], ...]]:
-    """The free-coloring question on h as a core over its sorted edges."""
-    cliques = enumerate_cliques(h, t)
+def _clique_core(h: Hypergraph, cliques: Sequence[tuple[int, ...]], k: int) -> SearchCore:
+    """The free-coloring question on h, given its t-cliques, over its sorted edges."""
     edges = sorted(h.edges)
     index = {e: i for i, e in enumerate(edges)}
     full = (1 << (k + 1)) - 2
     cons = [([index[e] for e in itertools.combinations(q, h.r)], full) for q in cliques]
-    return SearchCore(edges, k, cons), cliques
+    return SearchCore(edges, k, cons)
 
 
 def find_free_coloring(
-    h: Hypergraph, t: int, k: int, budget: Optional[int] = None
+    h: Hypergraph,
+    t: int,
+    k: int,
+    budget: Optional[int] = None,
+    *,
+    cliques: Optional[Sequence[tuple[int, ...]]] = None,
 ) -> SearchResult:
     """Decide whether some k-coloring of E(h) avoids monochromatic t-cliques.
 
     Complete search: found=False proves no free coloring exists.  Any
     returned coloring is re-verified against the cliques before it
-    leaves.
+    leaves.  cliques, when given, must be enumerate_cliques(h, t); the
+    minimality checks pass it to enumerate once per call.
     """
-    core, cliques = _clique_core(h, t, k)
-    res = core.solve(budget)
+    if cliques is None:
+        cliques = enumerate_cliques(h, t)
+    res = _clique_core(h, cliques, k).solve(budget)
     if res.coloring is not None:
         bad = _mono_cliques(cliques, h.r, res.coloring.assignment)
         if bad:
@@ -453,6 +474,19 @@ def arrows(h: Hypergraph, t: int, k: int, budget: Optional[int] = None) -> Arrow
     return ArrowVerdict(True, None, res.nodes, "complete", *counts)
 
 
+def _arrows_with(
+    h: Hypergraph, cliques: Sequence[tuple[int, ...]], t: int, k: int, budget: Optional[int]
+) -> Optional[bool]:
+    """arrows(h, t, k).arrows, given the t-cliques of h."""
+    found = find_free_coloring(h, t, k, budget=budget, cliques=cliques).found
+    return None if found is None else not found
+
+
+def _without(cliques: Sequence[tuple[int, ...]], e: Edge) -> list[tuple[int, ...]]:
+    """The t-cliques of h - e: those of h that do not contain e."""
+    return [q for q in cliques if not all(x in q for x in e)]
+
+
 def is_minimal_ramsey(
     h: Hypergraph, t: int, k: int, budget: Optional[int] = None
 ) -> Optional[bool]:
@@ -460,17 +494,16 @@ def is_minimal_ramsey(
 
     None when some required arrowing question stayed undecided.
     """
-    base = arrows(h, t, k, budget=budget)
-    if base.arrows is None:
-        return None
-    if not base.arrows:
-        return False
+    cliques = enumerate_cliques(h, t)
+    base = _arrows_with(h, cliques, t, k, budget)
+    if not base:
+        return base  # None when undecided, False when h does not arrow
     pending_unknown = False
     for e in sorted(h.edges):
-        sub = arrows(h.minus_edge(e), t, k, budget=budget)
-        if sub.arrows:
+        sub = _arrows_with(h.minus_edge(e), _without(cliques, e), t, k, budget)
+        if sub:
             return False
-        if sub.arrows is None:
+        if sub is None:
             pending_unknown = True
     return None if pending_unknown else True
 
@@ -486,19 +519,20 @@ def minimalize(h: Hypergraph, t: int, k: int, budget: Optional[int] = None) -> H
         ValueError: if h does not arrow in the first place.
         BudgetExceeded: if some arrowing question stayed undecided.
     """
-    base = arrows(h, t, k, budget=budget)
-    if base.arrows is None:
+    cliques = enumerate_cliques(h, t)
+    base = _arrows_with(h, cliques, t, k, budget)
+    if base is None:
         raise BudgetExceeded("budget too small to decide arrowing")
-    if not base.arrows:
+    if not base:
         raise ValueError("hypergraph does not arrow; nothing to minimalize")
     cur = h
     for e in sorted(h.edges):
-        trial = cur.minus_edge(e)
-        verdict = arrows(trial, t, k, budget=budget)
-        if verdict.arrows is None:
+        trial, kept = cur.minus_edge(e), _without(cliques, e)
+        verdict = _arrows_with(trial, kept, t, k, budget)
+        if verdict is None:
             raise BudgetExceeded("budget too small to decide arrowing")
-        if verdict.arrows:
-            cur = trial
+        if verdict:
+            cur, cliques = trial, kept
     support = {v for e in cur.edges for v in e}
     return Hypergraph(
         cur.r,
@@ -554,7 +588,7 @@ def admissible_patterns(
     else:
         specials = sorted(e for e in h.edges if u in e and v in e)
     ell = len(specials)
-    core, _ = _clique_core(h, t, k)
+    core = _clique_core(h, enumerate_cliques(h, t), k)
     index = {e: i for i, e in enumerate(core.variables)}
     special_idx = [index[e] for e in specials]
     sigmas = [dict(zip(range(1, k + 1), perm)) for perm in itertools.permutations(range(1, k + 1))]
@@ -622,29 +656,36 @@ def admissible_vertex_coloring(
             return tuple(c[1:]) in ps.patterns
         return any(all(p[x - 1] >= c[x] for x in range(1, k + 1)) for p in pats)
 
-    def bt(i: int) -> bool:
-        if i == len(verts):
-            out.append(VertexColoring(k, {verts[j]: color[j] for j in range(len(verts))}))
-            return mode == "exists"
-        for c in range(1, k + 1):
-            color[i] = c
-            ok = True
-            for ei in edges_of[i]:
-                cnt[ei][c] += 1
-                seen[ei] += 1
-            for ei in edges_of[i]:
-                if not feasible(ei):
-                    ok = False
-                    break
-            if ok and bt(i + 1):
-                return True
-            for ei in edges_of[i]:
-                cnt[ei][c] -= 1
-                seen[ei] -= 1
-            color[i] = 0
-        return False
+    def place(i: int, c: int, d: int) -> None:
+        for ei in edges_of[i]:
+            cnt[ei][c] += d
+            seen[ei] += d
 
-    bt(0)
+    # depth-first in lexicographic order on an explicit cursor: color[i]
+    # is the color in force at vertex i, 0 before the first try
+    n, i = len(verts), 0
+    while i >= 0:
+        if i == n:
+            out.append(VertexColoring(k, dict(zip(verts, color))))
+            if mode == "exists":
+                break
+            i -= 1
+            continue
+        c = color[i]
+        if c:
+            place(i, c, -1)
+        while c < k:
+            c += 1
+            place(i, c, 1)
+            if all(feasible(ei) for ei in edges_of[i]):
+                break
+            place(i, c, -1)
+        else:
+            color[i] = 0
+            i -= 1
+            continue
+        color[i] = c
+        i += 1
     if mode == "exists":
         return out[0] if out else None
     return out

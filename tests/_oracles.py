@@ -62,6 +62,19 @@ def brute_free_patterns(h, u, v, t, k):
     return pats
 
 
+def brute_vertex_colorings(h, patterns, k):
+    """Vertex k-colorings, lexicographic in sorted vertex order, whose
+    per-edge color counts are all in patterns, by scan."""
+    verts = sorted(h.vertices)
+    out = []
+    for colors in itertools.product(range(1, k + 1), repeat=len(verts)):
+        cmap = dict(zip(verts, colors))
+        if all(tuple(sum(1 for x in e if cmap[x] == c) for c in range(1, k + 1)) in patterns
+               for e in h.edges):
+            out.append(cmap)
+    return out
+
+
 def random_small_hypergraph(seed):
     """Seeded hypergraph with at most 9 edges, uniformity 2 or 3."""
     rng = random.Random(seed)

@@ -1,5 +1,6 @@
 """Coloring search: free colorings, arrowing, patterns, CNF export."""
 
+import hashlib
 import itertools
 
 import pytest
@@ -25,6 +26,7 @@ from ramsey3 import (
     minimalize,
     solve_cnf,
 )
+import ramsey3.codegree as codegree
 from ramsey3.colorengine import SearchCore
 from ramsey3.randomlab import sample_h3
 
@@ -32,6 +34,7 @@ from _oracles import (
     brute_free_exists,
     brute_free_patterns,
     brute_mono_cliques,
+    brute_vertex_colorings,
     random_small_hypergraph,
 )
 
@@ -141,6 +144,23 @@ def test_find_free_coloring_enumerates_cliques_once(monkeypatch):
     assert calls == [(h, 4)]
 
 
+@pytest.mark.parametrize("run", [
+    lambda: minimalize(Hypergraph.complete(10, 2), 3, 2),
+    lambda: is_minimal_ramsey(Hypergraph.complete(6, 2), 3, 2),
+], ids=["minimalize", "is_minimal_ramsey"])
+def test_minimality_enumerates_cliques_once(monkeypatch, run):
+    # the t-cliques of h - e are those of h that do not contain e
+    calls = []
+
+    def counting(h, t):
+        calls.append((h, t))
+        return enumerate_cliques(h, t)
+
+    monkeypatch.setattr(colorengine, "enumerate_cliques", counting)
+    run()
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("n", [9, 10])
 def test_free_coloring_of_complete_3graphs(n):
     # [KNOWN] R(4,4;3) = 13, so K_n^(3) has a free 2-coloring for n <= 12
@@ -197,6 +217,64 @@ def test_core_matches_brute_force(inst):
         colors = [res.coloring.color(e) for e in variables]
         assert all(colors[v] == c for v, c in pins.items())
         assert not _violates(colors, k, cons)
+
+
+def _tree(res):
+    return (res.found, res.nodes, res.propagations, res.conflicts)
+
+
+def _color_digest(coloring):
+    colors = "".join(str(c) for _, c in sorted(coloring.assignment.items()))
+    return hashlib.sha256(colors.encode()).hexdigest()[:12]
+
+
+@pytest.fixture
+def recorded_solves(monkeypatch):
+    """Results of every SearchCore.solve made by colorengine and codegree."""
+    got = []
+
+    class Recording(SearchCore):
+        def solve(self, *args, **kwargs):
+            res = super().solve(*args, **kwargs)
+            got.append(res)
+            return res
+
+    monkeypatch.setattr(colorengine, "SearchCore", Recording)
+    monkeypatch.setattr(codegree, "SearchCore", Recording)
+    return got
+
+
+# Pinned search trees: a faster core must make the same decisions,
+# propagations and conflicts and return the same colorings; a change to
+# these figures is a change of search, not of speed.
+@pytest.mark.parametrize("n, r, t, k, tree, digest", [
+    (8, 3, 4, 2, (True, 62, 66, 18), "ca16d6e216a9"),
+    (9, 3, 4, 2, (True, 882, 1510, 423), "c7c420f7fe6b"),
+    (10, 3, 4, 2, (True, 1406, 2170, 684), "b5eed0da241b"),
+    (9, 2, 3, 3, (True, 33, 9, 3), "7f724b6851a0"),
+])
+def test_free_coloring_search_tree_unchanged(n, r, t, k, tree, digest):
+    res = find_free_coloring(Hypergraph.complete(n, r), t, k)
+    assert _tree(res) == tree
+    assert _color_digest(res.coloring) == digest
+
+
+@pytest.mark.parametrize("t, tree", [
+    (6, (False, 174, 291, 88)),
+    (7, (False, 2748, 5816, 1375)),
+])
+def test_forced_check_search_tree_unchanged(recorded_solves, t, tree):
+    assert codegree.forced_pattern_check(codegree.build_partition_host(t)) is True
+    assert [_tree(res) for res in recorded_solves] == [tree]
+
+
+def test_pinned_search_trees_unchanged(recorded_solves):
+    ps = admissible_patterns(Hypergraph.complete(8, 3), 6, 7, 4, 2)
+    assert ps.complete and len(ps.patterns) == 7
+    assert [_tree(res) for res in recorded_solves] == [
+        (True, 29, 33, 5), (True, 30, 32, 5), (True, 33, 26, 4), (True, 30, 28, 4)]
+    assert [_color_digest(res.coloring) for res in recorded_solves] == [
+        "dca65a0106c0", "d5404e2e4e75", "b9a25b8cc10b", "ece33c3d44ba"]
 
 
 # -- arrowing -----------------------------------------------------------
@@ -320,6 +398,32 @@ def test_vertex_coloring_path_has_two():
     for vc in got:
         for u, v in path.edges:
             assert vc.assignment[u] != vc.assignment[v]
+
+
+def test_vertex_coloring_long_path_without_recursion():
+    # 1,501 vertices, deeper than the interpreter's default recursion limit
+    path = Hypergraph.build(2, [(i, i + 1) for i in range(1500)])
+    ps = PatternSet(2, 2, frozenset({(1, 1)}))
+    vc = admissible_vertex_coloring(path, ps)
+    assert vc is not None and len(vc.assignment) == 1501
+    assert all(vc.assignment[u] != vc.assignment[v] for u, v in path.edges)
+
+
+@pytest.mark.parametrize("h, ps", [
+    (Hypergraph.build(2, [(i, i + 1) for i in range(5)]), PatternSet(2, 2, frozenset({(1, 1)}))),
+    (Hypergraph.build(2, [(0, 1), (1, 2), (2, 0), (2, 3)]), PatternSet(2, 3, frozenset({(1, 1, 0), (1, 0, 1), (0, 1, 1)}))),
+    (Hypergraph.complete(4, 2), PatternSet(2, 3, frozenset({(1, 1, 0), (1, 0, 1), (0, 1, 1)}))),
+    (Hypergraph.complete(4, 3), PatternSet(3, 2, frozenset({(1, 2), (2, 1)}))),
+    (Hypergraph.complete(5, 3), PatternSet(3, 2, frozenset({(3, 0), (1, 2)}))),
+    (Hypergraph.build(3, [(0, 1, 2), (2, 3, 4), (0, 4, 5)]), PatternSet(3, 3, frozenset({(1, 1, 1), (2, 1, 0)}))),
+    (fano_plane(), PatternSet(3, 2, frozenset({(1, 2), (2, 1), (3, 0)}))),
+])
+def test_vertex_coloring_modes_match_lexicographic_scan(h, ps):
+    want = brute_vertex_colorings(h, ps.patterns, ps.k)
+    got = admissible_vertex_coloring(h, ps, mode="enumerate")
+    assert [vc.assignment for vc in got] == want
+    one = admissible_vertex_coloring(h, ps)
+    assert (one.assignment if one else None) == (want[0] if want else None)
 
 
 def test_vertex_coloring_fano_two_coloring_blocked():
