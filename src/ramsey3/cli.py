@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 domain or usage error, 2 undecided within
 budget (a search node budget ran out, or the interpreter ran out of
-recursion depth or memory, as the CNF solver and the vertex-coloring
-search still can), 3 input/output error.  Hypergraph-valued results are
+memory or recursion depth; the searches and the CNF solver are
+iterative and clique enumeration recurses only t deep, so the latter
+would be a fault), 3 input/output error.  Hypergraph-valued results are
 always emitted as JSON documents; purely informational commands print a human
 summary unless --json is given.  Commands that consume randomness
 require an explicit --seed.  --jobs and --deterministic are accepted

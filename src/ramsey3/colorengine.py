@@ -11,8 +11,10 @@ instances too.  The core is a complete search with unit propagation on
 an explicit stack, so "yes" and "no" answers are both proofs at any
 size; a node budget turns long runs into an explicit Unknown verdict
 instead of an open-ended wait.  Results count nodes (decisions),
-propagations and conflicts.  solve_cnf is a separate DPLL kept as an
-independent check, sharing no code with the core.
+propagations and conflicts.  solve_cnf is a separate iterative DPLL
+with two watched literals per clause, kept as an independent check on
+export_cnf and sharing no code with the core; it branches on the first
+open literal of the first unsatisfied clause.
 
 Works for uniformity 2 and 3.  The 2-uniform case doubles as a sanity
 surface: classical Ramsey facts such as r(3, 3) = 6 are cheap to check
@@ -748,60 +750,106 @@ def export_cnf(h: Hypergraph, t: int, k: int) -> CnfDocument:
     return CnfDocument(len(edges) * k, tuple(clauses), edges, k)
 
 
-def _simplify(
-    clauses: Sequence[tuple[int, ...]], lit: int
-) -> Optional[list[tuple[int, ...]]]:
-    out = []
-    for cl in clauses:
-        if lit in cl:
-            continue
-        if -lit in cl:
-            nc = tuple(x for x in cl if x != -lit)
-            if not nc:
-                return None
-            out.append(nc)
-        else:
-            out.append(cl)
-    return out
-
-
 def solve_cnf(
     problem: Union[CnfDocument, Iterable[Sequence[int]]],
 ) -> Optional[frozenset[int]]:
-    """Satisfy a CNF with a tiny DPLL; returns the true variables, or None.
+    """Satisfy a CNF by DPLL; returns the true variables, or None.
 
-    Variables missing from the result are false.  Only meant for the
-    small instances this package emits; it is the independent check on
-    export_cnf, so it deliberately shares no code with the search engine.
+    Variables missing from the result are false.  Literals are nonzero
+    integers (bools and non-integers raise ValueError); a literal
+    repeated within a clause is dropped, and an empty clause makes the
+    result None.  The search is iterative: one map of true literals, a
+    trail that doubles as the propagation queue, two watched literals
+    per clause of length two or more, and an explicit stack of decision
+    frames [literal, side tried, trail mark, scan position].  Undo pops
+    the trail back to a frame's mark; watches need no undo.  It branches
+    on the first unassigned literal of the first clause, in input order,
+    that is not yet satisfied, and tries that literal before its
+    negation.  Satisfied clauses stay satisfied along a branch, so each
+    frame keeps the index of that clause and later scans resume there.
+    This is the independent check on export_cnf, so it deliberately
+    shares no code with the search engine.
     """
     if isinstance(problem, CnfDocument):
-        clauses: list[tuple[int, ...]] = list(problem.clauses)
-    else:
-        clauses = [tuple(cl) for cl in problem]
+        problem = problem.clauses
+    clauses: list[tuple[int, ...]] = []
+    for cl in problem:
+        cl = tuple(cl)
+        for x in cl:
+            if type(x) is not int or x == 0:
+                raise ValueError(f"CNF literal must be a nonzero integer, got {x!r}")
+        clauses.append(tuple(dict.fromkeys(cl)))
     if any(not cl for cl in clauses):
         return None
-
-    def dpll(cls: list[tuple[int, ...]], trail: frozenset[int]) -> Optional[frozenset[int]]:
-        while True:
-            unit = next((cl[0] for cl in cls if len(cl) == 1), None)
-            if unit is None:
-                break
-            nxt = _simplify(cls, unit)
-            if nxt is None:
+    true: set[int] = set()
+    trail: list[int] = []
+    watches: dict[int, list[int]] = {}
+    watched = [list(cl) for cl in clauses]  # the first two entries are watched
+    for i, cl in enumerate(clauses):
+        if len(cl) == 1:
+            if -cl[0] in true:
                 return None
-            cls, trail = nxt, trail | {unit}
-        if not cls:
-            return trail
-        lit = cls[0][0]
-        for choice in (lit, -lit):
-            sub = _simplify(cls, choice)
-            if sub is not None:
-                res = dpll(sub, trail | {choice})
-                if res is not None:
-                    return res
-        return None
-
-    model = dpll(clauses, frozenset())
-    if model is None:
-        return None
-    return frozenset(x for x in model if x > 0)
+            if cl[0] not in true:
+                true.add(cl[0])
+                trail.append(cl[0])
+        else:
+            watches.setdefault(cl[0], []).append(i)
+            watches.setdefault(cl[1], []).append(i)
+    stack: list[list[int]] = []
+    head = 0
+    while True:
+        conflict = False
+        while head < len(trail) and not conflict:
+            false_lit = -trail[head]
+            head += 1
+            ws = watches.get(false_lit)
+            if not ws:
+                continue
+            keep: list[int] = []
+            for j, ci in enumerate(ws):
+                w = watched[ci]
+                if w[0] == false_lit:
+                    w[0], w[1] = w[1], false_lit
+                other = w[0]
+                if other in true:
+                    keep.append(ci)
+                    continue
+                for q in range(2, len(w)):
+                    lit = w[q]
+                    if -lit not in true:
+                        w[1], w[q] = lit, false_lit
+                        watches.setdefault(lit, []).append(ci)
+                        break
+                else:
+                    keep.append(ci)
+                    if -other in true:
+                        keep.extend(ws[j + 1:])
+                        conflict = True
+                        break
+                    true.add(other)
+                    trail.append(other)
+            watches[false_lit] = keep
+        if conflict:
+            while stack:
+                frame = stack[-1]
+                true.difference_update(trail[frame[2]:])
+                del trail[frame[2]:]
+                head = frame[2]
+                if frame[1] == 0:
+                    frame[1] = 1
+                    true.add(-frame[0])
+                    trail.append(-frame[0])
+                    break
+                stack.pop()
+            else:
+                return None
+            continue
+        pos = stack[-1][3] if stack else 0
+        while pos < len(clauses) and not true.isdisjoint(clauses[pos]):
+            pos += 1
+        if pos == len(clauses):
+            return frozenset(x for x in true if x > 0)
+        lit = next(x for x in clauses[pos] if -x not in true)
+        stack.append([lit, 0, len(trail), pos])
+        true.add(lit)
+        trail.append(lit)

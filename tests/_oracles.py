@@ -75,6 +75,21 @@ def brute_vertex_colorings(h, patterns, k):
     return out
 
 
+def brute_sat(clauses):
+    """Whether some assignment satisfies every clause, by truth table.
+
+    Clauses are sequences of nonzero integer literals over at most 10
+    variables."""
+    variables = sorted({abs(x) for cl in clauses for x in cl})
+    if len(variables) > 10:
+        raise ValueError(f"{len(variables)} variables is too many to scan")
+    for values in itertools.product((False, True), repeat=len(variables)):
+        true = {v if b else -v for v, b in zip(variables, values)}
+        if all(any(x in true for x in cl) for cl in clauses):
+            return True
+    return False
+
+
 def random_small_hypergraph(seed):
     """Seeded hypergraph with at most 9 edges, uniformity 2 or 3."""
     rng = random.Random(seed)

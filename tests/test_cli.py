@@ -13,6 +13,7 @@ from ramsey3.cli import main
 from ramsey3.colorengine import EdgeColoring
 from ramsey3.gadgets import TaggedGadget
 from ramsey3.hypercore import codegree
+from ramsey3.randomlab import sample_h3
 
 
 def write_graph(tmp_path, h, name="h.json", tags=None):
@@ -111,6 +112,15 @@ def test_cnf_dimacs_and_solve(tmp_path, capsys):
     assert code == 0 and doc["satisfiable"] is True
     col = EdgeColoring.from_json_dict(doc["coloring"])
     assert check_free(Hypergraph.complete(4, 3), col, 4) == []
+
+
+def test_cnf_solve_thousand_edge_sample(tmp_path, capsys):
+    h = sample_h3(23, 0.6, 20150205)
+    path = write_graph(tmp_path, h)
+    code, out = run(capsys, "cnf", path, "-t", "6", "-k", "2", "--solve")
+    doc = json.loads(out)
+    assert code == 0 and doc["satisfiable"] is True
+    assert check_free(h, EdgeColoring.from_json_dict(doc["coloring"]), 6) == []
 
 
 def test_distance_human_and_unreachable(tmp_path, capsys):

@@ -34,6 +34,7 @@ from _oracles import (
     brute_free_exists,
     brute_free_patterns,
     brute_mono_cliques,
+    brute_sat,
     brute_vertex_colorings,
     random_small_hypergraph,
 )
@@ -484,3 +485,60 @@ def test_solve_cnf_raw_clauses():
     assert solve_cnf([(1, 2), (-1,), (-2,)]) is None
     assert solve_cnf([(1,)]) == frozenset({1})
     assert solve_cnf([]) == frozenset()
+    assert solve_cnf([(1, 2), ()]) is None
+    assert solve_cnf([(-1, -1), (1, 2)]) == frozenset({2})
+    assert solve_cnf(iter([iter((1, 1))])) == frozenset({1})
+
+
+@pytest.mark.parametrize("bad", [[(0,)], [(1.5,)], [(True,)], [(1, "2")], [(1,), (2, False)]])
+def test_solve_cnf_rejects_non_literals(bad):
+    with pytest.raises(ValueError):
+        solve_cnf(bad)
+
+
+def _model_digest(model):
+    if model is None:
+        return None
+    return hashlib.sha256(",".join(map(str, sorted(model))).encode()).hexdigest()[:12]
+
+
+# Pinned models: the solver must make the same decisions and return the
+# same models on export_cnf documents; a change here is a change of search.
+@pytest.mark.parametrize("n, r, t, k, digest", [
+    (5, 3, 4, 2, "4e74d5f96b64"),
+    (6, 3, 4, 2, "9531c0a20fa0"),
+    (7, 3, 4, 2, "c44ffe223d5b"),
+    (8, 3, 4, 2, "24e4bd54c5d1"),
+    (9, 3, 4, 2, "904183e89119"),
+    (9, 2, 3, 3, "97915ae691e3"),
+    (6, 2, 3, 2, None),
+])
+def test_solve_cnf_models_unchanged(n, r, t, k, digest):
+    assert _model_digest(solve_cnf(export_cnf(Hypergraph.complete(n, r), t, k))) == digest
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(
+    st.lists(st.integers(-6, 6).filter(bool), max_size=4), max_size=12))
+def test_solve_cnf_matches_truth_table(clauses):
+    model = solve_cnf(clauses)
+    assert (model is not None) == brute_sat(clauses)
+    if model is not None:
+        assert all(any(x in model if x > 0 else -x not in model for x in cl)
+                   for cl in clauses)
+
+
+def test_solve_cnf_long_implication_chain():
+    clauses = [(i, i + 1) for i in range(1, 3001)]
+    model = solve_cnf(clauses)
+    assert model is not None
+    assert all(a in model or b in model for a, b in clauses)
+
+
+def test_solve_cnf_thousand_edge_sample():
+    h = sample_h3(23, 0.6, 20150205)
+    prob = export_cnf(h, 6, 2)
+    assert h.num_edges == 1053 and len(prob.clauses) == 2110
+    model = solve_cnf(prob)
+    assert model is not None
+    assert check_free(h, prob.decode(model), 6) == []
