@@ -54,7 +54,10 @@ def _read_text(path: str) -> str:
 
 
 def _load_doc(path: str) -> dict:
-    return json.loads(_read_text(path))
+    doc = json.loads(_read_text(path))
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: expected a JSON object, got {type(doc).__name__}")
+    return doc
 
 
 def _load_hypergraph(path: str) -> Hypergraph:
@@ -356,6 +359,8 @@ def _cmd_lab_sample(args: argparse.Namespace) -> int:
 def _load_family(path: str) -> tuple[Hypergraph, ...]:
     doc = _load_doc(path)
     if "members" in doc:
+        if not isinstance(doc["members"], list):
+            raise ValueError(f"{path}: members must be a list of hypergraphs")
         return tuple(from_json_dict(m)[0] for m in doc["members"])
     return (from_json_dict(doc)[0],)
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Collection, Iterable, Mapping, Optional, Sequence, Union
 
 from .hypercore import Edge, Hypergraph, canon_edge, enumerate_cliques, json_int
 
@@ -241,7 +241,10 @@ class SearchCore:
 
     The solver keeps an explicit stack of decisions over one trail of
     assignments and color blocks, so depth is bounded by memory, not by
-    the interpreter's recursion limit.  Each constraint carries one live
+    the interpreter's recursion limit.  Variables passed as off are
+    absent from that solve: they are never decided or pinned, every
+    constraint through one starts dead and stays dead, and the coloring
+    leaves them out.  Each constraint carries one live
     color: 0 while no member is assigned, c while every assigned member
     has color c and c is in the mask, dead otherwise.  The assignment
     that gives a live constraint a second color, or a color outside its
@@ -286,15 +289,19 @@ class SearchCore:
         self.void = any(not mem for mem in self.members)
         self.symmetric = all(mask == full for mask in self.mask)
 
-    def solve(self, budget: Optional[int] = None, pins: Optional[Mapping[int, int]] = None) -> "SearchResult":
-        """A coloring meeting every constraint, with the pinned colors.
+    def solve(
+        self, budget: Optional[int] = None, pins: Optional[Mapping[int, int]] = None, off: Iterable[int] = ()
+    ) -> "SearchResult":
+        """A coloring of the variables not off meeting every constraint
+        that avoids them, with the pinned colors.
 
         found is None when more than budget decisions were needed.
         """
         k, full, n = self.k, self.full, len(self.variables)
         members, mask, size, cons_of, order = self.members, self.mask, self.size, self.cons_of, self.order
         k1 = k + 1
-        for v, c in (pins or {}).items():
+        pins = pins or {}
+        for v, c in pins.items():
             if not 0 <= v < n:
                 raise ValueError(f"pinned index {v} out of range")
             if not 1 <= c <= k:
@@ -304,7 +311,13 @@ class SearchCore:
         live = [0] * len(size)  # live color, or ~(live color before death) < 0
         upd: list[list[int]] = [[] for _ in range(n)]  # constraints an assignment counted
         kill: list[list[int]] = [[] for _ in range(n)]  # constraints an assignment killed
-        col = [0] * n
+        col = [0] * n  # color, 0 while free, -1 when off (run then skips it)
+        for v in off:
+            if not 0 <= v < n or v in pins:
+                raise ValueError(f"off index {v} out of range or pinned")
+            col[v] = -1
+            for q in cons_of[v]:
+                live[q] = -1  # dead with no killing assignment, so never revived
         blocked = list(self.blocked)
         trail: list[int] = []  # v >= 0 assigned v; ~(j * k1 + c) blocked color c on j
         nodes = props = conflicts = 0
@@ -379,10 +392,10 @@ class SearchCore:
                     blocked[j] &= ~(1 << c)
 
         def result(found: Optional[bool]) -> SearchResult:
-            coloring = EdgeColoring(k, dict(zip(self.variables, col))) if found else None
+            coloring = EdgeColoring(k, {e: c for e, c in zip(self.variables, col) if c > 0}) if found else None
             return SearchResult(found, coloring, nodes, props, conflicts)
 
-        if self.void or not run([*(pins or {}).items(), *((v, 0) for v in self.units)]):
+        if self.void or not run([*pins.items(), *((v, 0) for v in self.units)]):
             conflicts += 1
             return result(False)
         stack: list[list[int]] = []  # [var, color tried, trail mark, top, scan position]
@@ -431,38 +444,45 @@ class SearchCore:
                 conflicts += 1
 
 
-def _clique_core(h: Hypergraph, cliques: Sequence[tuple[int, ...]], k: int) -> SearchCore:
-    """The free-coloring question on h, given its t-cliques, over its sorted edges."""
+def _clique_core(h: Hypergraph, t: int, k: int) -> tuple[SearchCore, tuple[tuple[int, ...], ...]]:
+    """The free-coloring question on h over its sorted edges, and the t-cliques it was built from."""
+    cliques = enumerate_cliques(h, t)
     edges = sorted(h.edges)
     index = {e: i for i, e in enumerate(edges)}
     full = (1 << (k + 1)) - 2
     cons = [([index[e] for e in itertools.combinations(q, h.r)], full) for q in cliques]
-    return SearchCore(edges, k, cons)
+    return SearchCore(edges, k, cons), cliques
 
 
-def find_free_coloring(
-    h: Hypergraph,
-    t: int,
-    k: int,
-    budget: Optional[int] = None,
-    *,
-    cliques: Optional[Sequence[tuple[int, ...]]] = None,
+def _solve_verified(
+    core: SearchCore, cliques: Sequence[tuple[int, ...]], r: int, budget: Optional[int], off: Collection[int] = ()
 ) -> SearchResult:
+    """core.solve(budget, off=off) on a _clique_core, its coloring re-verified.
+
+    The coloring must cover exactly the variables not off and leave
+    every clique that avoids them non-monochromatic.
+    """
+    res = core.solve(budget, off=off)
+    if res.coloring is not None:
+        absent = {core.variables[i] for i in off}
+        if res.coloring.assignment.keys() != set(core.variables) - absent:
+            raise RuntimeError("search produced a coloring of the wrong edges")
+        kept = [q for q in cliques if absent.isdisjoint(itertools.combinations(q, r))] if absent else cliques
+        bad = _mono_cliques(kept, r, res.coloring.assignment)
+        if bad:
+            raise RuntimeError(f"search produced a non-free coloring: {bad[:3]!r}")
+    return res
+
+
+def find_free_coloring(h: Hypergraph, t: int, k: int, budget: Optional[int] = None) -> SearchResult:
     """Decide whether some k-coloring of E(h) avoids monochromatic t-cliques.
 
     Complete search: found=False proves no free coloring exists.  Any
     returned coloring is re-verified against the cliques before it
-    leaves.  cliques, when given, must be enumerate_cliques(h, t); the
-    minimality checks pass it to enumerate once per call.
+    leaves.
     """
-    if cliques is None:
-        cliques = enumerate_cliques(h, t)
-    res = _clique_core(h, cliques, k).solve(budget)
-    if res.coloring is not None:
-        bad = _mono_cliques(cliques, h.r, res.coloring.assignment)
-        if bad:
-            raise RuntimeError(f"search produced a non-free coloring: {bad[:3]!r}")
-    return res
+    core, cliques = _clique_core(h, t, k)
+    return _solve_verified(core, cliques, h.r, budget)
 
 
 def arrows(h: Hypergraph, t: int, k: int, budget: Optional[int] = None) -> ArrowVerdict:
@@ -476,36 +496,24 @@ def arrows(h: Hypergraph, t: int, k: int, budget: Optional[int] = None) -> Arrow
     return ArrowVerdict(True, None, res.nodes, "complete", *counts)
 
 
-def _arrows_with(
-    h: Hypergraph, cliques: Sequence[tuple[int, ...]], t: int, k: int, budget: Optional[int]
-) -> Optional[bool]:
-    """arrows(h, t, k).arrows, given the t-cliques of h."""
-    found = find_free_coloring(h, t, k, budget=budget, cliques=cliques).found
-    return None if found is None else not found
-
-
-def _without(cliques: Sequence[tuple[int, ...]], e: Edge) -> list[tuple[int, ...]]:
-    """The t-cliques of h - e: those of h that do not contain e."""
-    return [q for q in cliques if not all(x in q for x in e)]
-
-
 def is_minimal_ramsey(
     h: Hypergraph, t: int, k: int, budget: Optional[int] = None
 ) -> Optional[bool]:
     """True when h arrows but no single-edge-deleted subgraph does.
 
-    None when some required arrowing question stayed undecided.
+    None when some required arrowing question stayed undecided.  One
+    search core over h answers every deletion with that edge off.
     """
-    cliques = enumerate_cliques(h, t)
-    base = _arrows_with(h, cliques, t, k, budget)
-    if not base:
-        return base  # None when undecided, False when h does not arrow
+    core, cliques = _clique_core(h, t, k)
+    found = _solve_verified(core, cliques, h.r, budget).found
+    if found is not False:
+        return None if found is None else False  # undecided, or h does not arrow
     pending_unknown = False
-    for e in sorted(h.edges):
-        sub = _arrows_with(h.minus_edge(e), _without(cliques, e), t, k, budget)
-        if sub:
-            return False
-        if sub is None:
+    for i in range(len(core.variables)):
+        found = _solve_verified(core, cliques, h.r, budget, {i}).found
+        if found is False:
+            return False  # h minus this edge still arrows
+        if found is None:
             pending_unknown = True
     return None if pending_unknown else True
 
@@ -516,32 +524,30 @@ def minimalize(h: Hypergraph, t: int, k: int, budget: Optional[int] = None) -> H
     Edges are tried for deletion in lexicographic order.  Arrowing only
     ever shrinks under deletion, so a single pass is minimal: an edge
     whose removal breaks arrowing now would break it in any subgraph too.
+    One search core over h answers every trial with the deleted edges off.
 
     Raises:
         ValueError: if h does not arrow in the first place.
         BudgetExceeded: if some arrowing question stayed undecided.
     """
-    cliques = enumerate_cliques(h, t)
-    base = _arrows_with(h, cliques, t, k, budget)
-    if base is None:
-        raise BudgetExceeded("budget too small to decide arrowing")
-    if not base:
-        raise ValueError("hypergraph does not arrow; nothing to minimalize")
-    cur = h
-    for e in sorted(h.edges):
-        trial, kept = cur.minus_edge(e), _without(cliques, e)
-        verdict = _arrows_with(trial, kept, t, k, budget)
-        if verdict is None:
+    core, cliques = _clique_core(h, t, k)
+    off: set[int] = set()
+
+    def free_without_off() -> bool:
+        found = _solve_verified(core, cliques, h.r, budget, off).found
+        if found is None:
             raise BudgetExceeded("budget too small to decide arrowing")
-        if verdict:
-            cur, cliques = trial, kept
-    support = {v for e in cur.edges for v in e}
-    return Hypergraph(
-        cur.r,
-        frozenset(support),
-        cur.edges,
-        {v: lab for v, lab in cur.labels.items() if v in support},
-    )
+        return found
+
+    if free_without_off():
+        raise ValueError("hypergraph does not arrow; nothing to minimalize")
+    for i in range(len(core.variables)):
+        off.add(i)
+        if free_without_off():
+            off.discard(i)  # h minus off does not arrow: keep this edge
+    edges = frozenset(e for i, e in enumerate(core.variables) if i not in off)
+    support = {v for e in edges for v in e}
+    return Hypergraph(h.r, frozenset(support), edges, {v: lab for v, lab in h.labels.items() if v in support})
 
 
 def _descending_compositions(total: int, parts: int) -> list[tuple[int, ...]]:
@@ -590,7 +596,7 @@ def admissible_patterns(
     else:
         specials = sorted(e for e in h.edges if u in e and v in e)
     ell = len(specials)
-    core = _clique_core(h, enumerate_cliques(h, t), k)
+    core, _ = _clique_core(h, t, k)
     index = {e: i for i, e in enumerate(core.variables)}
     special_idx = [index[e] for e in specials]
     sigmas = [dict(zip(range(1, k + 1), perm)) for perm in itertools.permutations(range(1, k + 1))]

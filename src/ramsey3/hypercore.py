@@ -209,36 +209,24 @@ def enumerate_cliques(h: Hypergraph, t: int) -> tuple[tuple[int, ...], ...]:
     if t < h.r:
         raise ValueError("clique size below the uniformity")
     out: list[tuple[int, ...]] = []
-    if h.r == 2:
-        adj: dict[int, set[int]] = defaultdict(set)
+    r = h.r
+    # nbrs[u] covers only vertices after u: every check below asks about a later one
+    nbrs: Mapping
+    if r == 2:
+        nbrs = defaultdict(set)
         for a, b in h.edges:
-            adj[a].add(b)
-            adj[b].add(a)
+            nbrs[a].add(b)
+    else:
+        nbrs = h.pairs
 
-        def extend2(stack: list[int], cands: list[int]) -> None:
-            if len(stack) == t:
-                out.append(tuple(stack))
-                return
-            for idx, w in enumerate(cands):
-                nxt = [u for u in cands[idx + 1 :] if u in adj[w]]
-                if len(stack) + 1 + len(nxt) < t:
-                    continue
-                stack.append(w)
-                extend2(stack, nxt)
-                stack.pop()
-
-        extend2([], sorted(h.vertices))
-        return tuple(out)
-
-    pairs = h.pairs
-
-    def extend3(stack: list[int], cands: list[int]) -> None:
+    def extend(stack: list[int], cands: list[int]) -> None:
         if len(stack) == t:
             out.append(tuple(stack))
             return
         for idx, w in enumerate(cands):
-            # u may join stack+[w] only if {s, w, u} is an edge for every s on the stack
-            rows = [pairs[s][w] for s in stack]
+            # u may join stack+[w] only if it spans an edge with w (r = 2),
+            # or with w and each s on the stack (r = 3)
+            rows = [nbrs[w]] if r == 2 else [nbrs[s][w] for s in stack]
             nxt = []
             for u in cands[idx + 1 :]:
                 for row in rows:
@@ -249,12 +237,12 @@ def enumerate_cliques(h: Hypergraph, t: int) -> tuple[tuple[int, ...], ...]:
             if len(stack) + 1 + len(nxt) < t:
                 continue
             stack.append(w)
-            extend3(stack, nxt)
+            extend(stack, nxt)
             stack.pop()
 
     # every later member of a clique shares an edge with its first vertex
-    for v in sorted(pairs):
-        extend3([v], sorted(pairs[v]))
+    for v in sorted(nbrs):
+        extend([v], sorted(nbrs[v]))
     return tuple(out)
 
 

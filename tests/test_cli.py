@@ -1,12 +1,17 @@
 """End-to-end command checks through main(argv)."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ramsey3 import Hypergraph, check_free, from_json_dict, to_json_dict
 from ramsey3.cli import main
@@ -291,6 +296,112 @@ def test_json_with_non_integer_fields_exits_1(tmp_path, capsys):
     path.write_text('{"r": 3, "n": 3.9, "edges": [[0, 1.7, 2]]}')
     code, out = run(capsys, "cliques", str(path), "-t", "3")
     assert code == 1 and "must be an integer" in out
+
+
+GRAPH = to_json_dict(Hypergraph.complete(4, 3))
+COLORING = {"k": 2, "colors": [[list(e), 1] for e in sorted(Hypergraph.complete(4, 3).edges)]}
+
+
+@pytest.mark.parametrize("command, docs", [
+    ("arrow", ["5"]),
+    ("arrow", ["null"]),
+    ("arrow", ["[1, 2]"]),
+    ("cliques", ['"text"']),
+    ("gadget bel", [json.dumps(GRAPH), "5"]),
+    ("gadget bel", [json.dumps(GRAPH), "null"]),
+    ("gadget bel", ["null", json.dumps(COLORING)]),
+    ("lab prune", ['{"members": 5}']),
+    ("lab prune", ['{"members": null}']),
+    ("lab prune", ["7"]),
+])
+def test_non_object_documents_exit_1(tmp_path, capsys, command, docs):
+    paths = []
+    for i, text in enumerate(docs):
+        paths.append(tmp_path / f"d{i}.json")
+        paths[-1].write_text(text)
+    argv = {
+        "arrow": ["arrow", str(paths[0]), "-t", "3", "-k", "2"],
+        "cliques": ["cliques", str(paths[0]), "-t", "3"],
+        "gadget bel": ["gadget", "bel", str(paths[0]), "--coloring", str(paths[-1]), "-t", "4", "-k", "2"],
+        "lab prune": ["lab", "prune", str(paths[0]), "-t", "4"],
+    }[command]
+    code, out = run(capsys, *argv)
+    assert code == 1 and out.startswith("error:"), out
+
+
+# -- fuzzed input documents ---------------------------------------------
+
+_scalars = st.one_of(st.none(), st.booleans(), st.integers(-2, 7),
+                     st.floats(-2, 7, allow_nan=False), st.text(max_size=3))
+_vertex = st.one_of(st.integers(-1, 6), _scalars)
+_edges = st.lists(st.one_of(st.lists(st.integers(-1, 6), min_size=2, max_size=4),
+                            st.lists(_vertex, max_size=4), _scalars), max_size=8)
+_json_values = st.recursive(_scalars, lambda inner: st.one_of(
+    st.lists(inner, max_size=4),
+    st.dictionaries(st.sampled_from(["r", "n", "k", "edges", "colors", "members", "host",
+                                     "coloring", "tags", "labels", "e", "dist"]), inner, max_size=4)),
+    max_leaves=10)
+_tags = st.dictionaries(st.sampled_from(["a", "b", "e", "f", "S", "dist", "rainbow", "apex", "x"]),
+                        st.one_of(st.integers(-1, 6), st.lists(st.integers(-1, 6), max_size=3),
+                                  _edges, _scalars), max_size=3)
+_graphs = st.fixed_dictionaries(
+    {"r": st.one_of(st.sampled_from([2, 3]), st.integers(-1, 5), _scalars),
+     "n": st.one_of(st.integers(-1, 7), _scalars),
+     "edges": st.one_of(_edges, _scalars)},
+    optional={"tags": st.one_of(_tags, _scalars), "labels": _json_values})
+_colorings = st.fixed_dictionaries(
+    {"k": st.one_of(st.integers(-1, 3), _scalars),
+     "colors": st.one_of(st.lists(st.tuples(st.lists(_vertex, max_size=4), st.one_of(st.integers(-1, 3), _scalars)),
+                                  max_size=8), _scalars)})
+_families = st.fixed_dictionaries({"members": st.one_of(st.lists(st.one_of(_graphs, _json_values), max_size=3),
+                                                        _json_values)})
+_NOT_JSON = object()
+_documents = st.one_of(
+    _json_values, _graphs, _colorings, _families,
+    st.fixed_dictionaries({"host": _graphs}), st.fixed_dictionaries({"coloring": _colorings}),
+    st.just(_NOT_JSON))
+
+
+@st.composite
+def _well_formed(draw):
+    """A hypergraph document that parses, a family of it, and a coloring of its edges."""
+    r = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(r, 7))
+    edge = st.sets(st.integers(0, n - 1), min_size=r, max_size=r).map(sorted)
+    edges = draw(st.lists(edge, unique_by=tuple, max_size=10))
+    graph = {"r": r, "n": n, "edges": edges}
+    coloring = {"k": draw(st.integers(1, 3)), "colors": [[e, draw(st.integers(0, 3))] for e in edges]}
+    return graph, {"members": [graph, graph]}, coloring
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    command=st.sampled_from(["arrow", "cliques", "gadget bel", "lab prune"]),
+    docs=st.one_of(_well_formed(), st.tuples(_documents, _documents, _documents)),
+    t=st.integers(1, 4),
+    k=st.integers(0, 3),
+)
+def test_fuzzed_documents_never_traceback(command, docs, t, k):
+    # every document the CLI can be given ends in a documented exit code
+    # with a one-line message, never in an uncaught exception
+    graph, family, coloring = docs
+    first, second = (family if command == "lab prune" else graph), coloring
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for i, doc in enumerate((first, second)):
+            paths.append(os.path.join(tmp, f"d{i}.json"))
+            Path(paths[-1]).write_text("not json {" if doc is _NOT_JSON else json.dumps(doc))
+        argv = {
+            "arrow": ["arrow", paths[0], "-t", str(t), "-k", str(k), "--budget", "50"],
+            "cliques": ["cliques", paths[0], "-t", str(t)],
+            "gadget bel": ["gadget", "bel", paths[0], "--coloring", paths[1], "-t", str(t), "-k", str(k)],
+            "lab prune": ["lab", "prune", paths[0], "-t", str(t)],
+        }[command]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
 
 
 @pytest.mark.parametrize("module", ["ramsey3", "ramsey3.cli"])

@@ -162,6 +162,59 @@ def test_minimality_enumerates_cliques_once(monkeypatch, run):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("run", [
+    lambda: minimalize(Hypergraph.complete(10, 2), 3, 2),
+    lambda: is_minimal_ramsey(Hypergraph.complete(6, 2), 3, 2),
+], ids=["minimalize", "is_minimal_ramsey"])
+def test_minimality_builds_one_core(monkeypatch, run):
+    # every deletion is the same core solved with the deleted edges off
+    built = []
+
+    class Counting(SearchCore):
+        def __init__(self, *args, **kwargs):
+            built.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(colorengine, "SearchCore", Counting)
+    run()
+    assert len(built) == 1
+
+
+@st.composite
+def small_minimality_questions(draw):
+    r = draw(st.sampled_from((2, 3)))
+    n = draw(st.integers(r, 6))
+    k = draw(st.integers(1, 3))
+    pool = list(itertools.combinations(range(n), r))
+    edges = draw(st.lists(st.sampled_from(pool), unique=True, max_size=7 if k < 3 else 5))
+    t = draw(st.integers(r, r + 2))
+    return Hypergraph.build(r, edges, vertices=range(n)), t, k
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_minimality_questions())
+def test_minimality_matches_brute_force(question):
+    h, t, k = question
+
+    def arrows_brute(g):
+        return not brute_free_exists(g, t, k)
+
+    base = arrows_brute(h)
+    minimal = base and not any(arrows_brute(h.minus_edge(e)) for e in sorted(h.edges))
+    assert is_minimal_ramsey(h, t, k) is minimal
+    if not base:
+        with pytest.raises(ValueError):
+            minimalize(h, t, k)
+        return
+    cur = h
+    for e in sorted(h.edges):
+        if arrows_brute(cur.minus_edge(e)):
+            cur = cur.minus_edge(e)
+    m = minimalize(h, t, k)
+    assert m.edges == cur.edges
+    assert m.vertices == {v for e in cur.edges for v in e}
+
+
 @pytest.mark.parametrize("n", [9, 10])
 def test_free_coloring_of_complete_3graphs(n):
     # [KNOWN] R(4,4;3) = 13, so K_n^(3) has a free 2-coloring for n <= 12
@@ -189,10 +242,11 @@ def masked_instances(draw):
     cons = draw(st.lists(
         st.tuples(st.lists(st.integers(0, n - 1), max_size=4, unique=True), st.integers(0, full)),
         max_size=8))
+    off = draw(st.sets(st.integers(0, n - 1), max_size=3))
     if draw(st.booleans()):  # color-symmetric, where the search breaks value symmetry
-        return n, k, [(mem, full) for mem, _ in cons], {}
+        return n, k, [(mem, full) for mem, _ in cons], {}, off
     pins = draw(st.dictionaries(st.integers(0, n - 1), st.integers(1, k), max_size=3))
-    return n, k, cons, pins
+    return n, k, cons, {v: c for v, c in pins.items() if v not in off}, off
 
 
 def _violates(colors, k, cons):
@@ -206,18 +260,32 @@ def _violates(colors, k, cons):
 @settings(max_examples=300, deadline=None)
 @given(masked_instances())
 def test_core_matches_brute_force(inst):
-    n, k, cons, pins = inst
+    # off variables are absent: the brute force colors the others and
+    # keeps only the constraints that avoid the off ones
+    n, k, cons, pins, off = inst
+    present = [v for v in range(n) if v not in off]
+    kept = [(mem, mask) for mem, mask in cons if off.isdisjoint(mem)]
     brute = any(
-        all(colors[v] == c for v, c in pins.items()) and not _violates(colors, k, cons)
-        for colors in itertools.product(range(1, k + 1), repeat=n)
+        all(colors[v] == c for v, c in pins.items()) and not _violates(colors, k, kept)
+        for colors in (dict(zip(present, p)) for p in itertools.product(range(1, k + 1), repeat=len(present)))
     )
     variables = [(v,) for v in range(n)]
-    res = SearchCore(variables, k, cons).solve(pins=pins)
+    res = SearchCore(variables, k, cons).solve(pins=pins, off=off)
     assert res.found == brute
     if res.found:
-        colors = [res.coloring.color(e) for e in variables]
+        assert set(res.coloring.assignment) == {(v,) for v in present}
+        colors = {v: res.coloring.color((v,)) for v in present}
         assert all(colors[v] == c for v, c in pins.items())
-        assert not _violates(colors, k, cons)
+        assert not _violates(colors, k, kept)
+
+
+def test_core_rejects_bad_off():
+    core = SearchCore([(0,), (1,)], 2, [([0, 1], 6)])
+    with pytest.raises(ValueError):
+        core.solve(off=[2])
+    with pytest.raises(ValueError):
+        core.solve(pins={0: 1}, off=[0])
+    assert core.solve(off=[0]).coloring.assignment.keys() == {(1,)}
 
 
 def _tree(res):

@@ -167,7 +167,7 @@ def test_cliques_validation():
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 def test_cliques_match_subset_scan(seed):
     for h in seeded_inputs(seed):
-        for t in (h.r + 1, h.r + 2):
+        for t in (h.r, h.r + 1, h.r + 2):
             assert list(enumerate_cliques(h, t)) == brute_cliques(h, t)
 
 
