@@ -129,6 +129,8 @@ def _cmd_arrow(args: argparse.Namespace) -> int:
         "nodes": verdict.nodes,
         "propagations": verdict.propagations,
         "conflicts": verdict.conflicts,
+        "learned": verdict.learned,
+        "restarts": verdict.restarts,
         "witness": _coloring_doc(verdict.witness),
     }
     if verdict.arrows is None:
@@ -154,6 +156,8 @@ def _cmd_free_coloring(args: argparse.Namespace) -> int:
         "nodes": res.nodes,
         "propagations": res.propagations,
         "conflicts": res.conflicts,
+        "learned": res.learned,
+        "restarts": res.restarts,
         "coloring": _coloring_doc(res.coloring),
     }
     _write(args, json.dumps(doc))

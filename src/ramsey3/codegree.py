@@ -159,16 +159,19 @@ def forced_pattern_check(
             raise ValueError(f"{e!r} is not an apex triple of this host")
 
     aug = host.h.plus_edges(bundle)
-    idx = {e: i for i, e in enumerate(bundle)}
+    # one lookup per triple: ~i for apex edge i, else the host color's bit
+    code = {e: 1 << c for e, c in host.coloring.assignment.items()}
+    code.update((e, ~i) for i, e in enumerate(bundle))
     constraints: list[tuple[list[int], int]] = []
     for q in enumerate_cliques(aug, host.t):
         members = []
         mask = (1 << BLUE) | (1 << RED)
         for e in itertools.combinations(q, 3):
-            if e in idx:
-                members.append(idx[e])
+            x = code[e]
+            if x < 0:
+                members.append(~x)
             else:
-                mask &= 1 << host.coloring.assignment[e]
+                mask &= x
         constraints.append((members, mask))
     res = SearchCore(bundle, 2, constraints).solve(budget)
     if res.found is None:

@@ -7,14 +7,17 @@ coloring question in the package: its constraints say "these variables
 are not all one color of this mask", so a t-clique is one constraint
 with the full mask, a pinned or pre-colored edge narrows the mask, and
 codegree's forced-pattern check and randomlab's property-B check are
-instances too.  The core is a complete search with unit propagation on
-an explicit stack, so "yes" and "no" answers are both proofs at any
-size; a node budget turns long runs into an explicit Unknown verdict
-instead of an open-ended wait.  Results count nodes (decisions),
-propagations and conflicts.  solve_cnf is a separate iterative DPLL
-with two watched literals per clause, kept as an independent check on
-export_cnf and sharing no code with the core; it branches on the first
-open literal of the first unsatisfied clause.
+instances too.  The core is a complete conflict-driven search: watched
+clauses propagate, each conflict is learned as a nogood over (variable,
+color) assignments and the search backjumps, all on an explicit trail,
+so "yes" and "no" answers are both proofs at any size; a node budget
+turns long runs into an explicit Unknown verdict instead of an
+open-ended wait.  Results count nodes (decisions), propagations,
+conflicts, learned nogoods and restarts.  solve_cnf is a separate
+iterative DPLL with two watched literals per clause and no learning,
+kept as an independent check on export_cnf and sharing no code with the
+core; it branches on the first open literal of the first unsatisfied
+clause.
 
 Works for uniformity 2 and 3.  The 2-uniform case doubles as a sanity
 surface: classical Ramsey facts such as r(3, 3) = 6 are cheap to check
@@ -25,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
 from typing import Collection, Iterable, Mapping, Optional, Sequence, Union
 
 from .hypercore import Edge, Hypergraph, canon_edge, enumerate_cliques, json_int
@@ -66,8 +70,8 @@ class EdgeColoring:
             raise ValueError("need at least one color")
         normalized = {}
         for e, c in self.assignment.items():
-            if not 1 <= c <= self.k:
-                raise ValueError(f"color {c} of edge {e!r} outside 1..{self.k}")
+            if type(c) is not int or not 1 <= c <= self.k:
+                raise ValueError(f"color {c!r} of edge {e!r} is not an integer in 1..{self.k}")
             normalized[canon_edge(e)] = c
         if len(normalized) != len(self.assignment):
             raise ValueError("assignment repeats an edge up to reordering")
@@ -120,8 +124,8 @@ class VertexColoring:
         if self.k < 1:
             raise ValueError("need at least one color")
         for v, c in self.assignment.items():
-            if not 1 <= c <= self.k:
-                raise ValueError(f"color {c} of vertex {v} outside 1..{self.k}")
+            if type(c) is not int or not 1 <= c <= self.k:
+                raise ValueError(f"color {c!r} of vertex {v} is not an integer in 1..{self.k}")
 
     def color(self, v: int) -> int:
         return self.assignment[v]
@@ -180,6 +184,8 @@ class ArrowVerdict:
     status: str
     propagations: int = 0
     conflicts: int = 0
+    learned: int = 0
+    restarts: int = 0
 
     def __post_init__(self) -> None:
         if self.status not in ("complete", "unknown"):
@@ -195,7 +201,8 @@ class SearchResult:
     """found: True (coloring below), False (proven none), None (budget).
 
     nodes counts decisions, propagations the colors forced by
-    propagation, conflicts the dead ends met.
+    propagation, conflicts the dead ends met, learned the nogoods kept
+    from them and restarts the returns to level 0.
     """
 
     found: Optional[bool]
@@ -203,6 +210,8 @@ class SearchResult:
     nodes: int
     propagations: int = 0
     conflicts: int = 0
+    learned: int = 0
+    restarts: int = 0
 
 
 def _mono_cliques(
@@ -231,36 +240,47 @@ def check_free(
 
 
 class SearchCore:
-    """Complete coloring search over masked "not all one color" constraints.
+    """Conflict-driven coloring search over masked "not all one color" constraints.
 
     The variables (edges, or pairs) take colors 1..k.  A constraint is
     a list of variable indices with a mask of forbidden colors, bit c
     standing for color c: its members must not all take one color of
     the mask.  A member-less constraint with a nonempty mask can never
     hold.  One instance may be solved many times with different pins.
+    Variables passed as off are absent from that solve: they are never
+    decided or pinned, every constraint through one is dropped, and the
+    coloring leaves them out.
 
-    The solver keeps an explicit stack of decisions over one trail of
-    assignments and color blocks, so depth is bounded by memory, not by
-    the interpreter's recursion limit.  Variables passed as off are
-    absent from that solve: they are never decided or pinned, every
-    constraint through one starts dead and stays dead, and the coloring
-    leaves them out.  Each constraint carries one live
-    color: 0 while no member is assigned, c while every assigned member
-    has color c and c is in the mask, dead otherwise.  The assignment
-    that gives a live constraint a second color, or a color outside its
-    mask, kills it and keeps its previous live color for the undo; later
-    assignments skip it until that undo revives it.  Each assignment
-    lists the constraints it counted and those it killed, and undo and
-    branching visit only those.  When all but one member of a live
-    constraint are assigned, its color is blocked on the last member; a
-    variable left with one unblocked color is assigned at once (a
-    propagation, not a node), and a variable with none, or a constraint
-    whose members all take its live color, is a conflict.  The next
-    decision is the first free member of the live constraint with the
-    fewest free members among those the last decision counted, else the
-    first free variable in descending constraint count.  With no pins
-    and every mask full the colors are interchangeable, so a decision
-    opens at most one color not yet in use.
+    The atom v * (k + 1) + c stands for "v has color c".  Each
+    constraint is one clause per color c of its mask, listing the atoms
+    of its members for c that must not all hold, and every clause
+    watches two of its atoms: the assignment v = c visits only the
+    clauses that watch v for c.  A clause whose other atoms all hold
+    rules its last atom out (a block, with the clause as its reason); a
+    variable left with one color takes it (a propagation, not a node),
+    and a variable with none, or a clause whose atoms all hold, is a
+    conflict.  A visited clause whose other watch is already ruled out
+    moves this watch to a third ruled-out atom when it has one, so it
+    leaves the lists of atoms that keep being assigned.
+
+    A conflict is traced back through the reasons to its first unique
+    implication point.  That yields a nogood: assignments that cannot
+    all hold, dropping those forced by atoms already in it.  The nogood
+    is learned as one more clause, watched the same way, and the search
+    backjumps to the level where it rules out its last assignment.  Each
+    learned nogood raises the activity of its variables, and activity
+    decays with every conflict.  A decision takes the first open member
+    of the first open constraint clause through the atom last taken by a
+    decision or by a learned nogood, so that the search works through
+    one constraint at a time; when there is none, it takes the open
+    variable of highest activity, ties to the lower index.  The variable
+    gets its lowest open color.  The search restarts from level 0 on a
+    fixed Luby schedule.  Learned clauses are dropped at the start of
+    each solve, since they may rest on its pins or on constraints
+    through its off variables.  With no pins and every mask full the
+    colors are interchangeable, so the first present variable in
+    descending constraint count is pinned to color 1 at level 0.  The
+    search is iterative and deterministic.
     """
 
     def __init__(
@@ -269,25 +289,32 @@ class SearchCore:
         if k < 1:
             raise ValueError("need at least one color")
         self.variables, self.k = tuple(variables), k
-        n = len(self.variables)
-        self.full = full = (1 << (k + 1)) - 2
-        kept = [(list(mem), mask & full) for mem, mask in constraints if mask & full]
-        self.cons_of: list[list[int]] = [[] for _ in range(n)]
-        for qi, (mem, _) in enumerate(kept):
-            for v in mem:
-                self.cons_of[v].append(qi)
-        self.order = sorted(range(n), key=lambda v: -len(self.cons_of[v]))
-        rank = {v: i for i, v in enumerate(self.order)}
-        self.members = [sorted(mem, key=rank.__getitem__) for mem, _ in kept]
-        self.mask = [mask for _, mask in kept]
-        self.size = [len(mem) for mem in self.members]
-        self.blocked = [0] * n
-        for mem, mask in zip(self.members, self.mask):
-            if len(mem) == 1:
-                self.blocked[mem[0]] |= mask
-        self.units = [v for v in range(n) if (full & ~self.blocked[v]).bit_count() < 2]
-        self.void = any(not mem for mem in self.members)
-        self.symmetric = all(mask == full for mask in self.mask)
+        n, k1 = len(self.variables), k + 1
+        self.full = full = (1 << k1) - 2
+        kept = [(list(mem), mask & full) for mem, mask in constraints]
+        members = list(itertools.chain.from_iterable(mem for mem, _ in kept))
+        if members and (set(map(type, members)) != {int} or min(members) < 0 or max(members) >= n):
+            bad = next(v for v in members if type(v) is not int or not 0 <= v < n)
+            raise ValueError(f"constraint member {bad!r} is not an index in 0..{n - 1}")
+        self.clauses = clauses = []
+        for mem, mask in kept:
+            for c in range(1, k1):
+                if mask >> c & 1:
+                    clauses.append([v * k1 + c for v in mem])
+        self.occ = occ = [[] for _ in range(n * k1)]  # clauses through each atom
+        self.watch0 = watch0 = [[] for _ in range(n * k1)]  # clauses first watching each atom
+        for ci, lits in enumerate(clauses):
+            for a in lits:
+                occ[a].append(ci)
+            if len(lits) > 1:
+                watch0[lits[0]].append(ci)
+                watch0[lits[1]].append(ci)
+        self.short = [ci for ci, lits in enumerate(clauses) if len(lits) < 2]
+        self.symmetric = all(mask in (0, full) for _, mask in kept)
+        self.order: list[int] = []  # by descending constraint count, for the symmetric pin
+        if self.symmetric:
+            count = [sum(map(len, occ[v * k1 + 1:v * k1 + k1])) for v in range(n)]
+            self.order = sorted(range(n), key=count.__getitem__, reverse=True)
 
     def solve(
         self, budget: Optional[int] = None, pins: Optional[Mapping[int, int]] = None, off: Iterable[int] = ()
@@ -297,151 +324,273 @@ class SearchCore:
 
         found is None when more than budget decisions were needed.
         """
-        k, full, n = self.k, self.full, len(self.variables)
-        members, mask, size, cons_of, order = self.members, self.mask, self.size, self.cons_of, self.order
+        k, full, n, occ = self.k, self.full, len(self.variables), self.occ
         k1 = k + 1
         pins = pins or {}
         for v, c in pins.items():
-            if not 0 <= v < n:
-                raise ValueError(f"pinned index {v} out of range")
-            if not 1 <= c <= k:
-                raise ValueError(f"pinned color {c} outside 1..{k}")
-        ladder = self.symmetric and not pins
-        free = list(size)
-        live = [0] * len(size)  # live color, or ~(live color before death) < 0
-        upd: list[list[int]] = [[] for _ in range(n)]  # constraints an assignment counted
-        kill: list[list[int]] = [[] for _ in range(n)]  # constraints an assignment killed
-        col = [0] * n  # color, 0 while free, -1 when off (run then skips it)
+            if type(v) is not int or not 0 <= v < n:
+                raise ValueError(f"pinned index {v!r} out of range")
+            if type(c) is not int or not 1 <= c <= k:
+                raise ValueError(f"pinned color {c!r} is not an integer in 1..{k}")
+        col = [0] * n  # color, 0 while open, -1 when off
+        val = [0] * (n * k1)  # per atom: 1 holds, 2 ruled out, 0 open
         for v in off:
-            if not 0 <= v < n or v in pins:
-                raise ValueError(f"off index {v} out of range or pinned")
+            if type(v) is not int or not 0 <= v < n or v in pins:
+                raise ValueError(f"off index {v!r} out of range or pinned")
             col[v] = -1
-            for q in cons_of[v]:
-                live[q] = -1  # dead with no killing assignment, so never revived
-        blocked = list(self.blocked)
-        trail: list[int] = []  # v >= 0 assigned v; ~(j * k1 + c) blocked color c on j
-        nodes = props = conflicts = 0
-        top = 0
+            val[v * k1 + 1:v * k1 + k1] = [2] * k  # every clause through v is met
+        clauses = list(map(list, self.clauses))  # watched atoms first
+        blocked = [0] * n
+        reason = [0] * (n * k1)  # the clause that blocked an atom
+        level = [0] * n
+        watches = [w[:] for w in self.watch0]
+        act = [0.0] * n
+        seen = [False] * n
+        trail: list[int] = []  # atoms that took hold, ~atom for blocks
+        marks: list[int] = []  # trail length before each open decision
+        heap = [(0.0, v) for v in range(n) if not col[v]]
+        nodes = props = conflicts = learned = restarts = 0
+        qhead, inc, last = 0, 1.0, -1
 
-        def run(pending: list[tuple[int, int]]) -> bool:
-            """Assign pending (var, color) pairs, color 0 meaning forced."""
-            nonlocal props, top
-            while pending:
-                v, c = pending.pop()
-                if col[v]:
-                    if c and c != col[v]:
-                        return False
+        def assign(v: int, c: int) -> None:
+            base = v * k1
+            for a in range(base + 1, base + k1):
+                if not val[a]:
+                    val[a] = 2
+            val[base + c] = 1
+            col[v], level[v] = c, len(marks)
+            trail.append(base + c)
+
+        def block(a: int, ci: int) -> Optional[int]:
+            """Rule atom a out for clause ci; ~v when variable v has no color left."""
+            nonlocal props
+            v = a // k1
+            val[a], reason[a] = 2, ci
+            trail.append(~a)
+            b = blocked[v] = blocked[v] | 1 << (a - v * k1)
+            rest = full & ~b
+            if not rest:
+                return ~v
+            if not rest & (rest - 1):
+                props += 1
+                assign(v, rest.bit_length() - 1)
+            return None
+
+        def propagate() -> Optional[int]:
+            """Visit the watches of every new assignment; a conflict, or None.
+
+            A conflict is a clause index, or ~v for a variable with no
+            color left.
+            """
+            nonlocal qhead
+            while qhead < len(trail):
+                a = trail[qhead]
+                qhead += 1
+                if a < 0 or not watches[a]:
                     continue
-                if c == 0:
-                    rest = full & ~blocked[v]
-                    if not rest:
-                        return False
-                    c = rest.bit_length() - 1
-                    props += 1
-                if c > top:
-                    top = c
-                col[v] = c
-                trail.append(v)
-                bit = 1 << c
-                counted = upd[v] = []
-                killed = kill[v] = []
-                for q in cons_of[v]:
-                    a = live[q]
-                    if a < 0:
-                        continue
-                    if a and a != c or not mask[q] & bit:
-                        live[q] = ~a
-                        killed.append(q)
-                        continue
-                    live[q] = c
-                    f = free[q] - 1
-                    free[q] = f
-                    counted.append(q)
-                    if f < 2:
-                        if f == 0:
-                            return False
-                        for j in members[q]:
-                            if not col[j]:
-                                break
-                        b = blocked[j]
-                        if not b & bit:
-                            b |= bit
-                            blocked[j] = b
-                            trail.append(~(j * k1 + c))
-                            rest = full & ~b
-                            if not rest:
-                                return False
-                            if not rest & (rest - 1):
-                                pending.append((j, 0))
-            return True
+                ws = watches[a]
+                keep: list[int] = []
+                moved = 0
+                for ci in ws:
+                    lits = clauses[ci]
+                    o = lits[0]
+                    if o == a:
+                        o = lits[0] = lits[1]
+                        lits[1] = a
+                    vo = val[o]
+                    for j in range(2, len(lits)):
+                        b = lits[j]
+                        if val[b] == 2 if vo == 2 else val[b] != 1:
+                            lits[1], lits[j] = b, a
+                            watches[b].append(ci)
+                            moved += 1
+                            break
+                    else:
+                        keep.append(ci)
+                        if vo != 2:
+                            confl = ci if vo == 1 else block(o, ci)
+                            if confl is not None:
+                                keep.extend(ws[len(keep) + moved:])
+                                watches[a] = keep
+                                return confl
+                watches[a] = keep
+            return None
 
-        def undo(mark: int) -> None:
+        def cause(v: int, skip: int) -> list[int]:
+            """The atoms whose holding blocked the colors of v, all but atom skip."""
+            base = v * k1
+            return [b for a in range(base + 1, base + k1) if a != skip for b in clauses[reason[a]] if b != a]
+
+        def analyze(confl: int) -> tuple[list[int], int]:
+            """First-UIP nogood of a conflict, and the level to backjump to.
+
+            Variables are marked seen as the trace reaches them; those
+            below the current level go into the nogood, unless forced
+            by atoms that are all in it already or at level 0.
+            """
+            cur = len(marks)
+            todo = clauses[confl] if confl >= 0 else cause(~confl, -1)
+            low: list[int] = []  # variables of the nogood below the current level
+            count, i = 0, len(trail)
+            while True:
+                for b in todo:
+                    v = b // k1
+                    if not seen[v] and level[v]:
+                        seen[v] = True
+                        if level[v] == cur:
+                            count += 1
+                        else:
+                            low.append(v)
+                i -= 1
+                while trail[i] < 0 or not seen[trail[i] // k1]:
+                    i -= 1
+                a = trail[i]
+                v = a // k1
+                seen[v] = False
+                count -= 1
+                if not count:
+                    break
+                todo = cause(v, a)  # v was forced, so it has a cause
+            kept = [
+                v for v in low
+                if trail[marks[level[v] - 1]] == v * k1 + col[v]  # a decision
+                or not all(seen[b // k1] or not level[b // k1] for b in cause(v, v * k1 + col[v]))
+            ]
+            for v in low:
+                seen[v] = False
+            nogood, jump = [a], 0
+            act[a // k1] += inc
+            for v in kept:
+                act[v] += inc
+                nogood.append(v * k1 + col[v])
+                if level[v] > jump:
+                    jump = level[v]
+                    nogood[1], nogood[-1] = nogood[-1], nogood[1]
+            return nogood, jump
+
+        def backjump(lv: int) -> None:
+            """Undo every assignment and block above decision level lv."""
+            nonlocal qhead
+            mark = qhead = marks[lv]
+            del marks[lv:]
             while len(trail) > mark:
-                x = trail.pop()
-                if x >= 0:
-                    col[x] = 0
-                    for q in upd[x]:
-                        f = free[q] + 1
-                        free[q] = f
-                        if f == size[q]:
-                            live[q] = 0
-                    for q in kill[x]:
-                        live[q] = ~live[q]
+                a = trail.pop()
+                if a >= 0:
+                    v = a // k1
+                    col[v] = 0
+                    b, base = blocked[v], v * k1
+                    for c in range(1, k1):
+                        val[base + c] = 2 if b >> c & 1 else 0
+                    heappush(heap, (-act[v], v))
                 else:
-                    j, c = divmod(~x, k1)
-                    blocked[j] &= ~(1 << c)
+                    a = ~a
+                    v = a // k1
+                    val[a] = 0
+                    blocked[v] &= ~(1 << (a - v * k1))
+
+        def rebuild() -> None:
+            """One heap entry per open variable, with its current activity."""
+            heap[:] = [(-act[v], v) for v in range(n) if not col[v]]
+            heapify(heap)
+
+        def follow() -> int:
+            """The first open member of the first open constraint clause through atom last, or -1."""
+            for ci in occ[last] if last >= 0 else ():
+                u = -1
+                for b in self.clauses[ci]:
+                    x = val[b]
+                    if x == 2:
+                        break
+                    if not x and u < 0:
+                        u = b // k1
+                else:
+                    if u >= 0:
+                        return u
+            return -1
 
         def result(found: Optional[bool]) -> SearchResult:
             coloring = EdgeColoring(k, {e: c for e, c in zip(self.variables, col) if c > 0}) if found else None
-            return SearchResult(found, coloring, nodes, props, conflicts)
+            return SearchResult(found, coloring, nodes, props, conflicts, learned, restarts)
 
-        if self.void or not run([*pins.items(), *((v, 0) for v in self.units)]):
-            conflicts += 1
-            return result(False)
-        stack: list[list[int]] = []  # [var, color tried, trail mark, top, scan position]
-        last, pos = -1, 0
+        for v, c in pins.items():
+            assign(v, c)
+        confl = None
+        for ci in self.short:
+            lits = clauses[ci]
+            if not lits or val[lits[0]] == 1:
+                confl = ci
+            elif not val[lits[0]]:
+                confl = block(lits[0], ci)
+            if confl is not None:
+                break
+        if confl is None and self.symmetric and not pins:
+            first = next((v for v in self.order if not col[v]), None)
+            if first is not None:
+                assign(first, 1)
+        if confl is None:
+            confl = propagate()
+        restart_at, luby = _RESTART_UNIT, 1
         while True:
-            v = -1
-            if last >= 0:
-                c = col[last]
-                best, bestf = -1, n + 1
-                for q in upd[last]:
-                    f = free[q]
-                    if f and f < bestf and live[q] == c:
-                        best, bestf = q, f
-                if best >= 0:
-                    for v in members[best]:
-                        if not col[v]:
-                            break
-            if v < 0:
-                while pos < n and col[order[pos]]:
-                    pos += 1
-                if pos == n:
-                    return result(True)
-                v = order[pos]
-            stack.append([v, 0, len(trail), top, pos])
-            while True:
-                frame = stack[-1]
-                v, c, mark, top, pos = frame
-                undo(mark)
-                lim = min(k, top + 1) if ladder else k
-                b = blocked[v]
-                c += 1
-                while c <= lim and b >> c & 1:
-                    c += 1
-                if c > lim:
-                    stack.pop()
-                    if not stack:
-                        return result(False)
-                    continue
-                frame[1] = c
-                nodes += 1
-                if budget is not None and nodes > budget:
-                    return result(None)
-                if run([(v, c)]):
-                    last = v
-                    break
+            if confl is not None:
                 conflicts += 1
+                if not marks:
+                    return result(False)
+                nogood, jump = analyze(confl)
+                backjump(jump)
+                ci = len(clauses)
+                clauses.append(nogood)
+                learned += 1
+                if len(nogood) > 1:
+                    watches[nogood[0]].append(ci)
+                    watches[nogood[1]].append(ci)
+                inc /= _DECAY
+                if inc > 1e100:
+                    act[:] = [x * 1e-100 for x in act]
+                    inc *= 1e-100
+                    rebuild()
+                confl = block(nogood[0], ci)
+                v = nogood[0] // k1
+                last = v * k1 + col[v] if col[v] > 0 else -1
+                if confl is None and conflicts >= restart_at:
+                    luby += 1
+                    restart_at = conflicts + _RESTART_UNIT * _luby(luby)
+                    if marks:
+                        restarts += 1
+                        backjump(0)
+                if confl is None:
+                    confl = propagate()
+                continue
+            if len(heap) > 2 * n + 64:
+                rebuild()
+            while heap and col[heap[0][1]]:
+                heappop(heap)
+            if not heap:
+                return result(True)
+            v = follow()
+            if v < 0:
+                v = heappop(heap)[1]
+            rest = full & ~blocked[v]
+            c = (rest & -rest).bit_length() - 1
+            nodes += 1
+            if budget is not None and nodes > budget:
+                return result(None)
+            marks.append(len(trail))
+            last = v * k1 + c
+            assign(v, c)
+            confl = propagate()
+
+
+_RESTART_UNIT = 100  # conflicts per unit of the Luby restart schedule
+_DECAY = 0.95  # activity decay per conflict
+
+
+def _luby(i: int) -> int:
+    """The i-th term (from 1) of the Luby sequence 1, 1, 2, 1, 1, 2, 4, ..."""
+    while True:
+        b = i.bit_length()
+        if i == (1 << b) - 1:
+            return 1 << (b - 1)
+        i -= (1 << (b - 1)) - 1
 
 
 def _clique_core(h: Hypergraph, t: int, k: int) -> tuple[SearchCore, tuple[tuple[int, ...], ...]]:
@@ -488,7 +637,7 @@ def find_free_coloring(h: Hypergraph, t: int, k: int, budget: Optional[int] = No
 def arrows(h: Hypergraph, t: int, k: int, budget: Optional[int] = None) -> ArrowVerdict:
     """Does every k-coloring of E(h) contain a monochromatic t-clique?"""
     res = find_free_coloring(h, t, k, budget=budget)
-    counts = (res.propagations, res.conflicts)
+    counts = (res.propagations, res.conflicts, res.learned, res.restarts)
     if res.found is None:
         return ArrowVerdict(None, None, res.nodes, "unknown", *counts)
     if res.found:

@@ -41,6 +41,7 @@ def test_arrow_yes_and_json(tmp_path, capsys):
     doc = json.loads(out)
     assert code == 0 and doc["arrows"] is True and doc["witness"] is None
     assert doc["nodes"] > 0 and doc["propagations"] > 0 and doc["conflicts"] > 0
+    assert doc["learned"] > 0 and doc["restarts"] == 0
 
 
 def test_arrow_no_with_witness(tmp_path, capsys):
@@ -89,7 +90,8 @@ def test_free_coloring_json(tmp_path, capsys):
     code, out = run(capsys, "free-coloring", path, "-t", "4", "-k", "2")
     doc = json.loads(out)
     assert code == 0 and doc["found"] is True
-    assert {"nodes", "propagations", "conflicts"} <= set(doc)
+    assert {"nodes", "propagations", "conflicts", "learned", "restarts"} <= set(doc)
+    assert all(type(doc[key]) is int for key in ("learned", "restarts"))
     col = EdgeColoring.from_json_dict(doc["coloring"])
     assert check_free(Hypergraph.complete(5, 3), col, 4) == []
 

@@ -21,6 +21,7 @@ from ramsey3.codegree import (
     verify_s22_zero_step,
 )
 from ramsey3.hypercore import codegree, induced
+import ramsey3.codegree as codegree_module
 
 from _oracles import brute_cliques, random_extension_instance
 
@@ -122,6 +123,27 @@ def test_forced_pattern_t7_within_time():
     assert forced_pattern_check(host, apex_edges=bundle[1:]) is False
     elapsed = time.perf_counter() - start
     assert elapsed < 20.0, f"took {elapsed:.2f}s, budget 20.0s"
+
+
+def test_forced_pattern_t8_within_time(monkeypatch):
+    # 2^36 apex colorings and 46,662 cliques, both verdicts from the search core
+    solves = []
+
+    class Recording(codegree_module.SearchCore):
+        def solve(self, *args, **kwargs):
+            res = super().solve(*args, **kwargs)
+            solves.append(res)
+            return res
+
+    monkeypatch.setattr(codegree_module, "SearchCore", Recording)
+    host = build_partition_host(8)
+    bundle = apex_bundle(host)
+    start = time.perf_counter()
+    assert forced_pattern_check(host) is True
+    assert forced_pattern_check(host, apex_edges=bundle[:7] + bundle[8:]) is False
+    elapsed = time.perf_counter() - start
+    assert [res.found for res in solves] == [False, True]
+    assert elapsed < 60.0, f"took {elapsed:.2f}s, budget 60.0s"
 
 
 def test_forced_pattern_budget():

@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -63,6 +64,15 @@ def test_edge_coloring_validation():
         EdgeColoring.of(2, {(0, 1, 2): 1, (1, 0, 2): 2})
     with pytest.raises(ValueError):
         EdgeColoring.of(2, {(0, 1, 2): 1.9})
+
+
+@pytest.mark.parametrize("color", [1.5, 1.0, True, "1", None])
+def test_colorings_reject_non_integer_colors(color):
+    # a bool or float would otherwise be stored as given
+    with pytest.raises(ValueError):
+        EdgeColoring(2, {(0, 1): color})
+    with pytest.raises(ValueError):
+        VertexColoring(2, {0: color})
 
 
 def test_edge_coloring_recolored():
@@ -288,8 +298,55 @@ def test_core_rejects_bad_off():
     assert core.solve(off=[0]).coloring.assignment.keys() == {(1,)}
 
 
+def test_core_matches_cnf_near_threshold():
+    # not-all-equal 3-SAT near its threshold: about half the instances are
+    # satisfiable and most solves learn nogoods and backjump, so an unsound
+    # nogood shows as a wrong verdict; solve_cnf is the independent check
+    rng = random.Random(20150205)
+    verdicts = set()
+    for _ in range(150):
+        n = rng.randint(20, 32)
+        cons = [rng.sample(range(n), 3) for _ in range(int(n * rng.uniform(1.9, 2.3)))]
+        pins = {v: rng.randint(1, 2) for v in rng.sample(range(n), rng.randint(0, 2))}
+        res = SearchCore([(v,) for v in range(n)], 2, [(mem, 6) for mem in cons]).solve(pins=pins)
+        cnf = [tuple(v + 1 for v in mem) for mem in cons] + [tuple(-v - 1 for v in mem) for mem in cons]
+        cnf += [(v + 1 if c == 1 else -v - 1,) for v, c in pins.items()]
+        assert res.found == (solve_cnf(cnf) is not None)
+        verdicts.add(res.found)
+        if res.found:
+            colors = [res.coloring.color((v,)) for v in range(n)]
+            assert all(len({colors[v] for v in mem}) == 2 for mem in cons)
+            assert all(colors[v] == c for v, c in pins.items())
+    assert verdicts == {True, False}
+
+
+def test_core_rejects_bad_pins_and_members():
+    core = SearchCore([(0,), (1,)], 2, [([0, 1], 6)])
+    for pins in ({0: True}, {0: 1.0}, {0: 3}, {True: 1}, {2: 1}):
+        with pytest.raises(ValueError):
+            core.solve(pins=pins)
+    for members in ([0, 2], [-1], [0, True], [1, True], [0.0], [0, 1.5]):
+        with pytest.raises(ValueError):
+            SearchCore([(0,), (1,)], 2, [(members, 6)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(masked_instances())
+def test_core_resolves_without_off_as_fresh(inst):
+    # learned nogoods from a solve with off may rest on constraints that
+    # solve dropped; the next solve must not inherit them
+    n, k, cons, pins, off = inst
+    variables = [(v,) for v in range(n)]
+    core = SearchCore(variables, k, cons)
+    core.solve(pins=pins, off=off)
+    fresh = SearchCore(variables, k, cons).solve(pins=pins)
+    again = core.solve(pins=pins)
+    assert _tree(again) == _tree(fresh)
+    assert again.coloring == fresh.coloring
+
+
 def _tree(res):
-    return (res.found, res.nodes, res.propagations, res.conflicts)
+    return (res.found, res.nodes, res.propagations, res.conflicts, res.learned, res.restarts)
 
 
 def _color_digest(coloring):
@@ -314,13 +371,13 @@ def recorded_solves(monkeypatch):
 
 
 # Pinned search trees: a faster core must make the same decisions,
-# propagations and conflicts and return the same colorings; a change to
-# these figures is a change of search, not of speed.
+# propagations, conflicts, nogoods and restarts and return the same
+# colorings; a change to these figures is a change of search, not of speed.
 @pytest.mark.parametrize("n, r, t, k, tree, digest", [
-    (8, 3, 4, 2, (True, 62, 66, 18), "ca16d6e216a9"),
-    (9, 3, 4, 2, (True, 882, 1510, 423), "c7c420f7fe6b"),
-    (10, 3, 4, 2, (True, 1406, 2170, 684), "b5eed0da241b"),
-    (9, 2, 3, 3, (True, 33, 9, 3), "7f724b6851a0"),
+    (8, 3, 4, 2, (True, 49, 122, 17, 17, 0), "8faf5fa97ebb"),
+    (9, 3, 4, 2, (True, 50, 123, 15, 15, 0), "238b8e7ee8dd"),
+    (10, 3, 4, 2, (True, 147, 897, 80, 80, 0), "81420b05101e"),
+    (9, 2, 3, 3, (True, 101, 234, 51, 51, 0), "9e3f133a8b25"),
 ])
 def test_free_coloring_search_tree_unchanged(n, r, t, k, tree, digest):
     res = find_free_coloring(Hypergraph.complete(n, r), t, k)
@@ -329,8 +386,8 @@ def test_free_coloring_search_tree_unchanged(n, r, t, k, tree, digest):
 
 
 @pytest.mark.parametrize("t, tree", [
-    (6, (False, 174, 291, 88)),
-    (7, (False, 2748, 5816, 1375)),
+    (6, (False, 126, 403, 64, 63, 0)),
+    (7, (False, 1516, 4541, 625, 624, 1)),
 ])
 def test_forced_check_search_tree_unchanged(recorded_solves, t, tree):
     assert codegree.forced_pattern_check(codegree.build_partition_host(t)) is True
@@ -341,7 +398,7 @@ def test_pinned_search_trees_unchanged(recorded_solves):
     ps = admissible_patterns(Hypergraph.complete(8, 3), 6, 7, 4, 2)
     assert ps.complete and len(ps.patterns) == 7
     assert [_tree(res) for res in recorded_solves] == [
-        (True, 29, 33, 5), (True, 30, 32, 5), (True, 33, 26, 4), (True, 30, 28, 4)]
+        (True, 25, 44, 5, 5, 0), (True, 26, 43, 5, 5, 0), (True, 29, 34, 4, 4, 0), (True, 26, 36, 4, 4, 0)]
     assert [_color_digest(res.coloring) for res in recorded_solves] == [
         "dca65a0106c0", "d5404e2e4e75", "b9a25b8cc10b", "ece33c3d44ba"]
 
