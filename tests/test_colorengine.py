@@ -373,11 +373,17 @@ def recorded_solves(monkeypatch):
 # Pinned search trees: a faster core must make the same decisions,
 # propagations, conflicts, nogoods and restarts and return the same
 # colorings; a change to these figures is a change of search, not of speed.
+# The case ids are fixed names that outlive a re-pin: the hex in each is the
+# digest that case pinned for the chronological search before this one.
 @pytest.mark.parametrize("n, r, t, k, tree, digest", [
-    (8, 3, 4, 2, (True, 49, 122, 17, 17, 0), "8faf5fa97ebb"),
-    (9, 3, 4, 2, (True, 50, 123, 15, 15, 0), "238b8e7ee8dd"),
-    (10, 3, 4, 2, (True, 147, 897, 80, 80, 0), "81420b05101e"),
-    (9, 2, 3, 3, (True, 101, 234, 51, 51, 0), "9e3f133a8b25"),
+    pytest.param(8, 3, 4, 2, (True, 49, 122, 17, 17, 0), "8faf5fa97ebb",
+                 id="8-3-4-2-tree0-ca16d6e216a9"),
+    pytest.param(9, 3, 4, 2, (True, 50, 123, 15, 15, 0), "238b8e7ee8dd",
+                 id="9-3-4-2-tree1-c7c420f7fe6b"),
+    pytest.param(10, 3, 4, 2, (True, 147, 897, 80, 80, 0), "81420b05101e",
+                 id="10-3-4-2-tree2-b5eed0da241b"),
+    pytest.param(9, 2, 3, 3, (True, 101, 234, 51, 51, 0), "9e3f133a8b25",
+                 id="9-2-3-3-tree3-7f724b6851a0"),
 ])
 def test_free_coloring_search_tree_unchanged(n, r, t, k, tree, digest):
     res = find_free_coloring(Hypergraph.complete(n, r), t, k)
