@@ -8,8 +8,8 @@ gives a blue clique, and failing that a red transversal gives a red one.
 Deleting even one apex triple breaks the forcing, so the codegree
 (t-2)^2 is exactly the threshold.  forced_pattern_check decides this
 with colorengine's search core over the apex triples alone, the host
-colors folded into each clique's forbidden color, which settles t=7
-(25 apex triples) where enumerating all 2^25 colorings could not.
+colors folded into each clique's forbidden color, on one core per host
+with missing apex triples off; that settles t=8 (36 apex triples).
 
 The converse direction is the extension argument: around a pair of
 codegree below (t-2)^2, any free coloring of the rest of the hypergraph
@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property, reduce
 from fractions import Fraction
 from math import comb
 from typing import Iterable, Optional
@@ -55,7 +56,8 @@ class PartitionHost:
 
     parts are the grid columns; every edge of h meets the grid in a
     same-part or all-distinct-parts set, and no edge contains both a
-    and b until augment_apex_pair adds that bundle.
+    and b until augment_apex_pair adds that bundle.  apex_core is built
+    on first use and lives as long as the host.
     """
 
     t: int
@@ -64,6 +66,22 @@ class PartitionHost:
     a: int
     b: int
     coloring: EdgeColoring
+
+    @cached_property
+    def apex_core(self) -> SearchCore:
+        """The forced check's core over the full apex bundle: one
+        constraint per t-clique of host + bundle over its apex edges,
+        forbidding the color its host edges all share."""
+        aug, bundle = augment_apex_pair(self)
+        # one lookup per triple: ~i for apex edge i, else the host color's bit
+        code = {e: 1 << c for e, c in self.coloring.assignment.items()}
+        code.update((e, ~i) for i, e in enumerate(bundle))
+        constraints = []
+        for q in enumerate_cliques(aug, self.t):
+            xs = [code[e] for e in itertools.combinations(q, 3)]
+            mask = reduce(int.__and__, [x for x in xs if x >= 0], (1 << BLUE) | (1 << RED))
+            constraints.append(([~x for x in xs if x < 0], mask))
+        return SearchCore(bundle, 2, constraints)
 
 
 def build_partition_host(t: int) -> PartitionHost:
@@ -143,37 +161,19 @@ def forced_pattern_check(
 ) -> bool:
     """Does every 2-coloring of the apex edges complete a mono K_t?
 
-    apex_edges defaults to the full bundle.  The host colors are folded
-    into one constraint per clique over its apex edges only: the clique
-    is monochromatic when its apex edges all take the color its host
-    edges share.  The answer is True exactly when the search core finds
-    no apex coloring avoiding every constraint; a search needing more
-    than budget decisions raises BudgetExceeded.
+    apex_edges, a set of apex triples, defaults to the full bundle.  The
+    check solves host.apex_core, kept for the host's life, with the other
+    apex triples off: the t-cliques of host + apex_edges are those of
+    host + bundle avoiding them.  True exactly when no apex coloring
+    avoids every constraint; a search needing more than budget
+    decisions raises BudgetExceeded.
     """
-    bundle = apex_bundle(host) if apex_edges is None else tuple(
-        canon_edge(e) for e in apex_edges
-    )
-    full = set(apex_bundle(host))
-    for e in bundle:
-        if e not in full:
-            raise ValueError(f"{e!r} is not an apex triple of this host")
-
-    aug = host.h.plus_edges(bundle)
-    # one lookup per triple: ~i for apex edge i, else the host color's bit
-    code = {e: 1 << c for e, c in host.coloring.assignment.items()}
-    code.update((e, ~i) for i, e in enumerate(bundle))
-    constraints: list[tuple[list[int], int]] = []
-    for q in enumerate_cliques(aug, host.t):
-        members = []
-        mask = (1 << BLUE) | (1 << RED)
-        for e in itertools.combinations(q, 3):
-            x = code[e]
-            if x < 0:
-                members.append(~x)
-            else:
-                mask &= x
-        constraints.append((members, mask))
-    res = SearchCore(bundle, 2, constraints).solve(budget)
+    core = host.apex_core
+    given = set(core.variables) if apex_edges is None else {canon_edge(e) for e in apex_edges}
+    foreign = given.difference(core.variables)
+    if foreign:
+        raise ValueError(f"{min(foreign)!r} is not an apex triple of this host")
+    res = core.solve(budget, off=[i for i, e in enumerate(core.variables) if e not in given])
     if res.found is None:
         raise BudgetExceeded(f"forced check exceeded {budget} nodes")
     return not res.found

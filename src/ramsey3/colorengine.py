@@ -322,8 +322,11 @@ class SearchCore:
         """A coloring of the variables not off meeting every constraint
         that avoids them, with the pinned colors.
 
-        found is None when more than budget decisions were needed.
+        found is None when more than budget decisions were needed;
+        budget=0 stops at the first decision.
         """
+        if budget is not None and (type(budget) is not int or budget < 0):
+            raise ValueError(f"node budget {budget!r} is not a nonnegative integer")
         k, full, n, occ = self.k, self.full, len(self.variables), self.occ
         k1 = k + 1
         pins = pins or {}
@@ -699,26 +702,6 @@ def minimalize(h: Hypergraph, t: int, k: int, budget: Optional[int] = None) -> H
     return Hypergraph(h.r, frozenset(support), edges, {v: lab for v, lab in h.labels.items() if v in support})
 
 
-def _descending_compositions(total: int, parts: int) -> list[tuple[int, ...]]:
-    """All tuples a_1 >= ... >= a_parts >= 0 summing to total."""
-    out: list[tuple[int, ...]] = []
-
-    def rec(prefix: list[int], remaining: int, cap: int, slots: int) -> None:
-        if slots == 0:
-            if remaining == 0:
-                out.append(tuple(prefix))
-            return
-        for a in range(min(cap, remaining), -1, -1):
-            if a * slots < remaining:
-                break
-            prefix.append(a)
-            rec(prefix, remaining - a, a, slots - 1)
-            prefix.pop()
-
-    rec([], total, total, parts)
-    return out
-
-
 def admissible_patterns(
     h: Hypergraph,
     u: int,
@@ -753,7 +736,8 @@ def admissible_patterns(
     patterns: dict[tuple[int, ...], EdgeColoring] = {}
     complete = True
     remaining = budget
-    for rep in sorted(_descending_compositions(ell, k), reverse=True):
+    reps = (p for p in itertools.combinations_with_replacement(range(ell, -1, -1), k) if sum(p) == ell)
+    for rep in sorted(reps, reverse=True):
         if rep in patterns:
             continue
         multiset: list[int] = []

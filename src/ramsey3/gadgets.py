@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import operator
 from dataclasses import dataclass
 from math import inf
 from typing import Iterable, Mapping, Optional
@@ -578,7 +579,7 @@ def build_BEL(
 
 def attach_apex(g: TaggedGadget, base: Iterable[int]) -> TaggedGadget:
     """Add one vertex joined by a triple to every pair of the base set."""
-    bs = sorted(set(int(v) for v in base))
+    bs = sorted(set(map(operator.index, base)))
     if len(bs) < 2:
         raise ValueError("apex needs at least two base vertices")
     if not set(bs) <= g.h.vertices:

@@ -92,7 +92,7 @@ class Hypergraph:
         labels: Optional[Mapping[int, str]] = None,
     ) -> "Hypergraph":
         es = frozenset(canon_edge(e, r) for e in edges)
-        vs = frozenset(int(v) for v in vertices) | {v for e in es for v in e}
+        vs = frozenset(map(operator.index, vertices)) | {v for e in es for v in e}
         return cls(r, vs, es, dict(labels or {}))
 
     @classmethod
@@ -110,9 +110,6 @@ class Hypergraph:
     def is_dense(self) -> bool:
         """True if the vertex set is exactly 0..n-1."""
         return self.vertices == frozenset(range(len(self.vertices)))
-
-    def has_edge(self, e: Iterable[int]) -> bool:
-        return canon_edge(e) in self.edges
 
     def minus_edge(self, e: Iterable[int]) -> "Hypergraph":
         ce = canon_edge(e, self.r)
@@ -166,7 +163,7 @@ def link(h: Hypergraph, v: int) -> Hypergraph:
 
 def degree(h: Hypergraph, s: Iterable[int]) -> int:
     """Number of edges containing every vertex of s, with 1 <= |s| <= r-1."""
-    ss = frozenset(int(v) for v in s)
+    ss = frozenset(map(operator.index, s))
     if not ss <= h.vertices:
         raise ValueError("vertex not in hypergraph")
     if not 1 <= len(ss) <= h.r - 1:
@@ -313,15 +310,7 @@ class GlueMap:
 
     @classmethod
     def of(cls, pairs: Iterable[tuple[int, int]]) -> "GlueMap":
-        return cls(tuple((int(x), int(y)) for x, y in pairs))
-
-    @classmethod
-    def identify_edges(cls, edge_in_a: Iterable[int], edge_in_b: Iterable[int]) -> "GlueMap":
-        """Identify two edges vertex-wise in sorted order."""
-        za, zb = sorted(edge_in_a), sorted(edge_in_b)
-        if len(za) != len(zb):
-            raise ValueError("edges of different sizes cannot be identified")
-        return cls.of(zip(za, zb))
+        return cls(tuple((operator.index(x), operator.index(y)) for x, y in pairs))
 
 
 @dataclass
@@ -391,7 +380,7 @@ def disjoint_union(a: Hypergraph, b: Hypergraph) -> GlueResult:
 
 def induced(h: Hypergraph, s: Iterable[int]) -> Hypergraph:
     """Subhypergraph on the vertex set s, keeping isolated vertices of s."""
-    ss = frozenset(int(v) for v in s)
+    ss = frozenset(map(operator.index, s))
     if not ss <= h.vertices:
         raise ValueError("vertex not in hypergraph")
     es = frozenset(e for e in h.edges if set(e) <= ss)

@@ -215,6 +215,16 @@ def test_codegree_force_check_and_drop(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["arrow", None, "-t", "3", "-k", "2", "--budget", "-1"],
+    ["codegree", "force-check", "-t", "5", "--budget", "-3"],
+], ids=["arrow", "force-check"])
+def test_negative_budget_is_an_error(tmp_path, capsys, argv):
+    path = write_graph(tmp_path, Hypergraph.complete(6, 2))
+    code, out = run(capsys, *(path if a is None else a for a in argv))
+    assert code == 1 and "budget" in out and "undecided" not in out
+
+
 def test_codegree_extend(tmp_path, capsys):
     host_path = tmp_path / "host.json"
     run(capsys, "codegree", "host", "-t", "4", "-o", str(host_path))

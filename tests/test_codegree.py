@@ -1,5 +1,7 @@
 """Partition hosts, forced apex patterns, greedy coloring extension."""
 
+import itertools
+import random
 import time
 from fractions import Fraction
 from math import comb
@@ -23,7 +25,7 @@ from ramsey3.codegree import (
 from ramsey3.hypercore import codegree, induced
 import ramsey3.codegree as codegree_module
 
-from _oracles import brute_cliques, random_extension_instance
+from _oracles import brute_cliques, brute_mono_cliques, random_extension_instance
 
 
 # -- host construction ---------------------------------------------------
@@ -156,6 +158,81 @@ def test_forced_pattern_rejects_foreign_edges():
     host = build_partition_host(4)
     with pytest.raises(ValueError):
         forced_pattern_check(host, apex_edges=((0, 1, 2),))
+
+
+@pytest.fixture
+def built_and_solved(monkeypatch):
+    """Every SearchCore codegree builds, and every result it solves."""
+    built, solves = [], []
+
+    class Recording(codegree_module.SearchCore):
+        def __init__(self, *args, **kwargs):
+            built.append(self)
+            super().__init__(*args, **kwargs)
+
+        def solve(self, *args, **kwargs):
+            res = super().solve(*args, **kwargs)
+            solves.append(res)
+            return res
+
+    monkeypatch.setattr(codegree_module, "SearchCore", Recording)
+    return built, solves
+
+
+def _tree(res):
+    return (res.found, res.nodes, res.propagations, res.conflicts, res.learned, res.restarts)
+
+
+def test_forced_checks_share_one_core_per_host(built_and_solved):
+    # every single drop is the full-bundle core solved with one apex edge off
+    built, solves = built_and_solved
+    host = build_partition_host(5)
+    bundle = apex_bundle(host)
+    assert forced_pattern_check(host) is True
+    for i in range(len(bundle)):
+        assert forced_pattern_check(host, bundle[:i] + bundle[i + 1:]) is False
+    assert len(built) == 1 and len(solves) == 10
+
+
+def test_forced_check_apex_edges_are_a_set(built_and_solved):
+    _, solves = built_and_solved
+    bundle = apex_bundle(build_partition_host(6))
+    shuffled = list(bundle)
+    random.Random(6).shuffle(shuffled)
+    for edges in (None, shuffled, bundle + bundle[3:5], [e[::-1] for e in bundle]):
+        assert forced_pattern_check(build_partition_host(6), edges) is True
+    assert _tree(solves[0]) == (False, 126, 403, 64, 63, 0)
+    assert [_tree(res) for res in solves[1:]] == [_tree(solves[0])] * 3
+
+
+def test_forced_check_after_drops_matches_fresh_host(built_and_solved):
+    _, solves = built_and_solved
+    host = build_partition_host(6)
+    bundle = apex_bundle(host)
+    for i in range(len(bundle)):
+        assert forced_pattern_check(host, bundle[:i] + bundle[i + 1:]) is False
+    assert forced_pattern_check(host) is True
+    assert forced_pattern_check(build_partition_host(6)) is True
+    assert _tree(solves[-2]) == _tree(solves[-1])
+
+
+def test_forced_check_every_t4_sub_bundle_matches_brute_force():
+    # forced iff every 2-coloring of the sub-bundle, with the host colors,
+    # leaves a monochromatic K_4 in host + sub-bundle; only the full bundle is
+    host = build_partition_host(4)
+    bundle = apex_bundle(host)
+    forced = []
+    for size in range(len(bundle) + 1):
+        for sub in itertools.combinations(bundle, size):
+            aug = host.h.plus_edges(sub)
+            brute = all(
+                brute_mono_cliques(aug, {**host.coloring.assignment, **dict(zip(sub, cols))}, 4)
+                for cols in itertools.product((BLUE, RED), repeat=size)
+            )
+            assert forced_pattern_check(host, sub) is brute
+            if brute:
+                forced.append(sub)
+    assert forced == [bundle]
 
 
 # -- extension -----------------------------------------------------------

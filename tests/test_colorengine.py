@@ -320,6 +320,16 @@ def test_core_matches_cnf_near_threshold():
     assert verdicts == {True, False}
 
 
+def test_core_rejects_bad_budgets():
+    core = SearchCore([(0,), (1,), (2,)], 2, [([0, 1, 2], 6)])
+    for budget in (-1, -3, 1.0, 2.5, True, False, "5"):
+        with pytest.raises(ValueError):
+            core.solve(budget)
+    # budget 0 is undecided at the first decision, as before
+    assert _tree(core.solve(0)) == (None, 1, 0, 0, 0, 0)
+    assert _tree(core.solve(1)) == (True, 1, 1, 0, 0, 0)
+
+
 def test_core_rejects_bad_pins_and_members():
     core = SearchCore([(0,), (1,)], 2, [([0, 1], 6)])
     for pins in ({0: True}, {0: 1.0}, {0: 3}, {True: 1}, {2: 1}):

@@ -28,6 +28,7 @@ from ramsey3 import (
     to_json_dict,
 )
 from ramsey3.colorengine import EdgeColoring, VertexColoring
+from ramsey3.gadgets import TaggedGadget, attach_apex
 from ramsey3.hypercore import canon_edge, codegree
 
 from _oracles import brute_cliques, random_small_hypergraph
@@ -82,6 +83,19 @@ def test_canon_edge():
         canon_edge((0, 1.7, 2))
     with pytest.raises(TypeError):
         Hypergraph.build(3, [(0, 1.7, 2)])
+
+
+@pytest.mark.parametrize("call", [
+    lambda: Hypergraph.build(3, [], vertices=[0.5, 2.9]),
+    lambda: induced(Hypergraph.complete(5, 3), [0, 1.5, 2]),
+    lambda: degree(Hypergraph.complete(5, 3), [0, 1.5]),
+    lambda: GlueMap.of([(0.7, 1.2)]),
+    lambda: attach_apex(TaggedGadget(Hypergraph.complete(4, 3)), [0, 1.5, 2]),
+], ids=["build", "induced", "degree", "GlueMap.of", "attach_apex"])
+def test_float_vertex_ids_rejected(call):
+    # a float id is an error, as in canon_edge, never truncated to an int
+    with pytest.raises(TypeError):
+        call()
 
 
 def test_minus_plus_edges():
