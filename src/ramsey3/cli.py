@@ -7,9 +7,8 @@ iterative and clique enumeration recurses only t deep, so the latter
 would be a fault), 3 input/output error.  Hypergraph-valued results are
 always emitted as JSON documents; purely informational commands print a human
 summary unless --json is given.  Commands that consume randomness
-require an explicit --seed.  --jobs and --deterministic are accepted
-for interface stability: the engines are sequential and deterministic,
-so both are no-ops.
+require an explicit --seed.  Integer lists given as text (vertex lists,
+--drop, --patterns) take plain decimal items only.
 """
 
 from __future__ import annotations
@@ -97,17 +96,16 @@ def _emit(args: argparse.Namespace, doc: dict, human: Optional[str] = None) -> N
         _write(args, json.dumps(doc))
 
 
-def _parse_vertex_list(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError as exc:
-        raise _UsageError(f"bad vertex list {text!r}") from exc
+def _parse_ints(text: str, what: str) -> tuple[int, ...]:
+    """Comma-separated ASCII decimal items; signs, spaces and "_" exit 1."""
+    parts = text.split(",")
+    if not all(part.isascii() and part.isdigit() for part in parts):
+        raise _UsageError(f"bad {what} {text!r}: items must be plain decimal integers")
+    return tuple(map(int, parts))
 
 
 def _parse_patterns(text: str) -> PatternSet:
-    groups = []
-    for chunk in text.split(";"):
-        groups.append(tuple(int(x) for x in chunk.split(",")))
+    groups = [_parse_ints(chunk, "pattern") for chunk in text.split(";")]
     k = len(groups[0])
     ell = sum(groups[0])
     return PatternSet(ell, k, frozenset(groups))
@@ -181,7 +179,7 @@ def _cmd_cnf(args: argparse.Namespace) -> int:
 
 def _cmd_distance(args: argparse.Namespace) -> int:
     h = _load_hypergraph(args.input)
-    dist = path_distance(h, _parse_vertex_list(args.e), _parse_vertex_list(args.f))
+    dist = path_distance(h, _parse_ints(args.e, "vertex list"), _parse_ints(args.f, "vertex list"))
     unreachable = dist == float("inf")
     doc = {"distance": None if unreachable else int(dist)}
     _emit(args, doc, "distance: unreachable" if unreachable else f"distance: {int(dist)}")
@@ -283,7 +281,7 @@ def _cmd_gadget_bel(args: argparse.Namespace) -> int:
 
 def _cmd_gadget_apex(args: argparse.Namespace) -> int:
     g = _load_gadget(args.input)
-    g = gd.attach_apex(g, _parse_vertex_list(args.base))
+    g = gd.attach_apex(g, _parse_ints(args.base, "vertex list"))
     _write(args, json.dumps(g.to_json_dict()))
     return 0
 
@@ -304,7 +302,7 @@ def _cmd_codegree_force_check(args: argparse.Namespace) -> int:
     host = cd.build_partition_host(args.t)
     bundle = list(cd.apex_bundle(host))
     if args.drop:
-        for i in sorted({int(x) for x in args.drop.split(",")}, reverse=True):
+        for i in sorted(set(_parse_ints(args.drop, "drop list")), reverse=True):
             if not 0 <= i < len(bundle):
                 raise ValueError(f"drop index {i} outside 0..{len(bundle) - 1}")
             del bundle[i]
@@ -476,8 +474,6 @@ def _add_tk(p: argparse.ArgumentParser, budget: bool = True) -> None:
 
 def _build_parser() -> _Parser:
     root = _Parser(prog="ramsey3", description=__doc__)
-    root.add_argument("--jobs", type=int, default=1, help="accepted for compatibility; engines are sequential")
-    root.add_argument("--deterministic", action="store_true", help="accepted for compatibility; runs are always deterministic")
     sub = root.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("arrow", help="decide arrowing")

@@ -7,9 +7,10 @@ of those triples completes a monochromatic K_t: an all-blue grid column
 gives a blue clique, and failing that a red transversal gives a red one.
 Deleting even one apex triple breaks the forcing, so the codegree
 (t-2)^2 is exactly the threshold.  forced_pattern_check decides this
-with colorengine's search core over the apex triples alone, the host
-colors folded into each clique's forbidden color, on one core per host
-with missing apex triples off; that settles t=8 (36 apex triples).
+on one search core per host: colorengine's clique core of host + full
+apex bundle with the host coloring fixed, so the apex triples are the
+only variables and each clique forbids the color its host edges share.
+Missing apex triples are off; that settles t=8 (36 apex triples).
 
 The converse direction is the extension argument: around a pair of
 codegree below (t-2)^2, any free coloring of the rest of the hypergraph
@@ -21,13 +22,16 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 from fractions import Fraction
 from math import comb
-from typing import Iterable, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
 
-from .colorengine import ArrowVerdict, BudgetExceeded, EdgeColoring, SearchCore, arrows, check_free
+from .colorengine import ArrowVerdict, BudgetExceeded, EdgeColoring, _clique_core, arrows, check_free
 from .hypercore import Edge, Hypergraph, canon_edge, codegree, enumerate_cliques
+
+if TYPE_CHECKING:
+    from .colorengine import SearchCore
 
 __all__ = [
     "BLUE",
@@ -69,19 +73,12 @@ class PartitionHost:
 
     @cached_property
     def apex_core(self) -> SearchCore:
-        """The forced check's core over the full apex bundle: one
-        constraint per t-clique of host + bundle over its apex edges,
-        forbidding the color its host edges all share."""
-        aug, bundle = augment_apex_pair(self)
-        # one lookup per triple: ~i for apex edge i, else the host color's bit
-        code = {e: 1 << c for e, c in self.coloring.assignment.items()}
-        code.update((e, ~i) for i, e in enumerate(bundle))
-        constraints = []
-        for q in enumerate_cliques(aug, self.t):
-            xs = [code[e] for e in itertools.combinations(q, 3)]
-            mask = reduce(int.__and__, [x for x in xs if x >= 0], (1 << BLUE) | (1 << RED))
-            constraints.append(([~x for x in xs if x < 0], mask))
-        return SearchCore(bundle, 2, constraints)
+        """The forced check's core: the t-cliques of host + full apex
+        bundle over the apex triples, the host coloring fixed."""
+        core = _clique_core(augment_apex_pair(self)[0], self.t, 2, self.coloring.assignment)[0]
+        if core.variables != apex_bundle(self):  # an uncolored host edge would be one more variable
+            raise ValueError("host coloring must color every host edge and no apex triple")
+        return core
 
 
 def build_partition_host(t: int) -> PartitionHost:

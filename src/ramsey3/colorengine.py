@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import reduce
 from heapq import heapify, heappop, heappush
 from typing import Collection, Iterable, Mapping, Optional, Sequence, Union
 
@@ -596,13 +597,25 @@ def _luby(i: int) -> int:
         i -= (1 << (b - 1)) - 1
 
 
-def _clique_core(h: Hypergraph, t: int, k: int) -> tuple[SearchCore, tuple[tuple[int, ...], ...]]:
-    """The free-coloring question on h over its sorted edges, and the t-cliques it was built from."""
+def _clique_core(
+    h: Hypergraph, t: int, k: int, fixed: Mapping[Edge, int] = {}
+) -> tuple[SearchCore, tuple[tuple[int, ...], ...]]:
+    """The free-coloring question on h with the edges of fixed pre-colored, and its t-cliques.
+
+    The variables are the sorted edges of h not in fixed.  Each t-clique is one constraint
+    over its variable edges, its mask narrowed to the color its fixed edges share, if any.
+    """
     cliques = enumerate_cliques(h, t)
-    edges = sorted(h.edges)
-    index = {e: i for i, e in enumerate(edges)}
+    edges = sorted(h.edges.difference(fixed))
+    # one lookup per clique edge: ~i for variable i, else the fixed color's bit
+    code = {e: 1 << c for e, c in fixed.items()}
+    code.update((e, ~i) for i, e in enumerate(edges))
     full = (1 << (k + 1)) - 2
-    cons = [([index[e] for e in itertools.combinations(q, h.r)], full) for q in cliques]
+    cons = []
+    for q in cliques:
+        xs = [code[e] for e in itertools.combinations(q, h.r)]
+        mask = reduce(int.__and__, [x for x in xs if x >= 0], full)
+        cons.append(([~x for x in xs if x < 0], mask))
     return SearchCore(edges, k, cons), cliques
 
 

@@ -9,7 +9,11 @@ a whole target hypergraph up to a permutation of the colors.
 
 The builders here are structural: they produce the right vertex and
 edge sets, tag the distinguished pieces, and verify the combinatorial
-postconditions that are checkable at small scale.  The coloring-forcing
+postconditions that are checkable at small scale.  Each is a composition
+of the shared layers: senders, rainbows, equalizers, chains and the BEL
+carrier are copies of smaller gadgets placed by hypercore.glue (a
+sender is one F_ell copy per edge of H*), and find_ell answers every
+F_ell on one colorengine search core over K_m.  The coloring-forcing
 power of a real sender needs hosts far beyond exhaustive reach, so the
 test surface substitutes miniature stand-ins (see mock_sender) whose
 tags have the same shape.
@@ -24,7 +28,7 @@ from dataclasses import dataclass
 from math import inf
 from typing import Iterable, Mapping, Optional
 
-from .colorengine import EdgeColoring, PatternSet, arrows, check_free, admissible_vertex_coloring
+from .colorengine import EdgeColoring, PatternSet, _clique_core, _solve_verified, admissible_vertex_coloring, check_free
 from .hypercore import (
     Edge,
     GlueMap,
@@ -113,25 +117,6 @@ class TaggedGadget:
             if not blk <= verts:
                 raise ValueError("block outside the vertex set")
 
-    def remapped(self, mapping: Mapping[int, int], h: Hypergraph) -> "TaggedGadget":
-        """Transfer the tags through a vertex map onto a new carrier."""
-
-        def me(e: Optional[Edge]) -> Optional[Edge]:
-            return None if e is None else tuple(sorted(mapping[x] for x in e))
-
-        return TaggedGadget(
-            h=h,
-            e=me(self.e),
-            f=me(self.f),
-            rainbow=tuple(me(e) for e in self.rainbow),  # type: ignore[misc]
-            s_pair=None if self.s_pair is None else tuple(sorted(mapping[x] for x in self.s_pair)),  # type: ignore[arg-type]
-            a=None if self.a is None else mapping[self.a],
-            b=None if self.b is None else mapping[self.b],
-            apex=None if self.apex is None else mapping[self.apex],
-            dist=self.dist,
-            blocks=tuple(frozenset(mapping[x] for x in blk) for blk in self.blocks),
-        )
-
     def to_json_dict(self) -> dict:
         tags: dict[str, object] = {}
         if self.e is not None:
@@ -176,6 +161,10 @@ def mock_sender() -> TaggedGadget:
 
 def _special_bundle(m: int, r: int) -> list[Edge]:
     """Edges of K_m^(r) through the pair {m-2, m-1}, sorted."""
+    if r not in (2, 3):
+        raise ValueError("only uniformity 2 and 3 are supported")
+    if m < r + 1:
+        raise ValueError(f"need at least {r + 1} vertices")
     if r == 2:
         return [(m - 2, m - 1)]
     return sorted((w, m - 2, m - 1) for w in range(m - 2))
@@ -187,10 +176,6 @@ def build_F_prime(m: int, r: int = 3) -> TaggedGadget:
     The removed bundle sits on the special pair (m-2, m-1), recorded in
     the s_pair tag.
     """
-    if r not in (2, 3):
-        raise ValueError("only uniformity 2 and 3 are supported")
-    if m < r + 1:
-        raise ValueError(f"need at least {r + 1} vertices")
     full = Hypergraph.complete(m, r)
     h = Hypergraph(r, full.vertices, full.edges - set(_special_bundle(m, r)))
     return TaggedGadget(h=h, s_pair=(m - 2, m - 1))
@@ -213,26 +198,33 @@ def find_ell(
     Only meaningful when m is exactly the k-color Ramsey number of K_t:
     below it even the complete hypergraph fails to arrow, above it
     F_prime already arrows.  Both misuses raise.  Returns None when the
-    node budget ran out before the scan settled.
+    node budget ran out before the scan settled.  One search core over
+    K_m^(r) answers every F_ell with the special edges past ell off.
     """
-    full = arrows(Hypergraph.complete(m, r), t, k, budget=budget)
-    if full.arrows is None:
+    bundle = _special_bundle(m, r)
+    core, cliques = _clique_core(Hypergraph.complete(m, r), t, k)
+    special = [core.variables.index(e) for e in bundle]
+
+    def free(ell: int) -> Optional[bool]:
+        return _solve_verified(core, cliques, r, budget, special[ell:]).found
+
+    full = free(len(special))
+    if full is None:
         return None
-    if not full.arrows:
+    if full:
         raise ValueError("m below r_k: the complete hypergraph does not arrow")
-    base = arrows(build_F_prime(m, r).h, t, k, budget=budget)
-    if base.arrows is None:
+    base = free(0)
+    if base is None:
         return None
-    if base.arrows:
+    if not base:
         raise ValueError("m above r_k: F_prime arrows even without special edges")
-    ell = 0
-    while True:
-        step = arrows(build_F_ell(m, ell + 1, r).h, t, k, budget=budget)
-        if step.arrows is None:
+    for ell in range(len(special) - 1):
+        step = free(ell + 1)
+        if step is None:
             return None
-        if step.arrows:
+        if not step:
             return ell
-        ell += 1
+    return len(special) - 1  # F_{len} is K_m, which arrows
 
 
 def build_Hstar(h0: Hypergraph, ps: PatternSet, k: int) -> tuple[Hypergraph, int, int]:
@@ -297,15 +289,19 @@ def build_Hstar(h0: Hypergraph, ps: PatternSet, k: int) -> tuple[Hypergraph, int
 def assemble_signal_sender(
     hstar: Hypergraph, x: int, y: int, m: int, ell: int
 ) -> TaggedGadget:
-    """Sender built from one F-block per edge of H*.
+    """Sender glued from one copy of F_ell per edge of H*.
 
-    All blocks share a fresh pair (p1, p2); the block of an edge g is a
-    complete 3-graph on {p1, p2} + g + (m - 2 - ell) private vertices,
+    H*'s vertices become 0..nv-1 in sorted order and the fresh shared
+    pair is (p1, p2) = (nv, nv+1).  The copy for the j-th sorted edge g
+    puts its special pair on (p1, p2) and its vertices 0..ell-1 on g;
+    its m - 2 - ell private vertices get the ids from
+    nv + 2 + j * (m - 2 - ell) on, which glue's dense id rule assigns.
+    So each block is a complete 3-graph on {p1, p2} + g + its privates,
     minus the triples {p1, p2, private}.  The surviving triples through
     the shared pair encode a vertex coloring of H* whose per-edge
     patterns are forced into the pattern set of F_ell, and every such
     coloring separates x from y, coupling e = {p1, p2, x} and
-    f = {p1, p2, y}.
+    f = {p1, p2, y}.  F_ell needs m >= 4.
     """
     if ell != hstar.r:
         raise ValueError(f"ell={ell} but H* is {hstar.r}-uniform")
@@ -325,24 +321,15 @@ def assemble_signal_sender(
     nv = len(verts)
     p1, p2 = nv, nv + 1
     bsize = m - 2 - ell
-    next_id = nv + 2
-    edges: set[Edge] = set()
-    blocks: list[frozenset[int]] = []
-    for g in sorted(hstar.edges):
-        gm = [pos[u] for u in g]
-        priv = list(range(next_id, next_id + bsize))
-        next_id += bsize
-        block = sorted([p1, p2] + gm + priv)
-        privset = set(priv)
-        for tri in itertools.combinations(block, 3):
-            if p1 in tri and p2 in tri:
-                (w,) = (u for u in tri if u not in (p1, p2))
-                if w in privset:
-                    continue
-            edges.add(tri)
-        blocks.append(frozenset(block))
-
-    h = Hypergraph.build(3, edges, vertices=range(next_id))
+    block = build_F_ell(m, ell).h
+    gs = sorted(hstar.edges)
+    maps = [GlueMap.of([(p1, m - 2), (p2, m - 1)] + [(pos[u], i) for i, u in enumerate(g)]) for g in gs]
+    h = glue(Hypergraph.build(3, [], vertices=range(nv + 2)), block, maps).h
+    start = nv + 2
+    blocks = [
+        frozenset([p1, p2, *(pos[u] for u in g), *range(start + j * bsize, start + (j + 1) * bsize)])
+        for j, g in enumerate(gs)
+    ]
     e_h = canon_edge((p1, p2, pos[x]))
     f_h = canon_edge((p1, p2, pos[y]))
     if e_h not in h.edges or f_h not in h.edges:
@@ -354,7 +341,7 @@ def assemble_signal_sender(
     for i, bi in enumerate(blocks):
         for bj in blocks[i + 1 :]:
             shared = bi & bj
-            inner = [e for e in edges if set(e) <= shared]
+            inner = [e for e in h.edges if set(e) <= shared]
             if len(inner) > 1 or any(p1 not in e or p2 not in e for e in inner):
                 raise AssertionError("blocks may only share one special edge")
     return TaggedGadget(
@@ -573,8 +560,9 @@ def build_BEL(
         for w in sorted(acc.vertices - set(range(n_h))):
             if all(codegree(acc, w, u) > 0 for u in range(n_h)):
                 raise AssertionError(f"new vertex {w} has positive codegree with all of the host")
-    rb = rainbow_g.remapped(base.map_b, acc)
-    return TaggedGadget(h=acc, rainbow=rb.rainbow, s_pair=rb.s_pair)
+    sp = rainbow_g.s_pair
+    s_pair = None if sp is None else (base.map_b[sp[0]], base.map_b[sp[1]])
+    return TaggedGadget(h=acc, rainbow=tuple(eprime), s_pair=s_pair)
 
 
 def attach_apex(g: TaggedGadget, base: Iterable[int]) -> TaggedGadget:

@@ -324,7 +324,6 @@ def glue(
     a: Hypergraph,
     b: Hypergraph,
     m: Union[GlueMap, Sequence[GlueMap]] = GlueMap(),
-    b_label_prefix: Optional[str] = None,
 ) -> GlueResult:
     """Disjoint union of a and copies of b, followed by the identifications.
 
@@ -361,12 +360,7 @@ def glue(
                 map_b[v] = next_id
                 next_id += 1
         edges.update(tuple(sorted(map_b[x] for x in e)) for e in b.edges)
-        for v in sorted(b.vertices):
-            lab = b.labels.get(v)
-            if v not in partner_ba and b_label_prefix is not None:
-                lab = f"{b_label_prefix}{lab if lab is not None else v}"
-            if lab is None:
-                continue
+        for v, lab in sorted(b.labels.items()):
             nv = map_b[v]
             labels[nv] = f"{labels[nv]}|{lab}" if nv in labels else lab
 
@@ -461,7 +455,9 @@ def from_json_dict(doc: Mapping[str, object]) -> tuple[Hypergraph, dict]:
     """Parse a hypergraph document; returns the hypergraph and its tags.
 
     r, n and every vertex id must be JSON integers, and every vertex,
-    in edges and in tags alike, must lie in 0..n-1.
+    in edges and in tags alike, must lie in 0..n-1.  labels and tags,
+    when present, are JSON objects; label keys are vertex ids in decimal
+    and label values are strings.
     """
     try:
         r = json_int(doc["r"], "r")
@@ -470,11 +466,20 @@ def from_json_dict(doc: Mapping[str, object]) -> tuple[Hypergraph, dict]:
             raise ValueError("vertex count must be nonnegative")
         raw_edges = doc.get("edges", [])
         edges = [canon_edge(_json_vertices(e, n, "edge"), r) for e in raw_edges]  # type: ignore[union-attr]
-        labels = {int(k): str(v) for k, v in (doc.get("labels") or {}).items()}  # type: ignore[union-attr]
+        for key in ("labels", "tags"):
+            if not isinstance(doc.get(key, {}), Mapping):
+                raise ValueError(f"{key} must be a JSON object, got {doc[key]!r}")
+        labels = {}
+        for key, lab in doc.get("labels", {}).items():  # type: ignore[union-attr]
+            # the id as to_json_dict writes it: ASCII digits, no sign, space or leading zero
+            plain = type(key) is str and key.isascii() and key.isdigit() and key == str(int(key))
+            if not plain or type(lab) is not str:
+                raise ValueError(f"label {key!r}: {lab!r} is not a decimal vertex id mapped to a string")
+            labels[int(key)] = lab
         h = Hypergraph.build(r, edges, vertices=range(n), labels=labels)
 
         tags: dict[str, object] = {}
-        for key, val in (doc.get("tags") or {}).items():  # type: ignore[union-attr]
+        for key, val in doc.get("tags", {}).items():  # type: ignore[union-attr]
             if key == "dist":
                 tags[key] = json_int(val, "dist")
             elif key in _VERTEX_TAGS:

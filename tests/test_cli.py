@@ -296,11 +296,40 @@ def test_lab_paper_params(capsys):
     assert code == 0 and doc["log2_n"] == "5120" and doc["log2_p"] == "-5070"
 
 
-def test_root_compat_flags(tmp_path, capsys):
+_BAD_ITEMS = ["+0,0_1", " 1,2", "0,-1", "1,,2", "\u0663", "0x1", ""]
+
+
+# an empty --drop drops nothing, so "" is a bad item everywhere else
+@pytest.mark.parametrize("flag, items", [(flag, items) for flag in ["-e", "-f", "--base", "--drop", "--patterns"]
+                                         for items in _BAD_ITEMS if items or flag != "--drop"])
+def test_integer_list_items_must_be_plain_decimal(tmp_path, capsys, flag, items):
+    # "+0,0_1" used to be read as 0,1 through int(); every such item now exits 1
+    path = write_graph(tmp_path, Hypergraph.build(3, [(0, 1, 2), (1, 2, 3)]))
+    argv = {
+        "-e": ["distance", path, "-e", items, "-f", "1,2,3"],
+        "-f": ["distance", path, "-e", "0,1,2", "-f", items],
+        "--base": ["gadget", "apex", path, "--base", items],
+        "--drop": ["codegree", "force-check", "-t", "4", "--drop", items],
+        "--patterns": ["gadget", "hstar", path, "--patterns", f"1,1;{items}"],
+    }[flag]
+    code, out = run(capsys, *argv)
+    assert code == 1 and out.startswith("error:") and "plain decimal" in out, out
+
+
+@pytest.mark.parametrize("flag", ["--jobs", "--deterministic"])
+def test_removed_root_flags_are_usage_errors(tmp_path, capsys, flag):
     path = write_graph(tmp_path, Hypergraph.complete(5, 2))
-    code, _ = run(capsys, "--jobs", "4", "--deterministic", "arrow", path,
-                  "-t", "3", "-k", "2")
-    assert code == 0
+    argv = [flag] + (["4"] if flag == "--jobs" else []) + ["arrow", path, "-t", "3", "-k", "2"]
+    code, out = run(capsys, *argv)
+    assert code == 1 and out.startswith("error:")
+
+
+@pytest.mark.parametrize("labels", [{" 1": "x"}, {"+2": "x"}, {"01": "x"}, {"0": None}, {"1": [1, 2]}, {"0": 5}])
+def test_bad_labels_exit_1(tmp_path, capsys, labels):
+    path = tmp_path / "h.json"
+    path.write_text(json.dumps({"r": 3, "n": 3, "edges": [[0, 1, 2]], "labels": labels}))
+    code, out = run(capsys, "cliques", str(path), "-t", "3")
+    assert code == 1 and "label" in out and out.startswith("error:"), out
 
 
 def test_json_with_non_integer_fields_exits_1(tmp_path, capsys):

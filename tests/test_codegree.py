@@ -1,5 +1,6 @@
 """Partition hosts, forced apex patterns, greedy coloring extension."""
 
+import dataclasses
 import itertools
 import random
 import time
@@ -23,7 +24,7 @@ from ramsey3.codegree import (
     verify_s22_zero_step,
 )
 from ramsey3.hypercore import codegree, induced
-import ramsey3.codegree as codegree_module
+import ramsey3.colorengine as colorengine
 
 from _oracles import brute_cliques, brute_mono_cliques, random_extension_instance
 
@@ -131,13 +132,13 @@ def test_forced_pattern_t8_within_time(monkeypatch):
     # 2^36 apex colorings and 46,662 cliques, both verdicts from the search core
     solves = []
 
-    class Recording(codegree_module.SearchCore):
+    class Recording(colorengine.SearchCore):
         def solve(self, *args, **kwargs):
             res = super().solve(*args, **kwargs)
             solves.append(res)
             return res
 
-    monkeypatch.setattr(codegree_module, "SearchCore", Recording)
+    monkeypatch.setattr(colorengine, "SearchCore", Recording)
     host = build_partition_host(8)
     bundle = apex_bundle(host)
     start = time.perf_counter()
@@ -160,12 +161,26 @@ def test_forced_pattern_rejects_foreign_edges():
         forced_pattern_check(host, apex_edges=((0, 1, 2),))
 
 
+@pytest.mark.parametrize("change", ["uncolor a host edge", "color an apex triple"])
+def test_forced_check_needs_the_host_coloring_on_exactly_the_host(change):
+    # the apex triples must be the only free edges of the forced check's core
+    host = build_partition_host(4)
+    colors = dict(host.coloring.assignment)
+    if change == "uncolor a host edge":
+        del colors[min(colors)]
+    else:
+        colors[apex_bundle(host)[0]] = BLUE
+    bad = dataclasses.replace(host, coloring=EdgeColoring(2, colors))
+    with pytest.raises(ValueError, match="host coloring"):
+        forced_pattern_check(bad)
+
+
 @pytest.fixture
 def built_and_solved(monkeypatch):
-    """Every SearchCore codegree builds, and every result it solves."""
+    """Every SearchCore built for codegree, and every result it solves."""
     built, solves = [], []
 
-    class Recording(codegree_module.SearchCore):
+    class Recording(colorengine.SearchCore):
         def __init__(self, *args, **kwargs):
             built.append(self)
             super().__init__(*args, **kwargs)
@@ -175,7 +190,7 @@ def built_and_solved(monkeypatch):
             solves.append(res)
             return res
 
-    monkeypatch.setattr(codegree_module, "SearchCore", Recording)
+    monkeypatch.setattr(colorengine, "SearchCore", Recording)
     return built, solves
 
 

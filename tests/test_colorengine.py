@@ -289,6 +289,39 @@ def test_core_matches_brute_force(inst):
         assert not _violates(colors, k, kept)
 
 
+@st.composite
+def fixed_instances(draw):
+    """A small 3-graph with some edges pre-colored, at most 3^7 free colorings."""
+    n = draw(st.integers(4, 6))
+    k = draw(st.integers(2, 3))
+    triples = list(itertools.combinations(range(n), 3))
+    edges = draw(st.lists(st.sampled_from(triples), unique=True, max_size=12))
+    fixed = draw(st.dictionaries(st.sampled_from(edges), st.integers(1, k))) if edges else {}
+    while len(edges) - len(fixed) > (10 if k == 2 else 7):
+        fixed[next(e for e in edges if e not in fixed)] = draw(st.integers(1, k))
+    return Hypergraph.build(3, edges, vertices=range(n)), draw(st.integers(3, 5)), k, fixed
+
+
+@settings(max_examples=150, deadline=None)
+@given(fixed_instances())
+def test_clique_core_with_fixed_edges_matches_brute_force(inst):
+    # solvable exactly when some coloring of the other edges makes the whole
+    # coloring free; its coloring is of exactly those edges
+    h, t, k, fixed = inst
+    rest = sorted(h.edges.difference(fixed))
+    brute = any(
+        not brute_mono_cliques(h, {**fixed, **dict(zip(rest, colors))}, t)
+        for colors in itertools.product(range(1, k + 1), repeat=len(rest))
+    )
+    core, _ = colorengine._clique_core(h, t, k, fixed)
+    assert list(core.variables) == rest
+    res = core.solve()
+    assert res.found == brute
+    if res.found:
+        assert set(res.coloring.assignment) == set(rest)
+        assert not brute_mono_cliques(h, {**fixed, **res.coloring.assignment}, t)
+
+
 def test_core_rejects_bad_off():
     core = SearchCore([(0,), (1,)], 2, [([0, 1], 6)])
     with pytest.raises(ValueError):
@@ -376,7 +409,6 @@ def recorded_solves(monkeypatch):
             return res
 
     monkeypatch.setattr(colorengine, "SearchCore", Recording)
-    monkeypatch.setattr(codegree, "SearchCore", Recording)
     return got
 
 

@@ -1,11 +1,14 @@
 """Gadget assembly: senders, rainbow stars, equalizers, distance chains."""
 
+import hashlib
 import itertools
+import json
 import time
 
 import pytest
 
-from ramsey3 import BudgetExceeded, Hypergraph, PatternSet, is_linear, path_distance
+import ramsey3.colorengine as colorengine
+from ramsey3 import BudgetExceeded, Hypergraph, PatternSet, fano_plane, is_linear, path_distance
 from ramsey3.colorengine import EdgeColoring, admissible_vertex_coloring, check_free
 from ramsey3.gadgets import (
     TaggedGadget,
@@ -104,6 +107,27 @@ def test_find_ell_budget_none():
     assert find_ell(6, 3, 2, r=2, budget=2) is None
 
 
+@pytest.mark.parametrize("m", [4, 5, 6])
+def test_find_ell_scans_to_the_last_special_edge(m):
+    # one color: F_ell has a free coloring until the whole bundle is back,
+    # so the scan walks every F_ell and ends one short of K_m
+    assert find_ell(m, m, 1) == m - 3
+
+
+def test_find_ell_builds_one_core(monkeypatch):
+    # K_m^(r) once; F' and every F_ell are solves with special edges off
+    built = []
+
+    class Counting(colorengine.SearchCore):
+        def __init__(self, *args, **kwargs):
+            built.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(colorengine, "SearchCore", Counting)
+    assert find_ell(6, 3, 2, r=2) == 0
+    assert len(built) == 1
+
+
 # -- H* ------------------------------------------------------------------
 
 def test_hstar_c5_exact():
@@ -125,7 +149,6 @@ def test_hstar_c5_all_colorings_separate():
 def test_hstar_fano():
     # the plane has no bichromatic-line 2-coloring, the peeled version does
     ps = PatternSet(3, 2, frozenset({(1, 2), (2, 1)}))
-    from ramsey3 import fano_plane
     hs, x, y = build_Hstar(fano_plane(), ps, 2)
     assert is_linear(hs)
     assert codegree(hs, x, y) == 0
@@ -166,6 +189,31 @@ def test_sender_rejects_small_m():
     hs, x, y = build_Hstar(C5, P11, 2)
     with pytest.raises(ValueError):
         assemble_signal_sender(hs, x, y, 3, 2)
+
+
+def test_sender_needs_four_block_vertices():
+    # the blocks are F_ell copies, and F_ell needs m >= 4: a 1-uniform H*
+    # at m=3 once gave bare triples through the shared pair
+    h1 = Hypergraph.build(1, [(0,), (1,)])
+    with pytest.raises(ValueError, match="at least 4 vertices"):
+        assemble_signal_sender(h1, 0, 1, 3, 1)
+    g = assemble_signal_sender(h1, 0, 1, 4, 1)
+    assert sorted(g.h.edges) == [(0, 2, 3), (0, 2, 4), (0, 3, 4), (1, 2, 3), (1, 2, 5), (1, 3, 5)]
+    assert g.blocks == (frozenset({0, 2, 3, 4}), frozenset({1, 2, 3, 5}))
+
+
+def _digest(doc):
+    return hashlib.sha256(json.dumps(doc).encode()).hexdigest()[:12]
+
+
+def test_sender_documents_pinned():
+    # documents of the sender that wrote its block triples by hand
+    hs, x, y = build_Hstar(C5, P11, 2)
+    assert _digest(assemble_signal_sender(hs, x, y, 5, 2).to_json_dict()) == "223bd3826480"
+    hf, xf, yf = build_Hstar(fano_plane(), PatternSet(3, 2, frozenset({(1, 2), (2, 1)})), 2)
+    g = assemble_signal_sender(hf, xf, yf, 6, 3)
+    assert _digest(g.to_json_dict()) == "c50ce109fd7d"
+    assert _digest(sorted(sorted(b) for b in g.blocks)) == "a3620194c061"
 
 
 def test_clique_block_cover_flags_uncovered():
@@ -244,6 +292,13 @@ def test_bel_on_toy_host():
     assert g.h.num_vertices == expected
     # the forced pair keeps codegree zero
     assert codegree(g.h, host.a, host.b) == 0
+
+
+def test_bel_document_pinned():
+    # the document of the BEL that carried its rainbow tags through TaggedGadget.remapped
+    host = build_partition_host(4)
+    g = build_BEL(host.h, host.coloring, 2, 4, far_mock(), build_rainbow(2, mock_sender()))
+    assert _digest(g.to_json_dict()) == "9610a98a7d3e"
 
 
 def test_sparse_carrier_cliques_within_budget():

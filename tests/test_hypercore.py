@@ -293,7 +293,7 @@ def test_glue_rejects_non_injective():
 def test_glue_merges_labels():
     a = Hypergraph.build(3, [(0, 1, 2)], labels={0: "x"})
     b = Hypergraph.build(3, [(0, 1, 2)], labels={0: "y"})
-    res = glue(a, b, GlueMap([(0, 0)]), b_label_prefix="b")
+    res = glue(a, b, GlueMap([(0, 0)]))
     merged = res.h.labels[res.map_a[0]]
     assert "x" in merged and "y" in merged
 
@@ -330,10 +330,10 @@ def test_glue_many_copies_equals_fold(seed, copies):
         j = rng.randrange(0, min(len(a.vertices), len(b.vertices)) + 1)
         maps.append(GlueMap(tuple(zip(rng.sample(sorted(a.vertices), j),
                                       rng.sample(sorted(b.vertices), j)))))
-    once = glue(a, b, maps, b_label_prefix="c")
+    once = glue(a, b, maps)
     acc, last = a, None
     for m in maps:
-        last = glue(acc, b, m, b_label_prefix="c")
+        last = glue(acc, b, m)
         acc = last.h
     assert once.h == acc and once.h.labels == acc.labels
     assert once.map_b == (last.map_b if last else {})
@@ -404,6 +404,30 @@ def test_json_rejects_garbage():
                 {"k": 2, "colors": [[0, 1], [0, 2]]}):
         with pytest.raises(ValueError):
             VertexColoring.from_json_dict(doc)
+
+
+@pytest.mark.parametrize("labels", [
+    {" 1": "5"}, {"+2": "x"}, {"0": None}, {"01": "x"}, {"1_0": "x"}, {"٣": "x"},
+    {"-1": "x"}, {"3": "x"}, {"x": "y"}, {1: "x"}, {"0": 5}, {"2": [1, 2]},
+    {" 1": 5, "+2": [1, 2], "0": None},
+])
+def test_json_labels_are_not_coerced(labels):
+    # these used to come back as int(key) -> str(value), e.g. {1: '5', 2: '[1, 2]', 0: 'None'}
+    with pytest.raises(ValueError, match="label"):
+        from_json_dict({"r": 3, "n": 3, "edges": [[0, 1, 2]], "labels": labels})
+
+
+@pytest.mark.parametrize("key", ["labels", "tags"])
+@pytest.mark.parametrize("value", [False, 0, "", [], None, [["0", "x"]]])
+def test_json_labels_and_tags_must_be_objects(key, value):
+    # falsy non-objects used to be read as "no labels" or "no tags"
+    with pytest.raises(ValueError, match=f"{key} must be a JSON object"):
+        from_json_dict({"r": 3, "n": 3, "edges": [[0, 1, 2]], key: value})
+
+
+def test_json_labels_accept_decimal_ids_and_strings():
+    h, _ = from_json_dict({"r": 3, "n": 11, "edges": [[0, 1, 2]], "labels": {"0": "a", "10": ""}})
+    assert h.labels == {0: "a", 10: ""}
 
 
 @settings(max_examples=60, deadline=None)
