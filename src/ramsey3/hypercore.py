@@ -8,6 +8,10 @@ gadget builders.
 All values are immutable after construction and every operation is a
 pure function, so objects may be shared freely, and a 3-graph may keep
 the one pair index that every pair question reads (Hypergraph.pairs).
+Clique enumeration builds its own int neighbour masks per call instead.
+They hold only the later vertices each key needs, so they cannot answer
+pair questions, and keeping them would add to the pair index, not
+replace it.
 """
 
 from __future__ import annotations
@@ -97,7 +101,7 @@ class Hypergraph:
 
     @classmethod
     def complete(cls, n: int, r: int = 3) -> "Hypergraph":
-        return cls.build(r, itertools.combinations(range(n), r), vertices=range(n))
+        return cls(r, frozenset(range(n)), frozenset(itertools.combinations(range(n), r)))
 
     @property
     def num_vertices(self) -> int:
@@ -200,6 +204,12 @@ def enumerate_cliques(h: Hypergraph, t: int) -> tuple[tuple[int, ...], ...]:
 
     Results are sorted tuples in lexicographic order.  Uniformity 2 and 3
     are supported; t must be at least r.
+
+    Each call builds its own neighbour bit masks from h.edges, so a
+    candidate step is one AND per stack member.  A mask keyed by a
+    vertex x (r = 2) or a pair ending in x (r = 3) is read in x's frame:
+    bit i stands for vertex x + 1 + i, so masks span the ids of an edge,
+    not of the whole graph.  h.pairs is neither read nor built.
     """
     if h.r not in (2, 3):
         raise ValueError("clique enumeration supports uniformity 2 and 3 only")
@@ -207,39 +217,53 @@ def enumerate_cliques(h: Hypergraph, t: int) -> tuple[tuple[int, ...], ...]:
         raise ValueError("clique size below the uniformity")
     out: list[tuple[int, ...]] = []
     r = h.r
-    # nbrs[u] covers only vertices after u: every check below asks about a later one
-    nbrs: Mapping
+    # nbrs[a] (r = 2) or nbrs[a][b], a < b (r = 3) holds the vertices after
+    # the key that complete an edge; every pair of an edge is a key
+    nbrs: dict = {}
     if r == 2:
-        nbrs = defaultdict(set)
         for a, b in h.edges:
-            nbrs[a].add(b)
+            nbrs[a] = nbrs.get(a, 0) | 1 << (b - a - 1)
     else:
-        nbrs = h.pairs
+        for a, b, c in h.edges:
+            row = nbrs.get(a)
+            if row is None:
+                row = nbrs[a] = {}
+            row[b] = row.get(b, 0) | 1 << (c - b - 1)
+            row.setdefault(c, 0)
+            row = nbrs.get(b)
+            if row is None:
+                row = nbrs[b] = {}
+            row.setdefault(c, 0)
 
-    def extend(stack: list[int], cands: list[int]) -> None:
-        if len(stack) == t:
-            out.append(tuple(stack))
-            return
-        for idx, w in enumerate(cands):
+    def extend(stack: list[int], w: int, cands: int, need: int) -> None:
+        # cands holds vertices after w in w's frame; need >= 1 more members
+        while cands:
+            i = (cands & -cands).bit_length()
+            w += i
+            cands >>= i
+            if need == 1:
+                out.append((*stack, w))
+                continue
             # u may join stack+[w] only if it spans an edge with w (r = 2),
             # or with w and each s on the stack (r = 3)
-            rows = [nbrs[w]] if r == 2 else [nbrs[s][w] for s in stack]
-            nxt = []
-            for u in cands[idx + 1 :]:
-                for row in rows:
-                    if u not in row:
-                        break
-                else:
-                    nxt.append(u)
-            if len(stack) + 1 + len(nxt) < t:
-                continue
-            stack.append(w)
-            extend(stack, nxt)
-            stack.pop()
+            if r == 2:
+                nxt = cands & nbrs.get(w, 0)
+            else:
+                nxt = cands
+                for s in stack:
+                    nxt &= nbrs[s][w]
+            if nxt.bit_count() >= need - 1:
+                stack.append(w)
+                extend(stack, w, nxt, need - 1)
+                stack.pop()
 
     # every later member of a clique shares an edge with its first vertex
     for v in sorted(nbrs):
-        extend([v], sorted(nbrs[v]))
+        row = nbrs[v]
+        cands = row if r == 2 else sum(1 << (w - v - 1) for w in row)
+        extend([v], v, cands, t - 1)
+    # the recursive closure is a reference cycle: free the masks now, not at the next collection
+    del extend
     return tuple(out)
 
 

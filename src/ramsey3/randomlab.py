@@ -72,7 +72,7 @@ def sample_h3(n: int, p: float, seed: int) -> Hypergraph:
         raise ValueError("edge probability must lie in [0, 1]")
     rng = random.Random(seed)
     edges = [tri for tri in itertools.combinations(range(n), 3) if rng.random() < p]
-    return Hypergraph.build(3, edges, vertices=range(n))
+    return Hypergraph(3, frozenset(range(n)), frozenset(edges))
 
 
 def sample_family(n: int, p: float, k: int, seed: int) -> tuple[Hypergraph, ...]:
@@ -252,6 +252,20 @@ class FactBoundReport:
     ok: bool
 
 
+def _count_cliques(later: list[int], cands: int, need: int) -> int:
+    """need-cliques among the vertices of cands, need >= 2.
+
+    Bit v of later[u], u < v, marks an edge uv of the graph counted in.
+    """
+    total = 0
+    while cands:
+        low = cands & -cands
+        cands ^= low
+        nxt = cands & later[low.bit_length() - 1]
+        total += nxt.bit_count() if need == 2 else _count_cliques(later, nxt, need - 1)
+    return total
+
+
 def fact_count_bound(
     psi: EdgeColoring, ell: int, table: Optional[RamseyTable] = None
 ) -> FactBoundReport:
@@ -262,6 +276,10 @@ def fact_count_bound(
     exact k-color Ramsey number of K_ell: each r-subset contributes a
     monochromatic clique and no clique is counted too often.  psi must
     color every pair of 0..n-1; n is derived from the keys.
+
+    Each color class becomes one list of later-neighbour bit masks, and
+    its ell-cliques are counted by intersecting masks down to the last
+    member, whose choices one bit_count() counts.
     """
     verts = {x for e in psi.assignment for x in e}
     n = len(verts)
@@ -276,15 +294,13 @@ def fact_count_bound(
     if n < r:
         raise ValueError(f"bound needs n >= {r}: no {r}-subset exists below that")
     bound = Fraction(n**ell, psi.k * r**ell)
-    counts = [0] * psi.k
-    colors = psi.assignment
-    for q in itertools.combinations(range(n), ell):
-        it = itertools.combinations(q, 2)
-        first = colors[next(it)]
-        if all(colors[pq] == first for pq in it):
-            counts[first - 1] += 1
+    # one adjacency mask list per color: bit v of later[c - 1][u], u < v, when uv has color c
+    later = [[0] * n for _ in range(psi.k)]
+    for (u, v), c in psi.assignment.items():
+        later[c - 1][u] |= 1 << v
+    counts = tuple(_count_cliques(row, (1 << n) - 1, ell) for row in later)
     best = max(counts)
-    return FactBoundReport(n, ell, psi.k, r, bound, tuple(counts), best, best >= bound)
+    return FactBoundReport(n, ell, psi.k, r, bound, counts, best, best >= bound)
 
 
 @dataclass(frozen=True)

@@ -75,6 +75,16 @@ def test_complete_counts():
     assert Hypergraph.complete(5, 3).num_edges == 10
 
 
+def test_complete_equals_build_form():
+    for n in range(8):
+        for r in (1, 2, 3, 4):
+            h = Hypergraph.complete(n, r)
+            assert h == Hypergraph.build(r, itertools.combinations(range(n), r), vertices=range(n))
+            assert h.labels == {}
+    with pytest.raises(ValueError):
+        Hypergraph.complete(4, 0)
+
+
 def test_canon_edge():
     assert canon_edge((2, 0, 1)) == (0, 1, 2)
     with pytest.raises(ValueError):
@@ -198,6 +208,29 @@ def test_pair_queries_match_edge_scan(seed):
         for (u, v), want in scan.items():
             assert codegree(h, u, v) == codegree(h, v, u) == degree(h, (u, v)) == want
         assert min_positive_codegree(h) == min((c for c in scan.values() if c), default=None)
+
+
+@st.composite
+def wide_graphs(draw):
+    """A 2- or 3-graph on up to 9 vertices whose ids spread up to 5,000."""
+    r = draw(st.sampled_from((2, 3)))
+    ids = sorted(draw(st.sets(st.integers(0, 5000), min_size=r, max_size=9)))
+    pool = list(itertools.combinations(ids, r))
+    edges = draw(st.lists(st.sampled_from(pool), max_size=len(pool)))
+    return Hypergraph.build(r, edges, vertices=ids)
+
+
+@settings(max_examples=80, deadline=None)
+@given(wide_graphs())
+def test_cliques_match_subset_scan_on_wide_ids(h):
+    for t in range(h.r, h.r + 4):
+        assert list(enumerate_cliques(h, t)) == brute_cliques(h, t)
+
+
+def test_enumerate_cliques_builds_no_pair_index():
+    h = Hypergraph.complete(6, 3)
+    assert len(enumerate_cliques(h, 4)) == 15
+    assert "pairs" not in h.__dict__
 
 
 def test_enumerate_cliques_keeps_no_reference():

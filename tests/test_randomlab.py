@@ -1,6 +1,7 @@
 """Seeded sampling, pruning, counting bounds, expectation reports."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -39,6 +40,17 @@ def test_derive_seed_stable_and_distinct():
 def test_sample_h3_endpoints():
     assert sample_h3(8, 0.0, 1).num_edges == 0
     assert sample_h3(8, 1.0, 1).edges == Hypergraph.complete(8, 3).edges
+
+
+def test_sample_h3_equals_build_form():
+    for n in (0, 3, 7, 12):
+        for p in (0.0, 0.3, 1.0):
+            for seed in range(10):
+                rng = random.Random(seed)
+                edges = [e for e in itertools.combinations(range(n), 3) if rng.random() < p]
+                h = sample_h3(n, p, seed)
+                assert h == Hypergraph.build(3, edges, vertices=range(n))
+                assert h.labels == {}
 
 
 def test_sample_h3_deterministic():
@@ -178,6 +190,25 @@ def test_fact_bound_random_sample():
     for i in range(200):
         psi = random_complete_graph_coloring(6, 2, derive_seed("fb", i))
         assert fact_count_bound(psi, 3).ok
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("ell", [2, 3, 4])
+def test_fact_bound_counts_match_brute_force(k, ell):
+    # a stand-in entry r = ell lets n start at ell; the counts do not depend on it
+    table = RamseyTable({(k, ell): RamseyEntry(ell, "stand-in")})
+    for i in range(24):
+        n = ell + i % 6
+        psi = random_complete_graph_coloring(n, k, derive_seed("fb-brute", k, ell, i))
+        want = [0] * k
+        for q in itertools.combinations(range(n), ell):
+            cols = {psi.assignment[pq] for pq in itertools.combinations(q, 2)}
+            if len(cols) == 1:
+                want[cols.pop() - 1] += 1
+        rep = fact_count_bound(psi, ell, table)
+        assert rep.counts == tuple(want) and rep.best == max(want)
+        assert rep.bound == Fraction(n**ell, k * ell**ell)
+        assert rep.ok == (max(want) >= rep.bound)
 
 
 def test_fact_bound_validation():
