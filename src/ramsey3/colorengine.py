@@ -607,19 +607,15 @@ def _clique_core(
     """
     cliques = enumerate_cliques(h, t)
     edges = sorted(h.edges.difference(fixed))
+    # one lookup per clique edge: i for variable i, else ~ the fixed color's bit
+    code = {e: ~(1 << c) for e, c in fixed.items()}
+    code.update((e, i) for i, e in enumerate(edges))
     full = (1 << (k + 1)) - 2
-    if not fixed:
-        index = {e: i for i, e in enumerate(edges)}
-        cons = [([index[e] for e in itertools.combinations(q, h.r)], full) for q in cliques]
-        return SearchCore(edges, k, cons), cliques
-    # one lookup per clique edge: ~i for variable i, else the fixed color's bit
-    code = {e: 1 << c for e, c in fixed.items()}
-    code.update((e, ~i) for i, e in enumerate(edges))
     cons = []
     for q in cliques:
         xs = [code[e] for e in itertools.combinations(q, h.r)]
-        mask = reduce(int.__and__, [x for x in xs if x >= 0], full)
-        cons.append(([~x for x in xs if x < 0], mask))
+        vs = [x for x in xs if x >= 0]
+        cons.append((vs, full if len(vs) == len(xs) else reduce(int.__and__, [~x for x in xs if x < 0], full)))
     return SearchCore(edges, k, cons), cliques
 
 

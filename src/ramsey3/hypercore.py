@@ -8,10 +8,11 @@ gadget builders.
 All values are immutable after construction and every operation is a
 pure function, so objects may be shared freely, and a 3-graph may keep
 the one pair index that every pair question reads (Hypergraph.pairs).
-Clique enumeration builds its own int neighbour masks per call instead.
-They hold only the later vertices each key needs, so they cannot answer
-pair questions, and keeping them would add to the pair index, not
-replace it.
+Clique enumeration builds its own int neighbour masks per call instead,
+each at most a fixed number of bits or a vertex degree wide, whatever
+the ids.  They hold only the later vertices each key needs, so they
+cannot answer pair questions, and keeping them would add to the pair
+index, not replace it.
 """
 
 from __future__ import annotations
@@ -199,6 +200,11 @@ def min_positive_codegree(h: Hypergraph) -> Optional[int]:
     return min((degree(h, p) for e in h.edges for p in itertools.combinations(e, 2)), default=None)
 
 
+# enumerate_cliques reads a vertex's later neighbours on the id line while they
+# lie within this many ids of it; the masks it shares are never wider
+_MASK_SPAN = 256
+
+
 def enumerate_cliques(h: Hypergraph, t: int) -> tuple[tuple[int, ...], ...]:
     """All t-subsets of V(h) spanning complete r-uniform subhypergraphs.
 
@@ -208,8 +214,12 @@ def enumerate_cliques(h: Hypergraph, t: int) -> tuple[tuple[int, ...], ...]:
     Each call builds its own neighbour bit masks from h.edges, so a
     candidate step is one AND per stack member.  A mask keyed by a
     vertex x (r = 2) or a pair ending in x (r = 3) is read in x's frame:
-    bit i stands for vertex x + 1 + i, so masks span the ids of an edge,
-    not of the whole graph.  h.pairs is neither read nor built.
+    bit i stands for vertex x + 1 + i, for i below _MASK_SPAN.  A first
+    vertex whose later neighbours all lie within _MASK_SPAN ids is
+    searched on these masks.  Any other first vertex ranks its d later
+    neighbours and translates each row it reads to those ranks, so a
+    mask is at most _MASK_SPAN bits wide, or d bits, whatever the ids.
+    h.pairs is neither read nor built.
     """
     if h.r not in (2, 3):
         raise ValueError("clique enumeration supports uniformity 2 and 3 only")
@@ -217,23 +227,38 @@ def enumerate_cliques(h: Hypergraph, t: int) -> tuple[tuple[int, ...], ...]:
         raise ValueError("clique size below the uniformity")
     out: list[tuple[int, ...]] = []
     r = h.r
-    # nbrs[a] (r = 2) or nbrs[a][b], a < b (r = 3) holds the vertices after
-    # the key that complete an edge; every pair of an edge is a key
+    # nbrs[a] (r = 2) or nbrs[a][b], a < b (r = 3) marks the vertices after the
+    # key that complete an edge, up to _MASK_SPAN ids on; every pair of an edge
+    # is a key.  spread holds each vertex with a later neighbour beyond that.
     nbrs: dict = {}
+    spread: set[int] = set()
     if r == 2:
         for a, b in h.edges:
-            nbrs[a] = nbrs.get(a, 0) | 1 << (b - a - 1)
+            if b - a > _MASK_SPAN:
+                spread.add(a)
+                nbrs.setdefault(a, 0)
+            else:
+                nbrs[a] = nbrs.get(a, 0) | 1 << (b - a - 1)
     else:
         for a, b, c in h.edges:
             row = nbrs.get(a)
             if row is None:
                 row = nbrs[a] = {}
-            row[b] = row.get(b, 0) | 1 << (c - b - 1)
-            row.setdefault(c, 0)
+            if c - b <= _MASK_SPAN:
+                row[b] = row.get(b, 0) | 1 << (c - b - 1)
+            elif b not in row:
+                row[b] = 0
+            if c not in row:
+                row[c] = 0
             row = nbrs.get(b)
             if row is None:
-                row = nbrs[b] = {}
-            row.setdefault(c, 0)
+                nbrs[b] = {c: 0}
+            elif c not in row:
+                row[c] = 0
+            if c - a > _MASK_SPAN:
+                spread.add(a)
+                if c - b > _MASK_SPAN:
+                    spread.add(b)
 
     def extend(stack: list[int], w: int, cands: int, need: int) -> None:
         # cands holds vertices after w in w's frame; need >= 1 more members
@@ -247,7 +272,7 @@ def enumerate_cliques(h: Hypergraph, t: int) -> tuple[tuple[int, ...], ...]:
             # u may join stack+[w] only if it spans an edge with w (r = 2),
             # or with w and each s on the stack (r = 3)
             if r == 2:
-                nxt = cands & nbrs.get(w, 0)
+                nxt = cands & nbrs[w] if w in nbrs else 0
             else:
                 nxt = cands
                 for s in stack:
@@ -257,13 +282,57 @@ def enumerate_cliques(h: Hypergraph, t: int) -> tuple[tuple[int, ...], ...]:
                 extend(stack, w, nxt, need - 1)
                 stack.pop()
 
+    # the full neighbour lists later[a] or later[a][b], built once at the first
+    # spread vertex; verts holds the current first vertex's later neighbours,
+    # ascending, and rank maps each of them to its position there
+    later: dict = {}
+    verts: list[int] = []
+    rank: dict[int, int] = {}
+
+    def extend_ranked(stack: list[int], j: int, cands: int, need: int) -> None:
+        # extend on ranks: bit i of cands is verts[j + 1 + i]
+        while cands:
+            i = (cands & -cands).bit_length()
+            j += i
+            cands >>= i
+            w = verts[j]
+            if need == 1:
+                out.append((*stack, w))
+                continue
+            nxt = cands
+            for row in (later.get(w, ()),) if r == 2 else [later[s][w] for s in stack]:
+                m = 0
+                for u in row:
+                    k = rank.get(u)
+                    if k is not None:
+                        m |= 1 << (k - j - 1)
+                nxt &= m
+            if nxt.bit_count() >= need - 1:
+                stack.append(w)
+                extend_ranked(stack, j, nxt, need - 1)
+                stack.pop()
+
     # every later member of a clique shares an edge with its first vertex
     for v in sorted(nbrs):
-        row = nbrs[v]
-        cands = row if r == 2 else sum(1 << (w - v - 1) for w in row)
-        extend([v], v, cands, t - 1)
-    # the recursive closure is a reference cycle: free the masks now, not at the next collection
-    del extend
+        if v not in spread:
+            row = nbrs[v]
+            extend([v], v, row if r == 2 else sum(1 << (w - v - 1) for w in row), t - 1)
+            continue
+        if not later:
+            if r == 2:
+                for a, b in h.edges:
+                    later.setdefault(a, []).append(b)
+            else:
+                for a, b, c in h.edges:
+                    row = later.setdefault(a, {})
+                    row.setdefault(b, []).append(c)
+                    row.setdefault(c, [])
+                    later.setdefault(b, {}).setdefault(c, [])
+        verts = sorted(later[v])
+        rank = {u: k for k, u in enumerate(verts)}
+        extend_ranked([v], -1, (1 << len(verts)) - 1, t - 1)
+    # the recursive closures are reference cycles: free the masks now, not at the next collection
+    del extend, extend_ranked
     return tuple(out)
 
 

@@ -4,6 +4,7 @@ import gc
 import itertools
 import math
 import random
+import tracemalloc
 import weakref
 
 import pytest
@@ -212,9 +213,9 @@ def test_pair_queries_match_edge_scan(seed):
 
 @st.composite
 def wide_graphs(draw):
-    """A 2- or 3-graph on up to 9 vertices whose ids spread up to 5,000."""
+    """A 2- or 3-graph on up to 10 vertices, some ids close together and some spread up to 5,000."""
     r = draw(st.sampled_from((2, 3)))
-    ids = sorted(draw(st.sets(st.integers(0, 5000), min_size=r, max_size=9)))
+    ids = sorted(draw(st.sets(st.one_of(st.integers(0, 12), st.integers(0, 5000)), min_size=r, max_size=10)))
     pool = list(itertools.combinations(ids, r))
     edges = draw(st.lists(st.sampled_from(pool), max_size=len(pool)))
     return Hypergraph.build(r, edges, vertices=ids)
@@ -225,6 +226,29 @@ def wide_graphs(draw):
 def test_cliques_match_subset_scan_on_wide_ids(h):
     for t in range(h.r, h.r + 4):
         assert list(enumerate_cliques(h, t)) == brute_cliques(h, t)
+
+
+def test_enumerate_cliques_memory_follows_edges_not_ids():
+    # masks span ids only up to a fixed width and ranks past it, so a far id costs no wide int
+    n = 100_000
+    wide = Hypergraph(3, frozenset(range(n)), frozenset((i, i + 1, n - 1 - i) for i in range(2000)))
+    cases = [
+        (Hypergraph.build(3, [(0, 1, 10**9)]), 3, ((0, 1, 10**9),)),
+        (wide, 3, 2000),
+        (wide, 4, 0),
+        (Hypergraph.build(2, [e for i in range(2000) for e in ((i, i + 1), (i, n - 1 - i), (i + 1, n - 1 - i))]), 3, 2000),
+    ]
+    for h, t, want in cases:
+        tracemalloc.start()
+        try:
+            got = enumerate_cliques(h, t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (got if isinstance(want, tuple) else len(got)) == want
+        # under 1 KiB per edge; one int with bit 10**9 set alone takes 119 MiB,
+        # and masks as wide as each edge's id span took 25 MiB on the 2,000-edge graphs
+        assert peak < 4 * 2**20, (h.num_edges, t, peak)
 
 
 def test_enumerate_cliques_builds_no_pair_index():
