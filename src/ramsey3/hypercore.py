@@ -9,10 +9,9 @@ All values are immutable after construction and every operation is a
 pure function, so objects may be shared freely, and a 3-graph may keep
 the one pair index that every pair question reads (Hypergraph.pairs).
 Clique enumeration builds its own int neighbour masks per call instead,
-each at most a fixed number of bits or a vertex degree wide, whatever
-the ids.  They hold only the later vertices each key needs, so they
-cannot answer pair questions, and keeping them would add to the pair
-index, not replace it.
+each at most a fixed number of bits wide, whatever the ids.  They hold
+only the later vertices each key needs, so they cannot answer pair
+questions, and keeping them would add to the pair index, not replace it.
 """
 
 from __future__ import annotations
@@ -201,46 +200,30 @@ def min_positive_codegree(h: Hypergraph) -> Optional[int]:
 
 
 # enumerate_cliques reads a vertex's later neighbours on the id line while they
-# lie within this many ids of it; the masks it shares are never wider
+# lie within this many ids of it; no mask it builds is wider
 _MASK_SPAN = 256
 
 
-def enumerate_cliques(h: Hypergraph, t: int) -> tuple[tuple[int, ...], ...]:
-    """All t-subsets of V(h) spanning complete r-uniform subhypergraphs.
+def _clique_masks(edges: Iterable[Edge], r: int) -> tuple[dict, set[int]]:
+    """Later-neighbour bit masks of sorted r-edges, and the vertices they leave out.
 
-    Results are sorted tuples in lexicographic order.  Uniformity 2 and 3
-    are supported; t must be at least r.
-
-    Each call builds its own neighbour bit masks from h.edges, so a
-    candidate step is one AND per stack member.  A mask keyed by a
-    vertex x (r = 2) or a pair ending in x (r = 3) is read in x's frame:
-    bit i stands for vertex x + 1 + i, for i below _MASK_SPAN.  A first
-    vertex whose later neighbours all lie within _MASK_SPAN ids is
-    searched on these masks.  Any other first vertex ranks its d later
-    neighbours and translates each row it reads to those ranks, so a
-    mask is at most _MASK_SPAN bits wide, or d bits, whatever the ids.
-    h.pairs is neither read nor built.
+    nbrs[a] (r = 2) or nbrs[a][b], a < b (r = 3) marks the vertices after
+    the key that complete an edge, read in the frame of the key's last
+    vertex x (bit i is vertex x + 1 + i), up to _MASK_SPAN ids on; every
+    pair of an edge is a key.  spread holds each vertex with a later
+    neighbour beyond that.
     """
-    if h.r not in (2, 3):
-        raise ValueError("clique enumeration supports uniformity 2 and 3 only")
-    if t < h.r:
-        raise ValueError("clique size below the uniformity")
-    out: list[tuple[int, ...]] = []
-    r = h.r
-    # nbrs[a] (r = 2) or nbrs[a][b], a < b (r = 3) marks the vertices after the
-    # key that complete an edge, up to _MASK_SPAN ids on; every pair of an edge
-    # is a key.  spread holds each vertex with a later neighbour beyond that.
     nbrs: dict = {}
     spread: set[int] = set()
     if r == 2:
-        for a, b in h.edges:
+        for a, b in edges:
             if b - a > _MASK_SPAN:
                 spread.add(a)
                 nbrs.setdefault(a, 0)
             else:
                 nbrs[a] = nbrs.get(a, 0) | 1 << (b - a - 1)
     else:
-        for a, b, c in h.edges:
+        for a, b, c in edges:
             row = nbrs.get(a)
             if row is None:
                 row = nbrs[a] = {}
@@ -259,81 +242,86 @@ def enumerate_cliques(h: Hypergraph, t: int) -> tuple[tuple[int, ...], ...]:
                 spread.add(a)
                 if c - b > _MASK_SPAN:
                     spread.add(b)
+    return nbrs, spread
 
-    def extend(stack: list[int], w: int, cands: int, need: int) -> None:
-        # cands holds vertices after w in w's frame; need >= 1 more members
-        while cands:
-            i = (cands & -cands).bit_length()
-            w += i
-            cands >>= i
-            if need == 1:
-                out.append((*stack, w))
-                continue
-            # u may join stack+[w] only if it spans an edge with w (r = 2),
-            # or with w and each s on the stack (r = 3)
-            if r == 2:
-                nxt = cands & nbrs[w] if w in nbrs else 0
-            else:
-                nxt = cands
-                for s in stack:
-                    nxt &= nbrs[s][w]
-            if nxt.bit_count() >= need - 1:
-                stack.append(w)
-                extend(stack, w, nxt, need - 1)
-                stack.pop()
 
-    # the full neighbour lists later[a] or later[a][b], built once at the first
-    # spread vertex; verts holds the current first vertex's later neighbours,
-    # ascending, and rank maps each of them to its position there
-    later: dict = {}
-    verts: list[int] = []
-    rank: dict[int, int] = {}
-
-    def extend_ranked(stack: list[int], j: int, cands: int, need: int) -> None:
-        # extend on ranks: bit i of cands is verts[j + 1 + i]
-        while cands:
-            i = (cands & -cands).bit_length()
-            j += i
-            cands >>= i
-            w = verts[j]
-            if need == 1:
-                out.append((*stack, w))
-                continue
+def _extend(out: list, nbrs: dict, r: int, stack: list[int], w: int, cands: int, need: int) -> None:
+    # cands holds vertices after w in w's frame; need >= 1 more members
+    while cands:
+        i = (cands & -cands).bit_length()
+        w += i
+        cands >>= i
+        if need == 1:
+            out.append((*stack, w))
+            continue
+        # u may join stack+[w] only if it spans an edge with w (r = 2),
+        # or with w and each s on the stack (r = 3)
+        if r == 2:
+            nxt = cands & nbrs[w] if w in nbrs else 0
+        else:
             nxt = cands
-            for row in (later.get(w, ()),) if r == 2 else [later[s][w] for s in stack]:
-                m = 0
-                for u in row:
-                    k = rank.get(u)
-                    if k is not None:
-                        m |= 1 << (k - j - 1)
-                nxt &= m
-            if nxt.bit_count() >= need - 1:
-                stack.append(w)
-                extend_ranked(stack, j, nxt, need - 1)
-                stack.pop()
+            for s in stack:
+                nxt &= nbrs[s][w]
+        if nxt.bit_count() >= need - 1:
+            stack.append(w)
+            _extend(out, nbrs, r, stack, w, nxt, need - 1)
+            stack.pop()
 
+
+def _cliques(edges: Collection[Edge], r: int, t: int) -> list[tuple[int, ...]]:
+    """The t-cliques, t >= r, of the r-graph on these sorted edges, in lexicographic order."""
+    if t == r:
+        return sorted(edges)
+    out: list[tuple[int, ...]] = []
+    nbrs, spread = _clique_masks(edges, r)
+    # link[v] holds the (r-1)-sets k of the edges (v, *k) that a spread vertex v
+    # starts, and rows[k] the last vertices of the edges that start with such a k
+    link: dict[int, list[Edge]] = {}
+    rows: dict[Edge, set[int]] = {}
+    if spread:
+        for e in edges:
+            if e[0] in spread:
+                link.setdefault(e[0], []).append(e[1:])
+        keys = {k for ks in link.values() for k in ks}
+        for e in edges:
+            if e[:-1] in keys:
+                rows.setdefault(e[:-1], set()).add(e[-1])
     # every later member of a clique shares an edge with its first vertex
     for v in sorted(nbrs):
         if v not in spread:
             row = nbrs[v]
-            extend([v], v, row if r == 2 else sum(1 << (w - v - 1) for w in row), t - 1)
+            _extend(out, nbrs, r, [v], v, row if r == 2 else sum(1 << (w - v - 1) for w in row), t - 1)
             continue
-        if not later:
-            if r == 2:
-                for a, b in h.edges:
-                    later.setdefault(a, []).append(b)
-            else:
-                for a, b, c in h.edges:
-                    row = later.setdefault(a, {})
-                    row.setdefault(b, []).append(c)
-                    row.setdefault(c, [])
-                    later.setdefault(b, {}).setdefault(c, [])
-        verts = sorted(later[v])
-        rank = {u: k for k, u in enumerate(verts)}
-        extend_ranked([v], -1, (1 << len(verts)) - 1, t - 1)
-    # the recursive closures are reference cycles: free the masks now, not at the next collection
-    del extend, extend_ranked
-    return tuple(out)
+        # the rest of a clique that v starts is a (t-1)-clique of the edges
+        # (*k, c), k in link[v], whose other (r-1)-sets with c, (*k[1:], c) and
+        # (*k[:-1], c), are in link[v] too; an intersection costs its smaller side
+        ks = link.get(v, ())
+        after: dict[Edge, set[int]] = {}
+        for k in ks:
+            after.setdefault(k[:-1], set()).add(k[-1])
+        cont = [(*k, c) for k in ks if k in rows for c in rows[k].intersection(after.get(k[1:], ()), after[k[:-1]])]
+        out += [(v, *q) for q in _cliques(cont, r, t - 1)]
+    return out
+
+
+def enumerate_cliques(h: Hypergraph, t: int) -> tuple[tuple[int, ...], ...]:
+    """All t-subsets of V(h) spanning complete r-uniform subhypergraphs.
+
+    Results are sorted tuples in lexicographic order.  Uniformity 2 and 3
+    are supported; t must be at least r.
+
+    One kernel grows each clique from its first vertex v, intersecting
+    int neighbour masks, one AND per stack member and step; no mask is
+    wider than _MASK_SPAN bits, whatever the ids.  If a later neighbour
+    of v lies farther off, the rest of each clique that v starts is found
+    as a local problem on the edges that continue v's own.  h.pairs is
+    neither read nor built.
+    """
+    if h.r not in (2, 3):
+        raise ValueError("clique enumeration supports uniformity 2 and 3 only")
+    if t < h.r:
+        raise ValueError("clique size below the uniformity")
+    return tuple(_cliques(h.edges, h.r, t))
 
 
 def path_distance(h: Hypergraph, e: Iterable[int], f: Iterable[int]) -> int | float:
@@ -527,6 +515,9 @@ def to_json_dict(h: Hypergraph, tags: Optional[Mapping[str, object]] = None) -> 
     return doc
 
 
+_JSON_MAX_N = 1 << 20  # n costs memory before any edge is read; the t=8 BEL carrier has 74,142
+
+
 def json_int(x: object, what: str) -> int:
     """x when it is a JSON integer; bools, floats and strings raise ValueError."""
     if type(x) is not int:
@@ -555,8 +546,8 @@ def from_json_dict(doc: Mapping[str, object]) -> tuple[Hypergraph, dict]:
     try:
         r = json_int(doc["r"], "r")
         n = json_int(doc["n"], "n")
-        if n < 0:
-            raise ValueError("vertex count must be nonnegative")
+        if not 0 <= n <= _JSON_MAX_N:
+            raise ValueError(f"vertex count must lie in 0..{_JSON_MAX_N}, got {n}")
         raw_edges = doc.get("edges", [])
         edges = [canon_edge(_json_vertices(e, n, "edge"), r) for e in raw_edges]  # type: ignore[union-attr]
         for key in ("labels", "tags"):

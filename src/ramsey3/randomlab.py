@@ -238,6 +238,9 @@ class RamseyTable:
         return self.generic_bound(k, ell)
 
 
+_DEFAULT_TABLE = RamseyTable()
+
+
 @dataclass(frozen=True)
 class FactBoundReport:
     """Monochromatic ell-clique counts of one pair coloring vs the bound."""
@@ -290,7 +293,7 @@ def fact_count_bound(
         raise ValueError(f"need all {want} pairs of 0..{n - 1} colored")
     if not 2 <= ell <= n:
         raise ValueError("ell must lie in 2..n")
-    r = (table or RamseyTable()).exact(psi.k, ell)
+    r = (table or _DEFAULT_TABLE).exact(psi.k, ell)
     if n < r:
         raise ValueError(f"bound needs n >= {r}: no {r}-subset exists below that")
     bound = Fraction(n**ell, psi.k * r**ell)

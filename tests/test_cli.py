@@ -339,6 +339,14 @@ def test_json_with_non_integer_fields_exits_1(tmp_path, capsys):
     assert code == 1 and "must be an integer" in out
 
 
+def test_vertex_count_above_the_cap_exits_1(tmp_path, capsys):
+    # 37 bytes with n = 10**6 cost 112 MiB before the cap; n near 10**9 would exhaust memory
+    path = tmp_path / "h.json"
+    path.write_text('{"r": 3, "n": 1048577, "edges": []}')
+    code, out = run(capsys, "cliques", str(path), "-t", "3")
+    assert code == 1 and out.startswith("error:") and "vertex count" in out and "Traceback" not in out, out
+
+
 GRAPH = to_json_dict(Hypergraph.complete(4, 3))
 COLORING = {"k": 2, "colors": [[list(e), 1] for e in sorted(Hypergraph.complete(4, 3).edges)]}
 

@@ -4,6 +4,7 @@ import gc
 import itertools
 import math
 import random
+import time
 import tracemalloc
 import weakref
 
@@ -213,23 +214,52 @@ def test_pair_queries_match_edge_scan(seed):
 
 @st.composite
 def wide_graphs(draw):
-    """A 2- or 3-graph on up to 10 vertices, some ids close together and some spread up to 5,000."""
+    """A 2- or 3-graph on up to 10 vertices, some ids close together and some spread up to 5,000.
+
+    Half the draws are hub-shaped: up to four first vertices below 13 share
+    middle vertices clustered past the mask span, so the edges that continue
+    their edges start with the same far vertices and pairs.
+    """
     r = draw(st.sampled_from((2, 3)))
-    ids = sorted(draw(st.sets(st.one_of(st.integers(0, 12), st.integers(0, 5000)), min_size=r, max_size=10)))
-    pool = list(itertools.combinations(ids, r))
+    near = st.integers(0, 12)
+    if draw(st.booleans()):
+        hub = draw(st.integers(300, 5000))
+        middle = st.integers(hub, hub + 12)
+        ids = draw(st.sets(near, min_size=1, max_size=4)) | draw(st.sets(middle, min_size=r, max_size=6))
+    else:
+        ids = draw(st.sets(st.one_of(near, st.integers(0, 5000)), min_size=r, max_size=10))
+    pool = list(itertools.combinations(sorted(ids), r))
     edges = draw(st.lists(st.sampled_from(pool), max_size=len(pool)))
     return Hypergraph.build(r, edges, vertices=ids)
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(wide_graphs())
 def test_cliques_match_subset_scan_on_wide_ids(h):
     for t in range(h.r, h.r + 4):
         assert list(enumerate_cliques(h, t)) == brute_cliques(h, t)
 
 
+_HUB = 10**6
+
+
+@pytest.mark.parametrize("r, firsts, hubs", [
+    # each first vertex i meets the hub, which starts 20,000 edges of its own
+    (3, [(i, _HUB, _HUB + 1 + i) for i in range(20_000)], [(_HUB, _HUB + 1 + j, _HUB + 2 + j) for j in range(20_000)]),
+    # each first vertex i meets the pair (hub, hub + 1), which starts 20,000 edges
+    (3, [(i, _HUB, _HUB + 1) for i in range(20_000)], [(_HUB, _HUB + 1, _HUB + 2 + j) for j in range(20_000)]),
+    (2, [(i, _HUB) for i in range(20_000)], [(_HUB, _HUB + 1 + j) for j in range(20_000)]),
+], ids=["hub", "shared-pair", "graph-hub"])
+def test_spread_first_vertices_sharing_a_hub_cost_linear_time(r, firsts, hubs):
+    # reading all of the hub's edges once per first vertex is 4*10**8 steps, minutes of work
+    h = Hypergraph.build(r, firsts + hubs)
+    start = time.perf_counter()
+    assert enumerate_cliques(h, r + 1) == ()
+    assert time.perf_counter() - start < 5
+
+
 def test_enumerate_cliques_memory_follows_edges_not_ids():
-    # masks span ids only up to a fixed width and ranks past it, so a far id costs no wide int
+    # masks span ids only up to a fixed width, so a far id costs no wide int
     n = 100_000
     wide = Hypergraph(3, frozenset(range(n)), frozenset((i, i + 1, n - 1 - i) for i in range(2000)))
     cases = [
@@ -249,6 +279,27 @@ def test_enumerate_cliques_memory_follows_edges_not_ids():
         # under 1 KiB per edge; one int with bit 10**9 set alone takes 119 MiB,
         # and masks as wide as each edge's id span took 25 MiB on the 2,000-edge graphs
         assert peak < 4 * 2**20, (h.num_edges, t, peak)
+
+
+def test_enumerate_cliques_memory_grows_linearly_on_a_spread_star():
+    # vertex 0 starts every edge, and edges pair its later neighbours off from
+    # both ends: masks over 0's ranked neighbours would grow with its degree squared
+    def peak(r, k):
+        if r == 3:
+            edges = [(0, j, 2 * k + 2 - j) for j in range(1, k + 1)]
+        else:
+            edges = [(0, j) for j in range(1, 2 * k + 1)] + [(j, 2 * k + 1 - j) for j in range(1, k + 1)]
+        h = Hypergraph.build(r, edges)
+        tracemalloc.start()
+        try:
+            assert len(enumerate_cliques(h, r + 1)) == (k if r == 2 else 0)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    for r in (2, 3):
+        # 4.3 times as much for 4 times the edges; ranked masks took 6.4 times
+        assert peak(r, 8000) < 5 * peak(r, 2000), r
 
 
 def test_enumerate_cliques_builds_no_pair_index():
