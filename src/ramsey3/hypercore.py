@@ -205,7 +205,7 @@ _MASK_SPAN = 256
 
 
 def _clique_masks(edges: Iterable[Edge], r: int) -> tuple[dict, set[int]]:
-    """Later-neighbour bit masks of sorted r-edges, and the vertices they leave out.
+    """Later-neighbour bit masks of sorted r-edges, and the vertices whose neighbours they cut off.
 
     nbrs[a] (r = 2) or nbrs[a][b], a < b (r = 3) marks the vertices after
     the key that complete an edge, read in the frame of the key's last
