@@ -75,7 +75,7 @@ class PartitionHost:
     def apex_core(self) -> SearchCore:
         """The forced check's core: the t-cliques of host + full apex
         bundle over the apex triples, the host coloring fixed."""
-        core = _clique_core(augment_apex_pair(self)[0], self.t, 2, self.coloring.assignment)[0]
+        core = _clique_core(augment_apex_pair(self)[0], self.t, 2, self.coloring.assignment)
         if core.variables != apex_bundle(self):  # an uncolored host edge would be one more variable
             raise ValueError("host coloring must color every host edge and no apex triple")
         return core

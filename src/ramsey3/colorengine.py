@@ -12,12 +12,14 @@ clauses propagate, each conflict is learned as a nogood over (variable,
 color) assignments and the search backjumps, all on an explicit trail,
 so "yes" and "no" answers are both proofs at any size; a node budget
 turns long runs into an explicit Unknown verdict instead of an
-open-ended wait.  Results count nodes (decisions), propagations,
-conflicts, learned nogoods and restarts.  solve_cnf is a separate
-iterative DPLL with two watched literals per clause and no learning,
-kept as an independent check on export_cnf and sharing no code with the
-core; it branches on the first open literal of the first unsatisfied
-clause.
+open-ended wait.  Every coloring a solve returns has been checked
+against the core's own clauses.  Results count nodes (decisions),
+propagations, conflicts, learned nogoods and restarts.  export_cnf
+writes the clauses of the same clique core as DIMACS.  solve_cnf is a
+separate iterative DPLL with two watched literals per clause and no
+learning, kept as an independent check on export_cnf and sharing no
+code with the core; it branches on the first open literal of the first
+unsatisfied clause.
 
 Works for uniformity 2 and 3.  The 2-uniform case doubles as a sanity
 surface: classical Ramsey facts such as r(3, 3) = 6 are cheap to check
@@ -30,7 +32,7 @@ import itertools
 from dataclasses import dataclass, field
 from functools import reduce
 from heapq import heapify, heappop, heappush
-from typing import Collection, Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .hypercore import Edge, Hypergraph, canon_edge, enumerate_cliques, json_int
 
@@ -215,17 +217,6 @@ class SearchResult:
     restarts: int = 0
 
 
-def _mono_cliques(
-    cliques: Iterable[tuple[int, ...]], r: int, assignment: Mapping[Edge, int]
-) -> list[tuple[tuple[int, ...], int]]:
-    out = []
-    for q in cliques:
-        cols = {assignment[e] for e in itertools.combinations(q, r)}
-        if len(cols) == 1:
-            out.append((q, cols.pop()))
-    return out
-
-
 def check_free(
     h: Hypergraph, coloring: EdgeColoring, t: int
 ) -> list[tuple[tuple[int, ...], int]]:
@@ -237,7 +228,12 @@ def check_free(
     missing = [e for e in h.edges if e not in coloring.assignment]
     if missing:
         raise ValueError(f"coloring misses {len(missing)} edges, e.g. {sorted(missing)[0]!r}")
-    return _mono_cliques(enumerate_cliques(h, t), h.r, coloring.assignment)
+    out = []
+    for q in enumerate_cliques(h, t):
+        cols = {coloring.assignment[e] for e in itertools.combinations(q, h.r)}
+        if len(cols) == 1:
+            out.append((q, cols.pop()))
+    return out
 
 
 class SearchCore:
@@ -282,6 +278,10 @@ class SearchCore:
     colors are interchangeable, so the first present variable in
     descending constraint count is pinned to color 1 at level 0.  The
     search is iterative and deterministic.
+
+    A coloring leaves solve only after a check: every variable not off
+    has a color, and no clause of self.clauses (the constraints as given,
+    not learned nogoods) has all its atoms holding; else RuntimeError.
     """
 
     def __init__(
@@ -513,7 +513,12 @@ class SearchCore:
             return -1
 
         def result(found: Optional[bool]) -> SearchResult:
-            coloring = EdgeColoring(k, {e: c for e, c in zip(self.variables, col) if c > 0}) if found else None
+            coloring = None
+            if found:
+                held = {v * k1 + c for v, c in enumerate(col) if c > 0}
+                if 0 in col or any(map(held.issuperset, self.clauses)):
+                    raise RuntimeError("search produced a coloring that breaks its own clauses")
+                coloring = EdgeColoring(k, {e: c for e, c in zip(self.variables, col) if c > 0})
             return SearchResult(found, coloring, nodes, props, conflicts, learned, restarts)
 
         for v, c in pins.items():
@@ -597,57 +602,35 @@ def _luby(i: int) -> int:
         i -= (1 << (b - 1)) - 1
 
 
-def _clique_core(
-    h: Hypergraph, t: int, k: int, fixed: Mapping[Edge, int] = {}
-) -> tuple[SearchCore, tuple[tuple[int, ...], ...]]:
-    """The free-coloring question on h with the edges of fixed pre-colored, and its t-cliques.
+def _clique_core(h: Hypergraph, t: int, k: int, fixed: Mapping[Edge, int] = {}) -> SearchCore:
+    """The free-coloring question on h with the edges of fixed pre-colored.
 
     The variables are the sorted edges of h not in fixed.  Each t-clique is one constraint
     over its variable edges, its mask narrowed to the color its fixed edges share, if any.
+    The core's clauses are the whole encoding: its solves check their colorings against
+    them, and export_cnf writes them.
     """
-    cliques = enumerate_cliques(h, t)
     edges = sorted(h.edges.difference(fixed))
     # one lookup per clique edge: i for variable i, else ~ the fixed color's bit
     code = {e: ~(1 << c) for e, c in fixed.items()}
     code.update((e, i) for i, e in enumerate(edges))
     full = (1 << (k + 1)) - 2
     cons = []
-    for q in cliques:
+    for q in enumerate_cliques(h, t):
         xs = [code[e] for e in itertools.combinations(q, h.r)]
         vs = [x for x in xs if x >= 0]
         cons.append((vs, full if len(vs) == len(xs) else reduce(int.__and__, [~x for x in xs if x < 0], full)))
-    return SearchCore(edges, k, cons), cliques
-
-
-def _solve_verified(
-    core: SearchCore, cliques: Sequence[tuple[int, ...]], r: int, budget: Optional[int], off: Collection[int] = ()
-) -> SearchResult:
-    """core.solve(budget, off=off) on a _clique_core, its coloring re-verified.
-
-    The coloring must cover exactly the variables not off and leave
-    every clique that avoids them non-monochromatic.
-    """
-    res = core.solve(budget, off=off)
-    if res.coloring is not None:
-        absent = {core.variables[i] for i in off}
-        if res.coloring.assignment.keys() != set(core.variables) - absent:
-            raise RuntimeError("search produced a coloring of the wrong edges")
-        kept = [q for q in cliques if absent.isdisjoint(itertools.combinations(q, r))] if absent else cliques
-        bad = _mono_cliques(kept, r, res.coloring.assignment)
-        if bad:
-            raise RuntimeError(f"search produced a non-free coloring: {bad[:3]!r}")
-    return res
+    return SearchCore(edges, k, cons)
 
 
 def find_free_coloring(h: Hypergraph, t: int, k: int, budget: Optional[int] = None) -> SearchResult:
     """Decide whether some k-coloring of E(h) avoids monochromatic t-cliques.
 
     Complete search: found=False proves no free coloring exists.  Any
-    returned coloring is re-verified against the cliques before it
-    leaves.
+    returned coloring has been checked against the core's clauses, one
+    per clique and color, before it leaves.
     """
-    core, cliques = _clique_core(h, t, k)
-    return _solve_verified(core, cliques, h.r, budget)
+    return _clique_core(h, t, k).solve(budget)
 
 
 def arrows(h: Hypergraph, t: int, k: int, budget: Optional[int] = None) -> ArrowVerdict:
@@ -669,13 +652,13 @@ def is_minimal_ramsey(
     None when some required arrowing question stayed undecided.  One
     search core over h answers every deletion with that edge off.
     """
-    core, cliques = _clique_core(h, t, k)
-    found = _solve_verified(core, cliques, h.r, budget).found
+    core = _clique_core(h, t, k)
+    found = core.solve(budget).found
     if found is not False:
         return None if found is None else False  # undecided, or h does not arrow
     pending_unknown = False
     for i in range(len(core.variables)):
-        found = _solve_verified(core, cliques, h.r, budget, {i}).found
+        found = core.solve(budget, off=[i]).found
         if found is False:
             return False  # h minus this edge still arrows
         if found is None:
@@ -695,11 +678,11 @@ def minimalize(h: Hypergraph, t: int, k: int, budget: Optional[int] = None) -> H
         ValueError: if h does not arrow in the first place.
         BudgetExceeded: if some arrowing question stayed undecided.
     """
-    core, cliques = _clique_core(h, t, k)
+    core = _clique_core(h, t, k)
     off: set[int] = set()
 
     def free_without_off() -> bool:
-        found = _solve_verified(core, cliques, h.r, budget, off).found
+        found = core.solve(budget, off=off).found
         if found is None:
             raise BudgetExceeded("budget too small to decide arrowing")
         return found
@@ -741,7 +724,7 @@ def admissible_patterns(
     else:
         specials = sorted(e for e in h.edges if u in e and v in e)
     ell = len(specials)
-    core, _ = _clique_core(h, t, k)
+    core = _clique_core(h, t, k)
     index = {e: i for i, e in enumerate(core.variables)}
     special_idx = [index[e] for e in specials]
     sigmas = [dict(zip(range(1, k + 1), perm)) for perm in itertools.permutations(range(1, k + 1))]
@@ -886,20 +869,21 @@ class CnfDocument:
 
 
 def export_cnf(h: Hypergraph, t: int, k: int) -> CnfDocument:
-    """CNF whose models are exactly the free k-colorings of E(h)."""
-    edges = tuple(sorted(h.edges))
-    index = {e: i for i, e in enumerate(edges)}
+    """CNF whose models are exactly the free k-colorings of E(h), for k >= 1.
+
+    After each edge's at-least-one and at-most-one clauses come the
+    clauses of _clique_core(h, t, k), in order: the core's atom
+    i * (k + 1) + c becomes the negated variable i * k + c.
+    """
+    core = _clique_core(h, t, k)
     clauses: list[tuple[int, ...]] = []
-    for i in range(len(edges)):
+    for i in range(len(core.variables)):
         clauses.append(tuple(i * k + c for c in range(1, k + 1)))
         for c1 in range(1, k + 1):
             for c2 in range(c1 + 1, k + 1):
                 clauses.append((-(i * k + c1), -(i * k + c2)))
-    for q in enumerate_cliques(h, t):
-        qi = sorted(index[canon_edge(e)] for e in itertools.combinations(q, h.r))
-        for c in range(1, k + 1):
-            clauses.append(tuple(-(i * k + c) for i in qi))
-    return CnfDocument(len(edges) * k, tuple(clauses), edges, k)
+    clauses.extend(tuple(a // (k + 1) - a for a in lits) for lits in core.clauses)
+    return CnfDocument(len(core.variables) * k, tuple(clauses), core.variables, k)
 
 
 def solve_cnf(

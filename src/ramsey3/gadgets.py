@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from math import inf
 from typing import Iterable, Mapping, Optional
 
-from .colorengine import EdgeColoring, PatternSet, _clique_core, _solve_verified, admissible_vertex_coloring, check_free
+from .colorengine import EdgeColoring, PatternSet, _clique_core, admissible_vertex_coloring, check_free
 from .hypercore import (
     Edge,
     GlueMap,
@@ -202,11 +202,11 @@ def find_ell(
     K_m^(r) answers every F_ell with the special edges past ell off.
     """
     bundle = _special_bundle(m, r)
-    core, cliques = _clique_core(Hypergraph.complete(m, r), t, k)
+    core = _clique_core(Hypergraph.complete(m, r), t, k)
     special = [core.variables.index(e) for e in bundle]
 
     def free(ell: int) -> Optional[bool]:
-        return _solve_verified(core, cliques, r, budget, special[ell:]).found
+        return core.solve(budget, off=special[ell:]).found
 
     full = free(len(special))
     if full is None:
@@ -528,6 +528,8 @@ def build_BEL(
         raise ValueError("host must use vertices 0..n-1")
     if h.r != 3:
         raise ValueError("BEL assembly is 3-uniform")
+    if coloring.k > k:
+        raise ValueError(f"coloring has {coloring.k} colors, the carrier pins {k}")
     if len(rainbow_g.rainbow) != k:
         raise ValueError(f"rainbow gadget carries {len(rainbow_g.rainbow)} edges, need {k}")
     if far.e is None or far.f is None:

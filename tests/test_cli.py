@@ -121,6 +121,13 @@ def test_cnf_dimacs_and_solve(tmp_path, capsys):
     assert check_free(Hypergraph.complete(4, 3), col, 4) == []
 
 
+@pytest.mark.parametrize("command", ["arrow", "free-coloring", "cnf"])
+def test_zero_colors_exit_1(tmp_path, capsys, command):
+    path = write_graph(tmp_path, Hypergraph.complete(4, 3))
+    code, out = run(capsys, command, path, "-t", "4", "-k", "0")
+    assert code == 1 and "p cnf" not in out
+
+
 def test_cnf_solve_thousand_edge_sample(tmp_path, capsys):
     h = sample_h3(23, 0.6, 20150205)
     path = write_graph(tmp_path, h)
@@ -202,6 +209,21 @@ def test_gadget_bel_and_apex(tmp_path, capsys):
     code, out = run(capsys, "gadget", "apex", small, "--base", "0,1,2")
     doc = json.loads(out)
     assert code == 0 and doc["tags"]["apex"] == 3 and len(doc["edges"]) == 4
+
+
+def test_gadget_bel_rejects_more_colors_than_k(tmp_path, capsys):
+    host_path = tmp_path / "host.json"
+    run(capsys, "codegree", "host", "-t", "4", "-o", str(host_path))
+    host_doc = json.loads(host_path.read_text())
+    graph_path = tmp_path / "hostgraph.json"
+    graph_path.write_text(json.dumps(host_doc["host"]))
+    col = host_doc["coloring"]
+    col["k"], col["colors"][0][1] = 3, 3
+    col_path = tmp_path / "col.json"
+    col_path.write_text(json.dumps(col))
+    code, out = run(capsys, "gadget", "bel", str(graph_path),
+                    "--coloring", str(col_path), "-t", "4", "-k", "2")
+    assert code == 1 and "Traceback" not in out
 
 
 def test_codegree_force_check_and_drop(capsys):

@@ -149,6 +149,20 @@ def test_forced_pattern_t8_within_time(monkeypatch):
     assert elapsed < 60.0, f"took {elapsed:.2f}s, budget 60.0s"
 
 
+def test_forced_check_checks_its_coloring(monkeypatch):
+    # the unwatched clauses rule out every color of apex triple 0, so the
+    # coloring found for the dropped bundle must not come back as "not forced"
+    class Injected(colorengine.SearchCore):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.clauses += [[1], [2]]
+
+    monkeypatch.setattr(colorengine, "SearchCore", Injected)
+    host = build_partition_host(4)
+    with pytest.raises(RuntimeError):
+        forced_pattern_check(host, apex_edges=apex_bundle(host)[:-1])
+
+
 def test_forced_pattern_budget():
     host = build_partition_host(5)
     with pytest.raises(BudgetExceeded):

@@ -313,7 +313,7 @@ def test_clique_core_with_fixed_edges_matches_brute_force(inst):
         not brute_mono_cliques(h, {**fixed, **dict(zip(rest, colors))}, t)
         for colors in itertools.product(range(1, k + 1), repeat=len(rest))
     )
-    core, _ = colorengine._clique_core(h, t, k, fixed)
+    core = colorengine._clique_core(h, t, k, fixed)
     assert list(core.variables) == rest
     res = core.solve()
     assert res.found == brute
@@ -329,6 +329,26 @@ def test_core_rejects_bad_off():
     with pytest.raises(ValueError):
         core.solve(pins={0: 1}, off=[0])
     assert core.solve(off=[0]).coloring.assignment.keys() == {(1,)}
+
+
+def test_core_checks_its_coloring_against_its_clauses():
+    # two clauses appended after construction are never watched, so the
+    # search colors variable 0 anyway; the check before returning catches it
+    core = SearchCore([(0,), (1,)], 2, [([0, 1], 6)])
+    core.clauses += [[1], [2]]
+    with pytest.raises(RuntimeError):
+        core.solve()
+
+
+def test_admissible_patterns_checks_its_colorings(monkeypatch):
+    class Injected(SearchCore):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.clauses += [[1], [2]]  # variable 0, edge (0, 1, 2), is never special here
+
+    monkeypatch.setattr(colorengine, "SearchCore", Injected)
+    with pytest.raises(RuntimeError):
+        admissible_patterns(Hypergraph.complete(8, 3), 6, 7, 4, 2)
 
 
 def test_core_matches_cnf_near_threshold():
@@ -646,6 +666,19 @@ def test_cnf_agreement_with_search():
         for k in (2, 3):
             sat = solve_cnf(export_cnf(h, t, k)) is not None
             assert sat == find_free_coloring(h, t, k).found
+
+
+# Pinned documents: export_cnf writes the clique core's clauses, and its
+# text is byte for byte the one of the former separate encoding.
+@pytest.mark.parametrize("h, t, k, digest", [
+    (Hypergraph.complete(6, 3), 4, 2, "202ca3eec231"),
+    (Hypergraph.complete(7, 3), 4, 3, "4eeb661c6d10"),
+    (Hypergraph.complete(7, 2), 3, 2, "4d0d0bcf3abf"),
+    (fano_plane(), 3, 2, "07881016922f"),
+    (Hypergraph.build(3, [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3), (2, 3, 4)]), 4, 2, "5c7778c289c0"),
+])
+def test_cnf_text_unchanged(h, t, k, digest):
+    assert hashlib.sha256(export_cnf(h, t, k).text.encode()).hexdigest()[:12] == digest
 
 
 def test_cnf_decode_rejects_partial():

@@ -333,6 +333,14 @@ def test_bel_rejects_non_free_coloring():
         build_BEL(aug, bad, 2, 4, far_mock(), build_rainbow(2, mock_sender()))
 
 
+def test_bel_rejects_coloring_with_more_colors():
+    host = build_partition_host(4)
+    colors = dict(host.coloring.assignment)
+    colors[min(colors)] = 3
+    with pytest.raises(ValueError, match="3 colors"):
+        build_BEL(host.h, EdgeColoring(3, colors), 2, 4, far_mock(), build_rainbow(2, mock_sender()))
+
+
 # -- apex ----------------------------------------------------------------
 
 def test_attach_apex():
