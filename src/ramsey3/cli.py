@@ -6,7 +6,9 @@ memory or recursion depth; the searches and the CNF solver are
 iterative and clique enumeration recurses only t deep, so the latter
 would be a fault), 3 input/output error.  Hypergraph-valued results are
 always emitted as JSON documents; purely informational commands print a human
-summary unless --json is given.  Commands that consume randomness
+summary unless --json is given.  A JSON result of arrow, free-coloring,
+lab report, lab fact-bound or lab paper-params lists its result record's
+fields in field order.  Commands that consume randomness
 require an explicit --seed.  Integer lists given as text (vertex lists,
 --drop, --patterns) take plain decimal items only.
 """
@@ -14,8 +16,10 @@ require an explicit --seed.  Integer lists given as text (vertex lists,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
+from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
@@ -89,7 +93,7 @@ def _write(args: argparse.Namespace, text: str) -> None:
         print(text)
 
 
-def _emit(args: argparse.Namespace, doc: dict, human: Optional[str] = None) -> None:
+def _emit(args: argparse.Namespace, doc: object, human: Optional[str] = None) -> None:
     if human is not None and not getattr(args, "json", False):
         _write(args, human)
     else:
@@ -111,8 +115,17 @@ def _parse_patterns(text: str) -> PatternSet:
     return PatternSet(ell, k, frozenset(groups))
 
 
-def _coloring_doc(coloring: Optional[EdgeColoring]) -> Optional[dict]:
-    return None if coloring is None else coloring.to_json_dict()
+def _record(x: object) -> object:
+    """A result record as JSON data: dataclass fields in field order."""
+    if isinstance(x, EdgeColoring):
+        return x.to_json_dict()
+    if dataclasses.is_dataclass(x):
+        return {f.name: _record(getattr(x, f.name)) for f in dataclasses.fields(x)}
+    if isinstance(x, Fraction):
+        return str(x)
+    if isinstance(x, tuple):
+        return [_record(v) for v in x]
+    return x
 
 
 # ---------------------------------------------------------------- commands
@@ -121,16 +134,7 @@ def _coloring_doc(coloring: Optional[EdgeColoring]) -> Optional[dict]:
 def _cmd_arrow(args: argparse.Namespace) -> int:
     h = _load_hypergraph(args.input)
     verdict = arrows(h, args.t, args.k, budget=args.budget)
-    doc = {
-        "arrows": verdict.arrows,
-        "status": verdict.status,
-        "nodes": verdict.nodes,
-        "propagations": verdict.propagations,
-        "conflicts": verdict.conflicts,
-        "learned": verdict.learned,
-        "restarts": verdict.restarts,
-        "witness": _coloring_doc(verdict.witness),
-    }
+    doc = _record(verdict)
     if verdict.arrows is None:
         _emit(args, doc, f"unknown after {verdict.nodes} nodes")
         return 2
@@ -149,16 +153,7 @@ def _cmd_minimalize(args: argparse.Namespace) -> int:
 def _cmd_free_coloring(args: argparse.Namespace) -> int:
     h = _load_hypergraph(args.input)
     res = find_free_coloring(h, args.t, args.k, budget=args.budget)
-    doc = {
-        "found": res.found,
-        "nodes": res.nodes,
-        "propagations": res.propagations,
-        "conflicts": res.conflicts,
-        "learned": res.learned,
-        "restarts": res.restarts,
-        "coloring": _coloring_doc(res.coloring),
-    }
-    _write(args, json.dumps(doc))
+    _write(args, json.dumps(_record(res)))
     return 2 if res.found is None else 0
 
 
@@ -385,69 +380,29 @@ def _cmd_lab_prune(args: argparse.Namespace) -> int:
 
 def _cmd_lab_report(args: argparse.Namespace) -> int:
     rep = rl.expectation_report(args.n, args.p, args.t, args.k, args.trials, args.seed)
-    doc = {
-        "n": rep.n,
-        "p": rep.p,
-        "t": rep.t,
-        "k": rep.k,
-        "trials": rep.trials,
-        "ok": rep.ok,
-        "checks": [
-            {
-                "name": c.name,
-                "observed": c.observed,
-                "expected": c.expected,
-                "se": c.se,
-                "ok": c.ok,
-            }
-            for c in rep.checks
-        ],
-    }
     lines = [
         f"{c.name}: observed {c.observed:.4f}, expected {c.expected:.4f}, "
         f"se {c.se:.4f}, {'ok' if c.ok else 'OFF'}"
         for c in rep.checks
     ]
     lines.append(f"overall: {'ok' if rep.ok else 'FAILED'} ({rep.trials} trials)")
-    _emit(args, doc, "\n".join(lines))
+    _emit(args, _record(rep), "\n".join(lines))
     return 0
 
 
 def _cmd_lab_fact_bound(args: argparse.Namespace) -> int:
     psi = rl.random_complete_graph_coloring(args.n, args.k, args.seed)
     rep = rl.fact_count_bound(psi, args.ell)
-    doc = {
-        "n": rep.n,
-        "ell": rep.ell,
-        "k": rep.k,
-        "r": rep.r,
-        "bound": str(rep.bound),
-        "counts": list(rep.counts),
-        "best": rep.best,
-        "ok": rep.ok,
-    }
     human = (
         f"bound {rep.bound} with r={rep.r}; counts {list(rep.counts)}; "
         f"best {rep.best}; {'ok' if rep.ok else 'VIOLATED'}"
     )
-    _emit(args, doc, human)
+    _emit(args, _record(rep), human)
     return 0
 
 
 def _cmd_lab_paper_params(args: argparse.Namespace) -> int:
     params = rl.paper_scale_params(args.k, args.t)
-    doc = {
-        "k": params.k,
-        "t": params.t,
-        "log2_n": str(params.log2_n),
-        "log2_C": str(params.log2_C),
-        "log2_p": str(params.log2_p),
-        "log2_f": str(params.log2_f),
-        "f": str(params.f),
-        "n": params.n,
-        "p": params.p,
-        "C": params.C,
-    }
     human = "\n".join(
         [
             f"log2 n = {params.log2_n}",
@@ -458,7 +413,7 @@ def _cmd_lab_paper_params(args: argparse.Namespace) -> int:
             "n, p, C exceed machine range and stay symbolic",
         ]
     )
-    _emit(args, doc, human)
+    _emit(args, _record(params), human)
     return 0
 
 

@@ -220,9 +220,6 @@ def extend_coloring_lower_bound(
     if len(uv_edges) >= s * s:
         raise ValueError(f"codegree {len(uv_edges)} not below (t-2)^2 = {s * s}")
     rest = Hypergraph(h.r, h.vertices, h.edges - set(uv_edges), h.labels)
-    missing = [e for e in rest.edges if e not in c_partial.assignment]
-    if missing:
-        raise ValueError(f"partial coloring misses {len(missing)} edges")
     if check_free(rest, c_partial, t):
         raise ValueError("partial coloring is not free")
 

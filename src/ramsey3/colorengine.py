@@ -719,10 +719,7 @@ def admissible_patterns(
         raise ValueError("vertex not in hypergraph")
     if u == v:
         raise ValueError("special pair needs two distinct vertices")
-    if h.r == 3:
-        specials = sorted(canon_edge((u, v, w)) for w in h.thirds(u, v))
-    else:
-        specials = sorted(e for e in h.edges if u in e and v in e)
+    specials = sorted(e for e in h.edges if u in e and v in e)
     ell = len(specials)
     core = _clique_core(h, t, k)
     index = {e: i for i, e in enumerate(core.variables)}

@@ -434,30 +434,17 @@ def build_far_seed(eq1: TaggedGadget, eq2: TaggedGadget) -> TaggedGadget:
     span five vertices; distance five is the minimum for equalizers
     whose tags share a pair, hence "seed".
     """
-    out_pairs: list[tuple[int, int]] = []
-    sides = []
-    for eq in (eq1, eq2):
-        if eq.e is None or eq.f is None:
-            raise ValueError("equalizer tags required")
-        shared = sorted(set(eq.e) & set(eq.f))
-        if len(shared) != 2:
-            raise ValueError("equalizer tags must share a pair")
-        (xt,) = set(eq.e) - set(shared)
-        (yt,) = set(eq.f) - set(shared)
-        sides.append((shared[0], shared[1], xt, yt))
-    (a1, b1, _x1, y1), (a2, b2, _x2, y2) = sides
-    out_pairs = [(y1, b2), (b1, a2), (a1, y2)]
-    res = glue(eq1.h, eq2.h, GlueMap.of(out_pairs))
+    (a1, b1, _, y1), (a2, b2, _, y2) = _sender_parts(eq1), _sender_parts(eq2)
+    res = glue(eq1.h, eq2.h, GlueMap.of([(y1, b2), (b1, a2), (a1, y2)]))
     e = eq1.e
     f = tuple(sorted(res.map_b[v] for v in eq2.e))
     if len(set(e) | set(f)) != 5:
         raise AssertionError("far-seed tags must span five vertices")
-    dist = 5
     if res.h.num_vertices <= _VERIFY_LIMIT:
         actual = path_distance(res.h, e, f)
         if actual != 5:
             raise AssertionError(f"far-seed distance {actual}, expected 5")
-    return TaggedGadget(h=res.h, e=e, f=f, dist=dist)
+    return TaggedGadget(h=res.h, e=e, f=f, dist=5)
 
 
 def _chain_step(cur: TaggedGadget, verify: bool) -> TaggedGadget:

@@ -1,6 +1,7 @@
 """End-to-end command checks through main(argv)."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -318,6 +319,25 @@ def test_lab_paper_params(capsys):
     assert code == 0 and doc["log2_n"] == "5120" and doc["log2_p"] == "-5070"
 
 
+@pytest.mark.parametrize("argv, exit_code, digest", [
+    ("arrow K6 -t 3 -k 2 --json", 0, "36baf7726fcb"),
+    ("arrow K5 -t 3 -k 2 --json", 0, "cbe23e9b306c"),
+    ("arrow K6 -t 3 -k 2 --budget 0 --json", 2, "c8387bef8706"),
+    ("free-coloring K5 -t 3 -k 2", 0, "fd4119db386d"),
+    ("free-coloring K6 -t 3 -k 2", 0, "37c2ea1f259a"),
+    ("lab report -n 10 -p 0.3 -t 4 -k 2 --trials 40 --seed 3 --json", 0, "3ff0e2af016c"),
+    ("lab fact-bound -n 6 -k 2 --ell 3 --seed 3 --json", 0, "77b067729e4c"),
+    ("lab paper-params -k 2 -t 4 --json", 0, "77afa70afc81"),
+])
+def test_result_documents_unchanged(tmp_path, capsys, argv, exit_code, digest):
+    # result records serialize to the same keys and values; only key order may move
+    graphs = {f"K{n}": write_graph(tmp_path, Hypergraph.complete(n, 2), name=f"K{n}.json") for n in (5, 6)}
+    code = main([graphs.get(a, a) for a in argv.split()])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == exit_code
+    assert hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()[:12] == digest
+
+
 _BAD_ITEMS = ["+0,0_1", " 1,2", "0,-1", "1,,2", "\u0663", "0x1", ""]
 
 
@@ -415,11 +435,11 @@ _json_values = st.recursive(_scalars, lambda inner: st.one_of(
 _tags = st.dictionaries(st.sampled_from(["a", "b", "e", "f", "S", "dist", "rainbow", "apex", "x"]),
                         st.one_of(st.integers(-1, 6), st.lists(st.integers(-1, 6), max_size=3),
                                   _edges, _scalars), max_size=3)
-_graphs = st.fixed_dictionaries(
-    {"r": st.one_of(st.sampled_from([2, 3]), st.integers(-1, 5), _scalars),
-     "n": st.one_of(st.integers(-1, 7), _scalars),
-     "edges": st.one_of(_edges, _scalars)},
-    optional={"tags": st.one_of(_tags, _scalars), "labels": _json_values})
+_graph_fields = {"r": st.one_of(st.sampled_from([2, 3]), st.integers(-1, 5), _scalars),
+                 "n": st.one_of(st.integers(-1, 7), _scalars),
+                 "edges": st.one_of(_edges, _scalars)}
+_graphs = st.fixed_dictionaries(_graph_fields, optional={"tags": st.one_of(_tags, _scalars), "labels": _json_values})
+_tagged = st.fixed_dictionaries({**_graph_fields, "tags": _tags}, optional={"labels": _json_values})
 _colorings = st.fixed_dictionaries(
     {"k": st.one_of(st.integers(-1, 3), _scalars),
      "colors": st.one_of(st.lists(st.tuples(st.lists(_vertex, max_size=4), st.one_of(st.integers(-1, 3), _scalars)),
@@ -435,31 +455,45 @@ _documents = st.one_of(
 
 @st.composite
 def _well_formed(draw):
-    """A hypergraph document that parses, a family of it, and a coloring of its edges."""
+    """A hypergraph document that parses, a family of it, a coloring of its edges, and it with tags."""
     r = draw(st.sampled_from([2, 3]))
     n = draw(st.integers(r, 7))
     edge = st.sets(st.integers(0, n - 1), min_size=r, max_size=r).map(sorted)
     edges = draw(st.lists(edge, unique_by=tuple, max_size=10))
     graph = {"r": r, "n": n, "edges": edges}
     coloring = {"k": draw(st.integers(1, 3)), "colors": [[e, draw(st.integers(0, 3))] for e in edges]}
-    return graph, {"members": [graph, graph]}, coloring
+    vertex, tag_edge = st.integers(0, n - 1), st.one_of(edge, *([st.sampled_from(edges)] if edges else []))
+    tags = draw(st.fixed_dictionaries({}, optional={"e": tag_edge, "f": tag_edge, "a": vertex, "b": vertex,
+                                                    "dist": st.integers(4, 7)}))
+    tagged = {**graph, "tags": tags}
+    if r == 3 and n >= 4 and draw(st.booleans()):
+        # sender-shaped: e and f share a pair and are the only edges inside e + f
+        c1, c2, x, y = draw(st.permutations(range(n)))[:4]
+        e, f = sorted((c1, c2, x)), sorted((c1, c2, y))
+        rest = [g for g in edges if not set(g) <= {c1, c2, x, y}]
+        tagged = {**graph, "edges": rest + [e, f], "tags": {"e": e, "f": f, "a": x, "b": y}}
+    return graph, {"members": [graph, graph]}, coloring, tagged
 
 
 @settings(max_examples=100, deadline=None)
 @given(
-    command=st.sampled_from(["arrow", "cliques", "gadget bel", "lab prune"]),
-    docs=st.one_of(_well_formed(), st.tuples(_documents, _documents, _documents)),
+    command=st.sampled_from(["arrow", "cliques", "gadget bel", "lab prune", "gadget amplify",
+                             "gadget amplify --from-equalizer", "gadget sender", "gadget apex",
+                             "gadget rainbow", "codegree extend", "distance", "minimalize",
+                             "free-coloring", "cnf --solve"]),
+    docs=st.one_of(_well_formed(), st.tuples(_documents, _documents, _documents,
+                                              st.one_of(_tagged, _documents))),
     t=st.integers(1, 4),
     k=st.integers(0, 3),
 )
 def test_fuzzed_documents_never_traceback(command, docs, t, k):
     # every document the CLI can be given ends in a documented exit code
     # with a one-line message, never in an uncaught exception
-    graph, family, coloring = docs
-    first, second = (family if command == "lab prune" else graph), coloring
+    graph, family, coloring, tagged = docs
+    first = family if command == "lab prune" else graph
     with tempfile.TemporaryDirectory() as tmp:
         paths = []
-        for i, doc in enumerate((first, second)):
+        for i, doc in enumerate((first, coloring, tagged)):
             paths.append(os.path.join(tmp, f"d{i}.json"))
             Path(paths[-1]).write_text("not json {" if doc is _NOT_JSON else json.dumps(doc))
         argv = {
@@ -467,6 +501,17 @@ def test_fuzzed_documents_never_traceback(command, docs, t, k):
             "cliques": ["cliques", paths[0], "-t", str(t)],
             "gadget bel": ["gadget", "bel", paths[0], "--coloring", paths[1], "-t", str(t), "-k", str(k)],
             "lab prune": ["lab", "prune", paths[0], "-t", str(t)],
+            "gadget amplify": ["gadget", "amplify", paths[2], "-s", "6"],
+            "gadget amplify --from-equalizer": ["gadget", "amplify", paths[2], "-s", "6", "--from-equalizer"],
+            "gadget sender": ["gadget", "sender", paths[2], "-m", str(t + 3)],
+            "gadget apex": ["gadget", "apex", paths[2], "--base", "0,1,2"],
+            "gadget rainbow": ["gadget", "rainbow", "-k", str(k), "--sender", paths[2]],
+            "codegree extend": ["codegree", "extend", paths[0], "--coloring", paths[1], "-u", "0", "-v", "1",
+                                "-t", str(t)],
+            "distance": ["distance", paths[0], "-e", "0,1,2", "-f", "1,2,3"],
+            "minimalize": ["minimalize", paths[0], "-t", str(t), "-k", str(k), "--budget", "50"],
+            "free-coloring": ["free-coloring", paths[0], "-t", str(t), "-k", str(k), "--budget", "50"],
+            "cnf --solve": ["cnf", paths[0], "-t", str(t), "-k", str(k), "--solve"],
         }[command]
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

@@ -255,6 +255,15 @@ def test_far_seed_distance_exact():
     assert path_distance(seed.h, seed.e, seed.f) == 5
 
 
+def test_far_seed_rejects_extra_edges_inside_tags():
+    # the equalizer tags pass the same check as a rainbow's sender tags
+    eq = build_equalizer(build_rainbow(2, mock_sender()))
+    extra = next(g for g in itertools.combinations(sorted(set(eq.e) | set(eq.f)), 3) if g not in eq.h.edges)
+    bad = TaggedGadget(h=Hypergraph.build(3, [*eq.h.edges, extra], vertices=eq.h.vertices), e=eq.e, f=eq.f)
+    with pytest.raises(ValueError, match="extra edges inside e and f"):
+        build_far_seed(bad, eq)
+
+
 def test_amplify_reaches_target():
     eq = build_equalizer(build_rainbow(2, mock_sender()))
     seed = build_far_seed(eq, eq)
