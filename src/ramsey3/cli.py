@@ -11,32 +11,47 @@ lab report, lab fact-bound or lab paper-params lists its result record's
 fields in field order.  Commands that consume randomness
 require an explicit --seed.  Integer lists given as text (vertex lists,
 --drop, --patterns) take plain decimal items only.
+
+Layers load on first use: importing this module runs none of them, and
+a command runs only the layers it touches.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import importlib.util
 import json
 import sys
+import types
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
-from . import codegree as cd
-from . import gadgets as gd
-from . import randomlab as rl
-from .colorengine import (
-    BudgetExceeded,
-    EdgeColoring,
-    PatternSet,
-    arrows,
-    export_cnf,
-    find_free_coloring,
-    minimalize,
-    solve_cnf,
-)
-from .hypercore import Hypergraph, enumerate_cliques, from_json_dict, path_distance, to_json_dict
+
+def _layer(name: str) -> types.ModuleType:
+    """The layer module ramsey3.<name>; its body runs on the first attribute read.
+
+    It is registered in sys.modules and on the package now, as an import
+    would do, so that a later import or a package attribute read finds it.
+    """
+    fullname = f"{__package__}.{name}"
+    if fullname in sys.modules:
+        return sys.modules[fullname]
+    spec = importlib.util.find_spec(fullname)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[fullname] = module
+    spec.loader.exec_module(module)
+    setattr(sys.modules[__package__], name, module)
+    return module
+
+
+cd = _layer("codegree")
+ce = _layer("colorengine")
+gd = _layer("gadgets")
+hc = _layer("hypercore")
+rl = _layer("randomlab")
 
 __all__ = ["main", "entrypoint"]
 
@@ -63,11 +78,11 @@ def _load_doc(path: str) -> dict:
     return doc
 
 
-def _load_hypergraph(path: str) -> Hypergraph:
+def _load_hypergraph(path: str) -> hc.Hypergraph:
     doc = _load_doc(path)
     if "host" in doc:
         doc = doc["host"]
-    h, _tags = from_json_dict(doc)
+    h, _tags = hc.from_json_dict(doc)
     return h
 
 
@@ -78,11 +93,11 @@ def _load_gadget(path: str) -> gd.TaggedGadget:
     return gd.TaggedGadget.from_json_dict(doc)
 
 
-def _load_coloring(path: str) -> EdgeColoring:
+def _load_coloring(path: str) -> ce.EdgeColoring:
     doc = _load_doc(path)
     if "coloring" in doc:
         doc = doc["coloring"]
-    return EdgeColoring.from_json_dict(doc)
+    return ce.EdgeColoring.from_json_dict(doc)
 
 
 def _write(args: argparse.Namespace, text: str) -> None:
@@ -108,16 +123,16 @@ def _parse_ints(text: str, what: str) -> tuple[int, ...]:
     return tuple(map(int, parts))
 
 
-def _parse_patterns(text: str) -> PatternSet:
+def _parse_patterns(text: str) -> ce.PatternSet:
     groups = [_parse_ints(chunk, "pattern") for chunk in text.split(";")]
     k = len(groups[0])
     ell = sum(groups[0])
-    return PatternSet(ell, k, frozenset(groups))
+    return ce.PatternSet(ell, k, frozenset(groups))
 
 
 def _record(x: object) -> object:
     """A result record as JSON data: dataclass fields in field order."""
-    if isinstance(x, EdgeColoring):
+    if isinstance(x, ce.EdgeColoring):
         return x.to_json_dict()
     if dataclasses.is_dataclass(x):
         return {f.name: _record(getattr(x, f.name)) for f in dataclasses.fields(x)}
@@ -133,7 +148,7 @@ def _record(x: object) -> object:
 
 def _cmd_arrow(args: argparse.Namespace) -> int:
     h = _load_hypergraph(args.input)
-    verdict = arrows(h, args.t, args.k, budget=args.budget)
+    verdict = ce.arrows(h, args.t, args.k, budget=args.budget)
     doc = _record(verdict)
     if verdict.arrows is None:
         _emit(args, doc, f"unknown after {verdict.nodes} nodes")
@@ -145,23 +160,23 @@ def _cmd_arrow(args: argparse.Namespace) -> int:
 
 def _cmd_minimalize(args: argparse.Namespace) -> int:
     h = _load_hypergraph(args.input)
-    result = minimalize(h, args.t, args.k, budget=args.budget)
-    _write(args, json.dumps(to_json_dict(result)))
+    result = ce.minimalize(h, args.t, args.k, budget=args.budget)
+    _write(args, json.dumps(hc.to_json_dict(result)))
     return 0
 
 
 def _cmd_free_coloring(args: argparse.Namespace) -> int:
     h = _load_hypergraph(args.input)
-    res = find_free_coloring(h, args.t, args.k, budget=args.budget)
+    res = ce.find_free_coloring(h, args.t, args.k, budget=args.budget)
     _write(args, json.dumps(_record(res)))
     return 2 if res.found is None else 0
 
 
 def _cmd_cnf(args: argparse.Namespace) -> int:
     h = _load_hypergraph(args.input)
-    doc = export_cnf(h, args.t, args.k)
+    doc = ce.export_cnf(h, args.t, args.k)
     if args.solve:
-        model = solve_cnf(doc)
+        model = ce.solve_cnf(doc)
         if model is None:
             _write(args, json.dumps({"satisfiable": False, "coloring": None}))
         else:
@@ -174,7 +189,7 @@ def _cmd_cnf(args: argparse.Namespace) -> int:
 
 def _cmd_distance(args: argparse.Namespace) -> int:
     h = _load_hypergraph(args.input)
-    dist = path_distance(h, _parse_ints(args.e, "vertex list"), _parse_ints(args.f, "vertex list"))
+    dist = hc.path_distance(h, _parse_ints(args.e, "vertex list"), _parse_ints(args.f, "vertex list"))
     unreachable = dist == float("inf")
     doc = {"distance": None if unreachable else int(dist)}
     _emit(args, doc, "distance: unreachable" if unreachable else f"distance: {int(dist)}")
@@ -183,7 +198,7 @@ def _cmd_distance(args: argparse.Namespace) -> int:
 
 def _cmd_cliques(args: argparse.Namespace) -> int:
     h = _load_hypergraph(args.input)
-    qs = enumerate_cliques(h, args.t)
+    qs = hc.enumerate_cliques(h, args.t)
     doc = {"count": len(qs), "cliques": [list(q) for q in qs]}
     human = "\n".join([f"count: {len(qs)}"] + [" ".join(map(str, q)) for q in qs])
     _emit(args, doc, human)
@@ -208,13 +223,13 @@ def _cmd_gadget_hstar(args: argparse.Namespace) -> int:
     if args.k is not None and args.k != ps.k:
         raise ValueError(f"-k {args.k} conflicts with {ps.k}-part patterns")
     hstar, x, y = gd.build_Hstar(h, ps, ps.k)
-    _write(args, json.dumps(to_json_dict(hstar, {"a": x, "b": y})))
+    _write(args, json.dumps(hc.to_json_dict(hstar, {"a": x, "b": y})))
     return 0
 
 
 def _cmd_gadget_sender(args: argparse.Namespace) -> int:
     doc = _load_doc(args.input)
-    h, tags = from_json_dict(doc)
+    h, tags = hc.from_json_dict(doc)
     if "a" not in tags or "b" not in tags:
         raise ValueError("input needs tags a and b marking the separated pair")
     ell = args.ell if args.ell is not None else h.r
@@ -285,7 +300,7 @@ def _cmd_codegree_host(args: argparse.Namespace) -> int:
     host = cd.build_partition_host(args.t)
     doc = {
         "t": host.t,
-        "host": to_json_dict(host.h, {"a": host.a, "b": host.b}),
+        "host": hc.to_json_dict(host.h, {"a": host.a, "b": host.b}),
         "coloring": host.coloring.to_json_dict(),
         "parts": [sorted(p) for p in host.parts],
     }
@@ -346,20 +361,20 @@ def _cmd_codegree_expectation(args: argparse.Namespace) -> int:
 def _cmd_lab_sample(args: argparse.Namespace) -> int:
     if args.k == 1:
         h = rl.sample_h3(args.n, args.p, args.seed)
-        _write(args, json.dumps(to_json_dict(h)))
+        _write(args, json.dumps(hc.to_json_dict(h)))
     else:
         fam = rl.sample_family(args.n, args.p, args.k, args.seed)
-        _write(args, json.dumps({"members": [to_json_dict(h) for h in fam]}))
+        _write(args, json.dumps({"members": [hc.to_json_dict(h) for h in fam]}))
     return 0
 
 
-def _load_family(path: str) -> tuple[Hypergraph, ...]:
+def _load_family(path: str) -> tuple[hc.Hypergraph, ...]:
     doc = _load_doc(path)
     if "members" in doc:
         if not isinstance(doc["members"], list):
             raise ValueError(f"{path}: members must be a list of hypergraphs")
-        return tuple(from_json_dict(m)[0] for m in doc["members"])
-    return (from_json_dict(doc)[0],)
+        return tuple(hc.from_json_dict(m)[0] for m in doc["members"])
+    return (hc.from_json_dict(doc)[0],)
 
 
 def _cmd_lab_prune(args: argparse.Namespace) -> int:
@@ -371,7 +386,7 @@ def _cmd_lab_prune(args: argparse.Namespace) -> int:
         family = rl.sample_family(args.n, args.p, args.k, args.seed)
     pruned = rl.prune(family, args.t)
     doc = {
-        "members": [to_json_dict(h) for h in pruned],
+        "members": [hc.to_json_dict(h) for h in pruned],
         "removed": [f.num_edges - p.num_edges for f, p in zip(family, pruned)],
     }
     _write(args, json.dumps(doc))
@@ -627,7 +642,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except _UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    except BudgetExceeded as err:
+    except ce.BudgetExceeded as err:
         print(f"undecided: {err}", file=sys.stderr)
         return 2
     except RecursionError:

@@ -102,7 +102,7 @@ def test_resource_exhaustion_exits_2(tmp_path, capsys, monkeypatch, exc):
     def exhausted(problem):
         raise exc()
 
-    monkeypatch.setattr("ramsey3.cli.solve_cnf", exhausted)
+    monkeypatch.setattr("ramsey3.colorengine.solve_cnf", exhausted)
     path = write_graph(tmp_path, Hypergraph.complete(4, 3))
     code, out = run(capsys, "cnf", path, "-t", "4", "-k", "2", "--solve")
     assert code == 2

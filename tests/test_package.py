@@ -1,0 +1,106 @@
+"""Layers load on first use: the package surface, and which layers each entry point runs.
+
+The entry-point checks run in fresh interpreters, so that the layers this
+test process has already imported cannot hide a load.
+"""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import ramsey3
+from ramsey3.cli import main
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+LAYERS = ("hypercore", "colorengine", "gadgets", "codegree", "randomlab")
+
+# Imports `module`, runs the command line on argv when there is one, then
+# prints the layers whose module body has run; a layer registered for a
+# lazy load but never read keeps its lazy module type.
+PROBE = """
+import contextlib, io, json, sys, types
+import {module}
+if sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        ramsey3.cli.main(sys.argv[1:])
+print(json.dumps([n for n in {layers!r} if type(sys.modules.get("ramsey3." + n)) is types.ModuleType]))
+"""
+
+
+def fresh(args, cwd, module="ramsey3.cli"):
+    code = PROBE.format(module=module, layers=LAYERS)
+    return subprocess.run([sys.executable, "-c", code, *args], cwd=cwd, env=ENV,
+                          capture_output=True, text=True, timeout=60)
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    work = tmp_path_factory.mktemp("inputs")
+    k5 = ramsey3.to_json_dict(ramsey3.Hypergraph.complete(5, 3))
+    (work / "k5.json").write_text(json.dumps(k5))
+    assert main(["codegree", "host", "-t", "4", "-o", str(work / "host4.json")]) == 0
+    return work
+
+
+BASE = ["hypercore", "colorengine"]
+CASES = [
+    ("ramsey3", [], []),
+    ("ramsey3.cli", [], []),
+    ("ramsey3.cli", ["cliques", "k5.json", "-t", "4"], ["hypercore"]),
+    ("ramsey3.cli", ["free-coloring", "k5.json", "-t", "4", "-k", "2"], BASE),
+    ("ramsey3.cli", ["arrow", "k5.json", "-t", "4", "-k", "2"], BASE),
+    ("ramsey3.cli", ["cnf", "k5.json", "-t", "4", "-k", "2", "--solve"], BASE),
+    ("ramsey3.cli", ["gadget", "rainbow", "-k", "2", "--sender", "mock"], BASE + ["gadgets"]),
+    ("ramsey3.cli", ["gadget", "bel", "host4.json", "--coloring", "host4.json", "-t", "4", "-k", "2"],
+     BASE + ["gadgets"]),
+    ("ramsey3.cli", ["codegree", "host", "-t", "4"], BASE + ["codegree"]),
+    ("ramsey3.cli", ["lab", "paper-params", "-k", "2", "-t", "4"], BASE + ["randomlab"]),
+    ("ramsey3.cli", ["lab", "sample", "-n", "6", "-p", "0.5", "--seed", "1"], BASE + ["randomlab"]),
+]
+
+
+@pytest.mark.parametrize("module, argv, loaded", CASES,
+                         ids=[" ".join(argv[:2]) or f"import {module}" for module, argv, _ in CASES])
+def test_entry_point_runs_only_its_layers(inputs, module, argv, loaded):
+    proc = fresh(argv, inputs, module)
+    assert proc.returncode == 0, proc.stderr
+    assert sorted(json.loads(proc.stdout)) == sorted(loaded)
+
+
+def test_public_names_are_their_layers_objects():
+    assert len(ramsey3.__all__) == len(set(ramsey3.__all__)) == 33
+    for name in ramsey3.__all__:
+        layer = importlib.import_module(f"ramsey3.{ramsey3._LAYER_OF[name]}")
+        assert getattr(ramsey3, name) is getattr(layer, name)
+
+
+def test_star_import_and_unknown_name():
+    ns: dict = {}
+    exec("from ramsey3 import *", ns)
+    assert set(ns) - {"__builtins__"} == set(ramsey3.__all__)
+    with pytest.raises(AttributeError):
+        ramsey3.no_such_name
+    with pytest.raises(ImportError):
+        exec("from ramsey3 import no_such_name", {})
+
+
+@pytest.mark.parametrize(
+    "argv, code, word",
+    [
+        (["no-such-command"], 1, "error"),
+        (["codegree", "force-check", "-t", "5", "--budget", "10"], 2, "undecided"),
+        (["arrow", "missing.json", "-t", "3", "-k", "2"], 3, "io error"),
+    ],
+    ids=["unknown command", "budget exceeded", "missing input"],
+)
+def test_fresh_process_exit_codes(tmp_path, argv, code, word):
+    proc = subprocess.run([sys.executable, "-m", "ramsey3", *argv], cwd=tmp_path, env=ENV,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == code, proc.stderr
+    assert word in proc.stderr and "Traceback" not in proc.stderr
