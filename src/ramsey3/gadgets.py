@@ -24,6 +24,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import operator
+from collections import defaultdict
 from dataclasses import dataclass
 from math import inf
 from typing import Iterable, Mapping, Optional
@@ -510,6 +511,10 @@ def build_BEL(
     reference edge of its intended color.  Any coloring free of
     monochromatic t-cliques then reproduces the input coloring up to a
     color permutation.  h keeps vertices 0..n-1 in the result.
+
+    The coloring must color exactly the edges of h.  The carrier's
+    codegree postconditions are checked in one pass over its edges,
+    without building its pair index.
     """
     if not h.is_dense():
         raise ValueError("host must use vertices 0..n-1")
@@ -521,6 +526,9 @@ def build_BEL(
         raise ValueError(f"rainbow gadget carries {len(rainbow_g.rainbow)} edges, need {k}")
     if far.e is None or far.f is None:
         raise ValueError("far gadget must carry e and f tags")
+    extra = coloring.assignment.keys() - h.edges
+    if extra:
+        raise ValueError(f"coloring colors {len(extra)} triples outside the host, e.g. {min(extra)!r}")
     bad = check_free(h, coloring, t)
     if bad:
         raise ValueError(f"input coloring has monochromatic cliques, e.g. {bad[0]!r}")
@@ -540,15 +548,29 @@ def build_BEL(
     expected = n_h + rainbow_g.h.num_vertices + h.num_edges * (far.h.num_vertices - 6)
     if acc.num_vertices != expected:
         raise AssertionError("BEL vertex count off")
-    if induced(acc, range(n_h)).edges != h.edges:
+    # h keeps the lowest ids, so the host vertices of a sorted carrier edge are
+    # a prefix of it; touch[w] masks the host vertices new vertex w shares an edge with
+    covered = {p for g in h.edges for p in itertools.combinations(g, 2)}
+    inner, raised, touch = [], [], defaultdict(int)
+    for g in acc.edges:
+        a, b, c = g
+        if c < n_h:
+            inner.append(g)
+        elif b < n_h:
+            if (a, b) not in covered:
+                raised.append((a, b))
+            touch[c] |= 1 << a | 1 << b
+        elif a < n_h:
+            touch[b] |= 1 << a
+            touch[c] |= 1 << a
+    if set(inner) != h.edges:
         raise AssertionError("BEL changed the host's induced edges")
-    for u, v in itertools.combinations(range(n_h), 2):
-        if codegree(h, u, v) == 0 and codegree(acc, u, v) != 0:
-            raise AssertionError(f"BEL raised the codegree of host pair ({u}, {v})")
-    if n_h >= 4:
-        for w in sorted(acc.vertices - set(range(n_h))):
-            if all(codegree(acc, w, u) > 0 for u in range(n_h)):
-                raise AssertionError(f"new vertex {w} has positive codegree with all of the host")
+    if raised:
+        u, v = min(raised)
+        raise AssertionError(f"BEL raised the codegree of host pair ({u}, {v})")
+    joined = [w for w, mask in touch.items() if mask == (1 << n_h) - 1]
+    if n_h >= 4 and joined:
+        raise AssertionError(f"new vertex {min(joined)} has positive codegree with all of the host")
     sp = rainbow_g.s_pair
     s_pair = None if sp is None else (base.map_b[sp[0]], base.map_b[sp[1]])
     return TaggedGadget(h=acc, rainbow=tuple(eprime), s_pair=s_pair)

@@ -61,6 +61,21 @@ def canon_edge(verts: Iterable[int], r: Optional[int] = None) -> Edge:
     return vs
 
 
+def _edges_well_formed(r: int, edges: Collection[Edge], vertices: frozenset[int]) -> bool:
+    """True when every edge is a tuple of r exact ints, strictly increasing, inside vertices.
+
+    Each test is one pass at C speed that copies no edge; False means some
+    edge may be bad, not that one is.
+    """
+    if not set(map(type, edges)) <= {tuple} or not set(map(len, edges)) <= {r}:
+        return False
+    ids = itertools.chain.from_iterable
+    if not set(map(type, ids(edges))) <= {int} or not vertices.issuperset(ids(edges)):
+        return False
+    return all(all(map(operator.lt, map(operator.itemgetter(i), edges), map(operator.itemgetter(i + 1), edges)))
+               for i in range(r - 1))
+
+
 @dataclass(frozen=True)
 class Hypergraph:
     """An r-uniform hypergraph on integer vertices.
@@ -79,11 +94,13 @@ class Hypergraph:
             raise ValueError("uniformity must be at least 1")
         if any(v < 0 for v in self.vertices):
             raise ValueError("vertex ids must be nonnegative")
-        for e in self.edges:
-            if len(e) != self.r or tuple(sorted(set(e))) != e:
-                raise ValueError(f"malformed {self.r}-edge: {e!r}")
-            if not set(e) <= self.vertices:
-                raise ValueError(f"edge {e!r} uses vertices outside the vertex set")
+        if not _edges_well_formed(self.r, self.edges, self.vertices):
+            # the bulk check accepts only edges this loop accepts; the loop names the bad one
+            for e in self.edges:
+                if len(e) != self.r or tuple(sorted(set(e))) != e:
+                    raise ValueError(f"malformed {self.r}-edge: {e!r}")
+                if not set(e) <= self.vertices:
+                    raise ValueError(f"edge {e!r} uses vertices outside the vertex set")
         if any(v not in self.vertices for v in self.labels):
             raise ValueError("label on a vertex that is not in the hypergraph")
 
@@ -332,6 +349,10 @@ def path_distance(h: Hypergraph, e: Iterable[int], f: Iterable[int]) -> int | fl
     three consecutive positions and consecutive edges intersect.  The
     distance is the minimum number of vertices over all such paths, with
     dist(e, e) = 3, and inf when no path exists.
+
+    Exact and exponential in the worst case.  Each search state keeps its
+    used vertices as one int mask, bit i for the i-th vertex in sorted
+    order (a rank, never a raw id), so a state costs one int.
     """
     if h.r != 3:
         raise ValueError("path distance is defined for 3-uniform hypergraphs")
@@ -342,6 +363,7 @@ def path_distance(h: Hypergraph, e: Iterable[int], f: Iterable[int]) -> int | fl
     if ce == cf:
         return 3
     fset = frozenset(cf)
+    bit = {v: 1 << i for i, v in enumerate(sorted(h.vertices))}
 
     by_vertex: dict[int, list[Edge]] = defaultdict(list)
     for g in h.edges:
@@ -351,11 +373,11 @@ def path_distance(h: Hypergraph, e: Iterable[int], f: Iterable[int]) -> int | fl
     # Dijkstra over (ordered frontier edge, vertices used so far); extending
     # the frontier interval by one position reuses its last two vertices,
     # extending by two reuses only the last one.
-    heap: list[tuple[int, tuple[int, int, int], frozenset[int]]] = []
-    start_used = frozenset(ce)
+    heap: list[tuple[int, tuple[int, int, int], int]] = []
+    start_used = bit[ce[0]] | bit[ce[1]] | bit[ce[2]]
     for perm in itertools.permutations(ce):
         heapq.heappush(heap, (3, perm, start_used))
-    best: dict[tuple[tuple[int, int, int], frozenset[int]], int] = {}
+    best: dict[tuple[tuple[int, int, int], int], int] = {}
     while heap:
         n, frontier, used = heapq.heappop(heap)
         key = (frontier, used)
@@ -365,18 +387,19 @@ def path_distance(h: Hypergraph, e: Iterable[int], f: Iterable[int]) -> int | fl
             return n
         _, a2, a3 = frontier
         for w in h.thirds(a2, a3):
-            if w in used:
+            if used & bit[w]:
                 continue
-            nk = ((a2, a3, w), used | {w})
+            nk = ((a2, a3, w), used | bit[w])
             if best.get(nk, n + 2) > n + 1:
                 best[nk] = n + 1
                 heapq.heappush(heap, (n + 1, nk[0], nk[1]))
         for g in by_vertex.get(a3, ()):
             rest = [x for x in g if x != a3]
-            if rest[0] in used or rest[1] in used:
+            both = bit[rest[0]] | bit[rest[1]]
+            if used & both:
                 continue
             for w1, w2 in (rest, rest[::-1]):
-                nk = ((a3, w1, w2), used | {w1, w2})
+                nk = ((a3, w1, w2), used | both)
                 if best.get(nk, n + 3) > n + 2:
                     best[nk] = n + 2
                     heapq.heappush(heap, (n + 2, nk[0], nk[1]))

@@ -7,7 +7,9 @@ dumb; if an oracle and the library disagree, the oracle is the easier
 one to audit.
 """
 
+import heapq
 import itertools
+import math
 import random
 
 from ramsey3 import Hypergraph, find_free_coloring
@@ -88,6 +90,46 @@ def brute_sat(clauses):
         if all(any(x in true for x in cl) for cl in clauses):
             return True
     return False
+
+
+def frozenset_path_distance(h, e, f):
+    """path_distance by the same Dijkstra with each state's used vertices a frozenset.
+
+    The reference for the bit-mask states of ramsey3's path_distance; the
+    pair lookups scan the edge list instead of reading the pair index.
+    """
+    ce, cf = tuple(sorted(e)), tuple(sorted(f))
+    if ce == cf:
+        return 3
+    edges = sorted(h.edges)
+    heap = [(3, perm, frozenset(ce)) for perm in itertools.permutations(ce)]
+    heapq.heapify(heap)
+    best = {}
+    while heap:
+        n, frontier, used = heapq.heappop(heap)
+        if best.get((frontier, used), n) < n:
+            continue
+        if frozenset(frontier) == frozenset(cf):
+            return n
+        _, a2, a3 = frontier
+        for g in edges:
+            if a2 in g and a3 in g:
+                (w,) = set(g) - {a2, a3}
+                if w not in used:
+                    nk = ((a2, a3, w), used | {w})
+                    if best.get(nk, n + 2) > n + 1:
+                        best[nk] = n + 1
+                        heapq.heappush(heap, (n + 1, *nk))
+            if a3 in g:
+                rest = [x for x in g if x != a3]
+                if rest[0] in used or rest[1] in used:
+                    continue
+                for w1, w2 in (rest, rest[::-1]):
+                    nk = ((a3, w1, w2), used | {w1, w2})
+                    if best.get(nk, n + 3) > n + 2:
+                        best[nk] = n + 2
+                        heapq.heappush(heap, (n + 2, *nk))
+    return math.inf
 
 
 def random_small_hypergraph(seed):

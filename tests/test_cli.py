@@ -3,6 +3,7 @@
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -225,6 +226,18 @@ def test_gadget_bel_rejects_more_colors_than_k(tmp_path, capsys):
     code, out = run(capsys, "gadget", "bel", str(graph_path),
                     "--coloring", str(col_path), "-t", "4", "-k", "2")
     assert code == 1 and "Traceback" not in out
+
+
+def test_gadget_bel_rejects_a_color_on_a_non_edge(tmp_path, capsys):
+    host_path = tmp_path / "host.json"
+    run(capsys, "codegree", "host", "-t", "4", "-o", str(host_path))
+    doc = json.loads(host_path.read_text())
+    edges = {tuple(e) for e in doc["host"]["edges"]}
+    outside = next(g for g in itertools.combinations(range(doc["host"]["n"]), 3) if g not in edges)
+    doc["coloring"]["colors"].append([list(outside), 1])
+    host_path.write_text(json.dumps(doc))
+    code, out = run(capsys, "gadget", "bel", str(host_path), "--coloring", str(host_path), "-t", "4", "-k", "2")
+    assert code == 1 and out.startswith("error:") and "outside the host" in out, out
 
 
 def test_codegree_force_check_and_drop(capsys):

@@ -1,5 +1,6 @@
 """Gadget assembly: senders, rainbow stars, equalizers, distance chains."""
 
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -8,6 +9,8 @@ import time
 import pytest
 
 import ramsey3.colorengine as colorengine
+import ramsey3.gadgets as gadgets
+import ramsey3.hypercore as hypercore
 from ramsey3 import BudgetExceeded, Hypergraph, PatternSet, fano_plane, is_linear, path_distance
 from ramsey3.colorengine import EdgeColoring, admissible_vertex_coloring, check_free
 from ramsey3.gadgets import (
@@ -294,6 +297,8 @@ def test_bel_on_toy_host():
     rb = build_rainbow(2, mock_sender())
     g = build_BEL(host.h, host.coloring, 2, 4, far, rb)
     nh = host.h.num_vertices
+    # the postconditions read the carrier's edges, not a pair index
+    assert "pairs" not in vars(g.h)
     # the original graph sits untouched inside
     assert induced(g.h, range(nh)).edges == host.h.edges
     assert len(g.rainbow) == 2
@@ -304,10 +309,73 @@ def test_bel_on_toy_host():
 
 
 def test_bel_document_pinned():
-    # the document of the BEL that carried its rainbow tags through TaggedGadget.remapped
+    # the documents of the BEL that carried its rainbow tags through TaggedGadget.remapped (t=4)
+    # and checked its postconditions through the carrier's pair index (t=5, 6)
+    for t, digest in ((4, "9610a98a7d3e"), (5, "85d89d951411"), (6, "95222045abb4")):
+        host = build_partition_host(t)
+        g = build_BEL(host.h, host.coloring, 2, t, far_mock(), build_rainbow(2, mock_sender()))
+        assert _digest(g.to_json_dict()) == digest, t
+
+
+def _bel_with_extra_edges(monkeypatch, h, coloring, extra):
+    """build_BEL on h with the edges extra(carrier) added to the glued carrier."""
+    far, rb = far_mock(), build_rainbow(2, mock_sender())
+
+    def glue_more(a, b, m=gadgets.GlueMap()):
+        res = hypercore.glue(a, b, m)
+        if isinstance(m, gadgets.GlueMap):  # the rainbow, not the far copies
+            return res
+        return dataclasses.replace(res, h=res.h.plus_edges(extra(res.h)))
+
+    monkeypatch.setattr(gadgets, "glue", glue_more)
+    return build_BEL(h, coloring, 2, 4, far, rb)
+
+
+def test_bel_rejects_an_edge_through_an_uncovered_host_pair(monkeypatch):
+    h = Hypergraph.build(3, [(0, 1, 2), (2, 3, 4), (4, 5, 0)])
+    zero = [p for p in itertools.combinations(range(6), 2) if codegree(h, *p) == 0]
+    assert (1, 3) in zero and (3, 5) in zero
+
+    def extra(acc):
+        w = max(acc.vertices)
+        return [(3, 5, w), (1, 3, w - 1)]
+
+    with pytest.raises(AssertionError, match=r"^BEL raised the codegree of host pair \(1, 3\)$"):
+        _bel_with_extra_edges(monkeypatch, h, EdgeColoring(2, dict.fromkeys(h.edges, 1)), extra)
+
+
+def test_bel_rejects_a_new_edge_inside_the_host(monkeypatch):
+    # its pairs are uncovered too, but the changed host is named first
+    h = Hypergraph.build(3, [(0, 1, 2), (2, 3, 4), (4, 5, 0)])
+    with pytest.raises(AssertionError, match=r"^BEL changed the host's induced edges$"):
+        _bel_with_extra_edges(monkeypatch, h, EdgeColoring(2, dict.fromkeys(h.edges, 1)), lambda acc: [(1, 3, 5)])
+
+
+@pytest.mark.parametrize("shape", ["host vertex", "host pair"])
+def test_bel_rejects_a_new_vertex_joined_to_the_whole_host(monkeypatch, shape):
     host = build_partition_host(4)
-    g = build_BEL(host.h, host.coloring, 2, 4, far_mock(), build_rainbow(2, mock_sender()))
-    assert _digest(g.to_json_dict()) == "9610a98a7d3e"
+    seen = []
+
+    def extra(acc):
+        # the two largest new vertices share an edge with every host vertex, through
+        # one host vertex per edge or through the host pairs that host edges cover
+        w2, w1 = sorted(acc.vertices)[-2:]
+        seen.append(w2)
+        if shape == "host vertex":
+            return [(u, w2, w1) for u in range(host.h.num_vertices)]
+        return [(*p, w) for g in host.h.edges for p in itertools.combinations(g, 2) for w in (w2, w1)]
+
+    with pytest.raises(AssertionError, match="has positive codegree with all of the host") as err:
+        _bel_with_extra_edges(monkeypatch, host.h, host.coloring, extra)
+    assert str(err.value) == f"new vertex {seen[0]} has positive codegree with all of the host"
+
+
+def test_bel_rejects_a_coloring_of_a_non_edge():
+    host = build_partition_host(4)
+    outside = next(g for g in itertools.combinations(range(host.h.num_vertices), 3) if g not in host.h.edges)
+    colors = {**host.coloring.assignment, outside: 1}
+    with pytest.raises(ValueError, match="outside the host"):
+        build_BEL(host.h, EdgeColoring(2, colors), 2, 4, far_mock(), build_rainbow(2, mock_sender()))
 
 
 def test_sparse_carrier_cliques_within_budget():

@@ -9,7 +9,7 @@ import tracemalloc
 import weakref
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ramsey3 import (
@@ -30,10 +30,18 @@ from ramsey3 import (
     to_json_dict,
 )
 from ramsey3.colorengine import EdgeColoring, VertexColoring
-from ramsey3.gadgets import TaggedGadget, attach_apex
+from ramsey3.gadgets import (
+    TaggedGadget,
+    amplify_distance,
+    attach_apex,
+    build_equalizer,
+    build_far_seed,
+    build_rainbow,
+    mock_sender,
+)
 from ramsey3.hypercore import canon_edge, codegree
 
-from _oracles import brute_cliques, random_small_hypergraph
+from _oracles import brute_cliques, frozenset_path_distance, random_small_hypergraph
 
 
 def seeded_inputs(seed):
@@ -108,6 +116,57 @@ def test_float_vertex_ids_rejected(call):
     # a float id is an error, as in canon_edge, never truncated to an int
     with pytest.raises(TypeError):
         call()
+
+
+def _edge_loop_outcome(r, vertices, edges):
+    """What the edge-by-edge validation raises, as (type, message), or None."""
+    try:
+        for e in edges:
+            if len(e) != r or tuple(sorted(set(e))) != e:
+                raise ValueError(f"malformed {r}-edge: {e!r}")
+            if not set(e) <= vertices:
+                raise ValueError(f"edge {e!r} uses vertices outside the vertex set")
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+class _OneOutOfOrder:
+    """Equal to 1 and hashed like it, but every order comparison says yes."""
+
+    def __eq__(self, other):
+        return other == 1
+
+    def __hash__(self):
+        return hash(1)
+
+    __lt__ = __gt__ = lambda self, other: True
+
+    def __repr__(self):
+        return "_OneOutOfOrder()"
+
+
+_loose_ids = st.one_of(st.integers(0, 9), st.booleans(), st.sampled_from([1.0, 2.5, "x", _OneOutOfOrder()]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4),
+       st.one_of(st.just(range(10)), st.sets(st.one_of(st.integers(0, 9), st.just(3.0)), max_size=8)),
+       st.sets(st.one_of(st.sets(st.integers(0, 9), min_size=1, max_size=4).map(sorted).map(tuple),
+                         st.lists(st.integers(0, 9), max_size=5).map(tuple),
+                         st.lists(_loose_ids, max_size=4).map(tuple)), max_size=6))
+@example(2, range(10), {(0, _OneOutOfOrder())})  # increasing by <, yet the loop's sort moves it
+@example(3, range(10), {range(3)})  # increasing ints, but not a tuple
+def test_constructor_raises_what_the_edge_loop_raises(r, vertices, edges):
+    # the bulk edge check may only accept what the loop accepts; the loop names the bad edge
+    vs, es = frozenset(vertices), frozenset(edges)
+    want = _edge_loop_outcome(r, vs, es)
+    try:
+        Hypergraph(r, vs, es)
+        got = None
+    except (TypeError, ValueError) as exc:
+        got = type(exc), str(exc)
+    assert got == want
 
 
 def test_minus_plus_edges():
@@ -362,6 +421,38 @@ def test_distance_validation():
         path_distance(h, (0, 1, 2), (3, 4, 5))
     with pytest.raises(ValueError):
         path_distance(Hypergraph.complete(4, 2), (0, 1), (2, 3))
+
+
+@st.composite
+def distance_instances(draw):
+    """A 3-graph on up to 8 vertices, ids near 0 or up to 10^12, and two of its edges."""
+    ids = draw(st.sets(st.one_of(st.integers(0, 12), st.integers(0, 10**12)), min_size=3, max_size=8))
+    pool = list(itertools.combinations(sorted(ids), 3))
+    edges = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12, unique=True))
+    return Hypergraph.build(3, edges, vertices=ids), draw(st.sampled_from(edges)), draw(st.sampled_from(edges))
+
+
+@settings(max_examples=200, deadline=None)
+@given(distance_instances())
+def test_distance_matches_frozenset_states(inst):
+    # the used-vertex masks are over ranks: an id of 10^12 costs one bit
+    h, e, f = inst
+    assert path_distance(h, e, f) == frozenset_path_distance(h, e, f)
+
+
+def test_distance_memory_on_the_s8_gadget():
+    eq = build_equalizer(build_rainbow(2, mock_sender()))
+    g = amplify_distance(build_far_seed(eq, eq), 8, verify=False)
+    assert g.h.num_vertices == 35
+    tracemalloc.start()
+    try:
+        d = path_distance(g.h, g.e, g.f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert d == 19
+    # states with frozenset used sets peaked at 10.3 MiB, int masks at 1.7 MiB
+    assert peak < 4 * 2**20, peak
 
 
 # -- glue --------------------------------------------------------------
