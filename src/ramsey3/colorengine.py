@@ -618,7 +618,7 @@ def _clique_core(h: Hypergraph, t: int, k: int, fixed: Mapping[Edge, int] = {}) 
     cons = []
     for q in enumerate_cliques(h, t):
         xs = [code[e] for e in itertools.combinations(q, h.r)]
-        vs = [x for x in xs if x >= 0]
+        vs = [x for x in xs if x >= 0] if fixed else xs
         cons.append((vs, full if len(vs) == len(xs) else reduce(int.__and__, [~x for x in xs if x < 0], full)))
     return SearchCore(edges, k, cons)
 

@@ -527,8 +527,9 @@ def to_json_dict(h: Hypergraph, tags: Optional[Mapping[str, object]] = None) -> 
     """
     verts = sorted(h.vertices)
     pos = {v: i for i, v in enumerate(verts)}
-    edges = sorted(tuple(sorted(pos[x] for x in e)) for e in h.edges)
-    doc: dict[str, object] = {"r": h.r, "n": len(verts), "edges": [list(e) for e in edges]}
+    # pos keeps the order of ids and stored edges are sorted, so sorting the edges sorts their images
+    edges = [[pos[x] for x in e] for e in sorted(h.edges)]
+    doc: dict[str, object] = {"r": h.r, "n": len(verts), "edges": edges}
     if h.labels:
         doc["labels"] = {str(pos[v]): h.labels[v] for v in sorted(h.labels)}
     if tags:

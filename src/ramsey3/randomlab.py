@@ -22,6 +22,12 @@ from fractions import Fraction
 from math import comb
 from typing import Optional, Sequence, Union
 
+try:
+    # CPython's own blake2b, the object hashlib exports; importing hashlib would also load OpenSSL
+    from _blake2 import blake2b
+except ImportError:  # an interpreter built without it
+    from hashlib import blake2b
+
 from .colorengine import BudgetExceeded, EdgeColoring, SearchCore
 from .hypercore import Edge, Hypergraph, enumerate_cliques
 
@@ -53,10 +59,8 @@ def derive_seed(*parts: Union[str, int]) -> int:
     Hash-based so it is independent of PYTHONHASHSEED and identical
     across runs and platforms.
     """
-    import hashlib  # deferred: loading OpenSSL costs every importer 3.5 MiB of RSS
-
     text = "/".join(str(p) for p in parts)
-    digest = hashlib.blake2b(text.encode("utf-8"), digest_size=8).digest()
+    digest = blake2b(text.encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "big")
 
 

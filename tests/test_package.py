@@ -21,15 +21,17 @@ ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.
 LAYERS = ("hypercore", "colorengine", "gadgets", "codegree", "randomlab")
 
 # Imports `module`, runs the command line on argv when there is one, then
-# prints the layers whose module body has run; a layer registered for a
-# lazy load but never read keeps its lazy module type.
+# prints the layers whose module body has run (a layer registered for a
+# lazy load but never read keeps its lazy module type) and whether OpenSSL's
+# hash module was loaded.
 PROBE = """
 import contextlib, io, json, sys, types
 import {module}
 if sys.argv[1:]:
     with contextlib.redirect_stdout(io.StringIO()):
         ramsey3.cli.main(sys.argv[1:])
-print(json.dumps([n for n in {layers!r} if type(sys.modules.get("ramsey3." + n)) is types.ModuleType]))
+print(json.dumps([[n for n in {layers!r} if type(sys.modules.get("ramsey3." + n)) is types.ModuleType],
+                  "_hashlib" in sys.modules]))
 """
 
 
@@ -61,16 +63,32 @@ CASES = [
      BASE + ["gadgets"]),
     ("ramsey3.cli", ["codegree", "host", "-t", "4"], BASE + ["codegree"]),
     ("ramsey3.cli", ["lab", "paper-params", "-k", "2", "-t", "4"], BASE + ["randomlab"]),
+    # the lab commands below load randomlab, which derives substream seeds by blake2b
     ("ramsey3.cli", ["lab", "sample", "-n", "6", "-p", "0.5", "--seed", "1"], BASE + ["randomlab"]),
+    ("ramsey3.cli", ["lab", "sample", "-n", "6", "-p", "0.5", "-k", "2", "--seed", "1"], BASE + ["randomlab"]),
+    ("ramsey3.cli", ["lab", "prune", "-t", "4", "-n", "8", "-p", "0.5", "--seed", "1"], BASE + ["randomlab"]),
+    ("ramsey3.cli", ["lab", "report", "-n", "8", "-p", "0.3", "-t", "4", "-k", "2", "--trials", "30",
+                     "--seed", "1"], BASE + ["randomlab"]),
 ]
 
 
-@pytest.mark.parametrize("module, argv, loaded", CASES,
-                         ids=[" ".join(argv[:2]) or f"import {module}" for module, argv, _ in CASES])
+def case_ids(cases):
+    """Each case's command and subcommand, or its whole argv when an earlier case has the same two."""
+    ids = []
+    for module, argv, _ in cases:
+        name = " ".join(argv[:2]) or f"import {module}"
+        ids.append(" ".join(argv) if name in ids else name)
+    return ids
+
+
+@pytest.mark.parametrize("module, argv, loaded", CASES, ids=case_ids(CASES))
 def test_entry_point_runs_only_its_layers(inputs, module, argv, loaded):
     proc = fresh(argv, inputs, module)
     assert proc.returncode == 0, proc.stderr
-    assert sorted(json.loads(proc.stdout)) == sorted(loaded)
+    layers, openssl = json.loads(proc.stdout)
+    assert sorted(layers) == sorted(loaded)
+    # blake2b comes from CPython's own module; loading OpenSSL would cost 3.6 MiB of RSS
+    assert not openssl
 
 
 def test_public_names_are_their_layers_objects():

@@ -1,5 +1,6 @@
 """Seeded sampling, pruning, counting bounds, expectation reports."""
 
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -35,6 +36,14 @@ def test_derive_seed_stable_and_distinct():
     assert a != derive_seed("run", 2)
     assert a != derive_seed("run", "1x")
     assert 0 <= a < 2**64
+    assert a == 12469126710364362097
+
+
+@pytest.mark.parametrize("parts", [("run", 1), (7, "member", 0), (0,), ("trial", -3, "x", 2**70), ("ü", "")])
+def test_derive_seed_matches_hashlib_blake2b(parts):
+    # every sampled family hangs on these values, whichever module supplies blake2b
+    text = "/".join(map(str, parts)).encode("utf-8")
+    assert derive_seed(*parts) == int.from_bytes(hashlib.blake2b(text, digest_size=8).digest(), "big")
 
 
 def test_sample_h3_endpoints():
@@ -223,6 +232,23 @@ def test_fact_bound_validation():
         fact_count_bound(EdgeColoring(2, shifted), 3)
     with pytest.raises(ValueError):
         fact_count_bound(all_one_coloring(6), 1)
+
+
+K6 = list(itertools.combinations(range(6), 2))
+
+
+@pytest.mark.parametrize("keys, message", [
+    (K6[1:], "need all 15 pairs of 0..5 colored"),  # (0, 1) missing
+    (K6[1:] + [(0, 6)], "need all 21 pairs of 0..6 colored"),  # C(6, 2) pairs, not those of 0..5
+    (list(itertools.combinations(range(1, 7), 2)), "pair coloring must live on vertices 0..n-1"),
+    (list(itertools.combinations(range(5), 3)), "need all 10 pairs of 0..4 colored"),  # C(5, 3) == C(5, 2)
+    (K6 + [(0, 1, 2)], "need all 15 pairs of 0..5 colored"),
+    ([], "ell must lie in 2..n"),
+])
+def test_fact_bound_messages(keys, message):
+    with pytest.raises(ValueError) as err:
+        fact_count_bound(EdgeColoring(2, dict.fromkeys(keys, 1)), 3)
+    assert str(err.value) == message
 
 
 # -- expectation reports ------------------------------------------------------
