@@ -71,33 +71,24 @@ def _read_text(path: str) -> str:
     return Path(path).read_text()
 
 
-def _load_doc(path: str) -> dict:
+def _load_doc(path: str, key: Optional[str] = None) -> dict:
+    """The JSON object in path, or its member key when it has one (as a codegree host document does)."""
     doc = json.loads(_read_text(path))
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: expected a JSON object, got {type(doc).__name__}")
-    return doc
+    return doc[key] if key in doc else doc
 
 
 def _load_hypergraph(path: str) -> hc.Hypergraph:
-    doc = _load_doc(path)
-    if "host" in doc:
-        doc = doc["host"]
-    h, _tags = hc.from_json_dict(doc)
-    return h
+    return hc.from_json_dict(_load_doc(path, "host"))[0]
 
 
 def _load_gadget(path: str) -> gd.TaggedGadget:
-    doc = _load_doc(path)
-    if "host" in doc:
-        doc = doc["host"]
-    return gd.TaggedGadget.from_json_dict(doc)
+    return gd.TaggedGadget.from_json_dict(_load_doc(path, "host"))
 
 
 def _load_coloring(path: str) -> ce.EdgeColoring:
-    doc = _load_doc(path)
-    if "coloring" in doc:
-        doc = doc["coloring"]
-    return ce.EdgeColoring.from_json_dict(doc)
+    return ce.EdgeColoring.from_json_dict(_load_doc(path, "coloring"))
 
 
 def _write(args: argparse.Namespace, text: str) -> None:
@@ -220,20 +211,16 @@ def _cmd_gadget_fell(args: argparse.Namespace) -> int:
 def _cmd_gadget_hstar(args: argparse.Namespace) -> int:
     h = _load_hypergraph(args.input)
     ps = _parse_patterns(args.patterns)
-    if args.k is not None and args.k != ps.k:
-        raise ValueError(f"-k {args.k} conflicts with {ps.k}-part patterns")
     hstar, x, y = gd.build_Hstar(h, ps, ps.k)
-    _write(args, json.dumps(hc.to_json_dict(hstar, {"a": x, "b": y})))
+    _write(args, json.dumps(gd.TaggedGadget(h=hstar, a=x, b=y).to_json_dict()))
     return 0
 
 
 def _cmd_gadget_sender(args: argparse.Namespace) -> int:
-    doc = _load_doc(args.input)
-    h, tags = hc.from_json_dict(doc)
-    if "a" not in tags or "b" not in tags:
+    hs = _load_gadget(args.input)
+    if hs.a is None or hs.b is None:
         raise ValueError("input needs tags a and b marking the separated pair")
-    ell = args.ell if args.ell is not None else h.r
-    g = gd.assemble_signal_sender(h, tags["a"], tags["b"], args.m, ell)
+    g = gd.assemble_signal_sender(hs.h, hs.a, hs.b, args.m)
     _write(args, json.dumps(g.to_json_dict()))
     return 0
 
@@ -270,9 +257,9 @@ def _cmd_gadget_amplify(args: argparse.Namespace) -> int:
     return 0
 
 
-def _mock_far(k: int, dist: int = 7) -> gd.TaggedGadget:
+def _mock_far(k: int) -> gd.TaggedGadget:
     eq = gd.build_equalizer(gd.build_rainbow(k, gd.mock_sender()))
-    return gd.amplify_distance(gd.build_far_seed(eq, eq), dist)
+    return gd.amplify_distance(gd.build_far_seed(eq, eq), 7)
 
 
 def _cmd_gadget_bel(args: argparse.Namespace) -> int:
@@ -378,12 +365,16 @@ def _load_family(path: str) -> tuple[hc.Hypergraph, ...]:
 
 
 def _cmd_lab_prune(args: argparse.Namespace) -> int:
+    sampling = (("-n", args.n), ("-p", args.p), ("-k", args.k), ("--seed", args.seed))
+    given = [flag for flag, val in sampling if val is not None]
     if args.input is not None:
+        if given:
+            raise _UsageError(f"lab prune: {', '.join(given)} apply only when sampling, not to an input file")
         family = _load_family(args.input)
     else:
         if args.n is None or args.p is None or args.seed is None:
             raise _UsageError("lab prune: need an input file or -n, -p and --seed")
-        family = rl.sample_family(args.n, args.p, args.k, args.seed)
+        family = rl.sample_family(args.n, args.p, 2 if args.k is None else args.k, args.seed)
     pruned = rl.prune(family, args.t)
     doc = {
         "members": [hc.to_json_dict(h) for h in pruned],
@@ -503,15 +494,13 @@ def _build_parser() -> _Parser:
 
     p = g.add_parser("hstar", help="separating auxiliary hypergraph")
     p.add_argument("input")
-    p.add_argument("--patterns", required=True, help="pattern set, e.g. 1,1;2,0")
-    p.add_argument("-k", type=int, default=None)
+    p.add_argument("--patterns", required=True, help="pattern set, e.g. 1,1;2,0; its part count is k")
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_gadget_hstar)
 
-    p = g.add_parser("sender", help="signal sender from an hstar document")
+    p = g.add_parser("sender", help="signal sender from an hstar document; ell is H*'s uniformity")
     p.add_argument("input")
     p.add_argument("-m", type=int, required=True)
-    p.add_argument("--ell", type=int, default=None)
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_gadget_sender)
 
@@ -598,7 +587,7 @@ def _build_parser() -> _Parser:
     p.add_argument("-t", type=int, required=True)
     p.add_argument("-n", type=int, default=None)
     p.add_argument("-p", type=float, default=None)
-    p.add_argument("-k", type=int, default=2)
+    p.add_argument("-k", type=int, default=None, help="family size when sampling (default 2)")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_lab_prune)

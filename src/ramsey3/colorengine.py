@@ -32,6 +32,7 @@ import itertools
 from dataclasses import dataclass, field
 from functools import reduce
 from heapq import heapify, heappop, heappush
+from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .hypercore import Edge, Hypergraph, canon_edge, enumerate_cliques, json_int
@@ -63,7 +64,7 @@ class BudgetExceeded(Exception):
 
 @dataclass(frozen=True)
 class EdgeColoring:
-    """Total assignment of colors 1..k to a set of edges."""
+    """Total assignment of colors 1..k to a set of edges; assignment is a read-only view."""
 
     k: int
     assignment: Mapping[Edge, int]
@@ -78,7 +79,7 @@ class EdgeColoring:
             normalized[canon_edge(e)] = c
         if len(normalized) != len(self.assignment):
             raise ValueError("assignment repeats an edge up to reordering")
-        object.__setattr__(self, "assignment", normalized)
+        object.__setattr__(self, "assignment", MappingProxyType(normalized))
 
     @classmethod
     def of(cls, k: int, assignment: Mapping[Iterable[int], int]) -> "EdgeColoring":

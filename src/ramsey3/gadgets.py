@@ -8,15 +8,16 @@ the BEL assembly uses such far-apart equalizers to pin the coloring of
 a whole target hypergraph up to a permutation of the colors.
 
 The builders here are structural: they produce the right vertex and
-edge sets, tag the distinguished pieces, and verify the combinatorial
-postconditions that are checkable at small scale.  Each is a composition
-of the shared layers: senders, rainbows, equalizers, chains and the BEL
-carrier are copies of smaller gadgets placed by hypercore.glue (a
-sender is one F_ell copy per edge of H*), and find_ell answers every
-F_ell on one colorengine search core over K_m.  The coloring-forcing
-power of a real sender needs hosts far beyond exhaustive reach, so the
-test surface substitutes miniature stand-ins (see mock_sender) whose
-tags have the same shape.
+edge sets, tag the distinguished pieces in a TaggedGadget (whose JSON
+methods are the one mapping between its fields and a document's tags),
+and verify the postconditions that are checkable at small scale.  Each
+is a composition of the shared layers: senders, rainbows, equalizers,
+chains and the BEL carrier are copies of smaller gadgets placed by
+hypercore.glue (a sender is one F_ell copy per edge of H*), and
+find_ell answers every F_ell on one colorengine search core over K_m.
+The coloring-forcing power of a real sender needs hosts far beyond
+exhaustive reach, so the test surface substitutes miniature stand-ins
+(see mock_sender) whose tags have the same shape.
 """
 
 from __future__ import annotations
@@ -66,10 +67,16 @@ __all__ = [
 # skipped above this many vertices unless explicitly forced.
 _VERIFY_LIMIT = 40
 
+# document tag -> TaggedGadget field, in the order documents list the tags
+_TAG_FIELDS = {"e": "e", "f": "f", "rainbow": "rainbow", "S": "s_pair", "a": "a", "b": "b", "apex": "apex", "dist": "dist"}
+
 
 @dataclass(frozen=True)
 class TaggedGadget:
-    """A hypergraph with distinguished structure.
+    """A hypergraph with distinguished structure, written as a tagged document.
+
+    Each field but h and blocks is one tag, named like the field except
+    s_pair, whose tag is "S" (_TAG_FIELDS); unset tags are left out.
 
     e, f: the coupled edge pair of a sender or equalizer.
     rainbow: the star edges of a rainbow gadget, in color order.
@@ -92,22 +99,18 @@ class TaggedGadget:
     blocks: tuple[frozenset[int], ...] = ()
 
     def __post_init__(self) -> None:
-        if self.e is not None:
-            object.__setattr__(self, "e", canon_edge(self.e))
-        if self.f is not None:
-            object.__setattr__(self, "f", canon_edge(self.f))
+        for name in ("e", "f"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, canon_edge(getattr(self, name)))
         object.__setattr__(self, "rainbow", tuple(canon_edge(e) for e in self.rainbow))
         if self.s_pair is not None:
             sp = tuple(sorted(self.s_pair))
             if len(sp) != 2 or sp[0] == sp[1]:
                 raise ValueError(f"s_pair must be two distinct vertices, got {self.s_pair!r}")
             object.__setattr__(self, "s_pair", sp)
-        for tag, val in (("e", self.e), ("f", self.f)):
+        for tag, val in (("e", self.e), ("f", self.f), *(("rainbow", e) for e in self.rainbow)):
             if val is not None and val not in self.h.edges:
                 raise ValueError(f"tag {tag}={val!r} is not an edge of the gadget")
-        for e in self.rainbow:
-            if e not in self.h.edges:
-                raise ValueError(f"rainbow edge {e!r} is not an edge of the gadget")
         verts = self.h.vertices
         for tag, val in (("a", self.a), ("b", self.b), ("apex", self.apex)):
             if val is not None and val not in verts:
@@ -119,35 +122,13 @@ class TaggedGadget:
                 raise ValueError("block outside the vertex set")
 
     def to_json_dict(self) -> dict:
-        tags: dict[str, object] = {}
-        if self.e is not None:
-            tags["e"] = self.e
-        if self.f is not None:
-            tags["f"] = self.f
-        if self.rainbow:
-            tags["rainbow"] = self.rainbow
-        if self.s_pair is not None:
-            tags["S"] = self.s_pair
-        for name in ("a", "b", "apex", "dist"):
-            val = getattr(self, name)
-            if val is not None:
-                tags[name] = val
-        return to_json_dict(self.h, tags)
+        tags = {tag: getattr(self, name) for tag, name in _TAG_FIELDS.items()}
+        return to_json_dict(self.h, {tag: val for tag, val in tags.items() if val not in (None, ())})
 
     @classmethod
     def from_json_dict(cls, doc: Mapping[str, object]) -> "TaggedGadget":
         h, tags = from_json_dict(doc)
-        return cls(
-            h=h,
-            e=tags.get("e"),  # type: ignore[arg-type]
-            f=tags.get("f"),  # type: ignore[arg-type]
-            rainbow=tags.get("rainbow", ()),  # type: ignore[arg-type]
-            s_pair=tags.get("S"),  # type: ignore[arg-type]
-            a=tags.get("a"),  # type: ignore[arg-type]
-            b=tags.get("b"),  # type: ignore[arg-type]
-            apex=tags.get("apex"),  # type: ignore[arg-type]
-            dist=tags.get("dist"),  # type: ignore[arg-type]
-        )
+        return cls(h, **{name: tags[tag] for tag, name in _TAG_FIELDS.items() if tag in tags})
 
 
 def mock_sender() -> TaggedGadget:
@@ -287,16 +268,14 @@ def build_Hstar(h0: Hypergraph, ps: PatternSet, k: int) -> tuple[Hypergraph, int
     raise AssertionError("fully peeled edge must admit a coloring; pattern set is inconsistent")
 
 
-def assemble_signal_sender(
-    hstar: Hypergraph, x: int, y: int, m: int, ell: int
-) -> TaggedGadget:
+def assemble_signal_sender(hstar: Hypergraph, x: int, y: int, m: int) -> TaggedGadget:
     """Sender glued from one copy of F_ell per edge of H*.
 
-    H*'s vertices become 0..nv-1 in sorted order and the fresh shared
-    pair is (p1, p2) = (nv, nv+1).  The copy for the j-th sorted edge g
-    puts its special pair on (p1, p2) and its vertices 0..ell-1 on g;
-    its m - 2 - ell private vertices get the ids from
-    nv + 2 + j * (m - 2 - ell) on, which glue's dense id rule assigns.
+    ell is H*'s uniformity.  H*'s vertices become 0..nv-1 in sorted
+    order and the fresh shared pair is (p1, p2) = (nv, nv+1).  The copy
+    for the j-th sorted edge g puts its special pair on (p1, p2) and its
+    vertices 0..ell-1 on g; its m - 2 - ell private vertices get the ids
+    from nv + 2 + j * (m - 2 - ell) on, which glue's dense id rule assigns.
     So each block is a complete 3-graph on {p1, p2} + g + its privates,
     minus the triples {p1, p2, private}.  The surviving triples through
     the shared pair encode a vertex coloring of H* whose per-edge
@@ -304,8 +283,7 @@ def assemble_signal_sender(
     coloring separates x from y, coupling e = {p1, p2, x} and
     f = {p1, p2, y}.  F_ell needs m >= 4.
     """
-    if ell != hstar.r:
-        raise ValueError(f"ell={ell} but H* is {hstar.r}-uniform")
+    ell = hstar.r
     if m < ell + 2:
         raise ValueError("m too small to host the shared pair plus one edge")
     if x not in hstar.vertices or y not in hstar.vertices:
@@ -448,8 +426,8 @@ def build_far_seed(eq1: TaggedGadget, eq2: TaggedGadget) -> TaggedGadget:
     return TaggedGadget(h=res.h, e=e, f=f, dist=5)
 
 
-def _chain_step(cur: TaggedGadget, verify: bool) -> TaggedGadget:
-    """Glue a fresh copy's e onto f; tagged distance grows by one."""
+def _chain_step(cur: TaggedGadget, verify: Optional[bool]) -> TaggedGadget:
+    """Glue a fresh copy's e onto f; tagged distance grows by one.  verify as in amplify_distance."""
     assert cur.e is not None and cur.f is not None and cur.dist is not None
     e1, f1, f2 = set(cur.e), sorted(cur.f), set(cur.f)
     pairs = None
@@ -464,7 +442,7 @@ def _chain_step(cur: TaggedGadget, verify: bool) -> TaggedGadget:
     e = cur.e
     f = tuple(sorted(res.map_b[v] for v in cur.f))
     nxt = TaggedGadget(h=res.h, e=e, f=f, dist=cur.dist + 1)
-    if verify:
+    if verify or (verify is None and res.h.num_vertices <= _VERIFY_LIMIT):
         actual = path_distance(res.h, e, f)
         if actual < nxt.dist:
             raise AssertionError(f"chain step reached distance {actual} < {nxt.dist}")
@@ -479,8 +457,9 @@ def amplify_distance(
     Each step glues a fresh copy's e-edge onto the current f-edge,
     avoiding any identification that would pull the outer tags together;
     the verified distance grows by at least one per step.  verify=None
-    checks with path_distance while the gadget has at most 40 vertices;
-    True forces the check, False skips it.
+    checks each step's gadget with path_distance when it has at most
+    _VERIFY_LIMIT (40) vertices, as build_far_seed does; True forces the
+    check, False skips it.
     """
     if base.e is None or base.f is None:
         raise ValueError("tagged edges e and f required")
@@ -491,8 +470,7 @@ def amplify_distance(
         raise ValueError("chain step needs two edges at distance at least 5")
     cur = dataclasses.replace(base, dist=int(d))
     while cur.dist < s:
-        do_verify = verify if verify is not None else cur.h.num_vertices * 2 <= _VERIFY_LIMIT + 3
-        cur = _chain_step(cur, do_verify)
+        cur = _chain_step(cur, verify)
     return cur
 
 

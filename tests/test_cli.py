@@ -314,6 +314,15 @@ def test_lab_prune_needs_source(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("flag, value", [("-n", "12"), ("-p", "0.25"), ("-k", "2"), ("--seed", "9")])
+def test_lab_prune_file_rejects_sampling_flags(tmp_path, capsys, flag, value):
+    # these were ignored: the file was pruned and the command exited 0
+    path = tmp_path / "fam.json"
+    path.write_text(json.dumps({"members": [to_json_dict(sample_h3(12, 0.25, 7))]}))
+    code, out = run(capsys, "lab", "prune", str(path), "-t", "4", flag, value)
+    assert code == 1 and out.startswith("error:") and flag in out, out
+
+
 def test_lab_report_and_fact_bound(capsys):
     code, out = run(capsys, "lab", "report", "-n", "10", "-p", "0.3", "-t", "4",
                     "-k", "2", "--trials", "40", "--seed", "3", "--json")
@@ -377,6 +386,17 @@ def test_removed_root_flags_are_usage_errors(tmp_path, capsys, flag):
     argv = [flag] + (["4"] if flag == "--jobs" else []) + ["arrow", path, "-t", "3", "-k", "2"]
     code, out = run(capsys, *argv)
     assert code == 1 and out.startswith("error:")
+
+
+@pytest.mark.parametrize("command, option", [("hstar", "-k"), ("sender", "--ell")])
+def test_options_the_input_fixes_are_usage_errors(tmp_path, capsys, command, option):
+    # k is the part count of --patterns, and ell is the uniformity of H*
+    c5 = write_graph(tmp_path, Hypergraph.build(2, [(i, (i + 1) % 5) for i in range(5)]))
+    hs = str(tmp_path / "hs.json")
+    assert run(capsys, "gadget", "hstar", c5, "--patterns", "1,1", "-o", hs)[0] == 0
+    argv = {"hstar": ["gadget", "hstar", c5, "--patterns", "1,1"], "sender": ["gadget", "sender", hs, "-m", "5"]}
+    code, out = run(capsys, *argv[command], option, "2")
+    assert code == 1 and out.startswith("error:") and option in out, out
 
 
 @pytest.mark.parametrize("labels", [{" 1": "x"}, {"+2": "x"}, {"01": "x"}, {"0": None}, {"1": [1, 2]}, {"0": 5}])

@@ -29,7 +29,7 @@ from ramsey3 import (
 )
 import ramsey3.codegree as codegree
 from ramsey3.colorengine import SearchCore
-from ramsey3.randomlab import sample_h3
+from ramsey3.randomlab import fact_count_bound, sample_h3
 
 from _oracles import (
     brute_free_exists,
@@ -80,6 +80,17 @@ def test_edge_coloring_recolored():
     swapped = c.recolored({1: 2, 2: 1})
     assert swapped.color((0, 1, 2)) == 2
     assert swapped.color((0, 1, 3)) == 1
+
+
+def test_edge_coloring_assignment_is_read_only():
+    # a changed assignment made fact_count_bound read (16, 0) on the all-one K_6 coloring
+    psi = EdgeColoring(2, {e: 1 for e in itertools.combinations(range(6), 2)})
+    with pytest.raises(TypeError):
+        del psi.assignment[(0, 1)]
+    with pytest.raises(TypeError):
+        psi.assignment[(1, 0)] = 1
+    assert psi.color((1, 0)) == 1
+    assert fact_count_bound(psi, 3).counts == (20, 0)
 
 
 def test_edge_coloring_json_round_trip():

@@ -64,6 +64,38 @@ def test_tagged_gadget_json_round_trip():
     assert back.blocks == ()
 
 
+def _equalizer():
+    return build_equalizer(build_rainbow(2, mock_sender()))
+
+
+def _bel4():
+    host = build_partition_host(4)
+    return build_BEL(host.h, host.coloring, 2, 4, far_mock(), build_rainbow(2, mock_sender()))
+
+
+BUILDERS = {
+    "mock sender": mock_sender,
+    "rainbow k=2": lambda: build_rainbow(2, mock_sender()),
+    "rainbow k=3": lambda: build_rainbow(3, mock_sender()),
+    "equalizer": _equalizer,
+    "far seed": lambda: build_far_seed(_equalizer(), _equalizer()),
+    "amplified s=7": lambda: far_mock(7),
+    "BEL t=4": _bel4,
+    "apex": lambda: attach_apex(_equalizer(), (0, 1, 2)),
+    "sender": lambda: assemble_signal_sender(*build_Hstar(C5, P11, 2), 5),
+}
+
+
+@pytest.mark.parametrize("name", BUILDERS)
+def test_builder_documents_round_trip(name):
+    g = BUILDERS[name]()
+    # every tag survives the wire format through the one tag table; blocks are not serialized
+    doc = g.to_json_dict()
+    back = TaggedGadget.from_json_dict(doc)
+    assert back == dataclasses.replace(g, blocks=())
+    assert json.dumps(back.to_json_dict()) == json.dumps(doc)
+
+
 def test_mock_sender_shape():
     g = mock_sender()
     assert g.h.num_vertices == 4 and g.h.num_edges == 2
@@ -178,7 +210,7 @@ def test_hstar_rejects_non_linear():
 
 def test_sender_from_c5_hstar():
     hs, x, y = build_Hstar(C5, P11, 2)
-    g = assemble_signal_sender(hs, x, y, 5, 2)
+    g = assemble_signal_sender(hs, x, y, 5)
     # [DERIVED] 2 shared + 6 core + 5 blocks x 1 private vertex
     assert g.h.num_vertices == 13
     assert g.s_pair == (6, 7)
@@ -191,7 +223,7 @@ def test_sender_from_c5_hstar():
 def test_sender_rejects_small_m():
     hs, x, y = build_Hstar(C5, P11, 2)
     with pytest.raises(ValueError):
-        assemble_signal_sender(hs, x, y, 3, 2)
+        assemble_signal_sender(hs, x, y, 3)
 
 
 def test_sender_needs_four_block_vertices():
@@ -199,8 +231,8 @@ def test_sender_needs_four_block_vertices():
     # at m=3 once gave bare triples through the shared pair
     h1 = Hypergraph.build(1, [(0,), (1,)])
     with pytest.raises(ValueError, match="at least 4 vertices"):
-        assemble_signal_sender(h1, 0, 1, 3, 1)
-    g = assemble_signal_sender(h1, 0, 1, 4, 1)
+        assemble_signal_sender(h1, 0, 1, 3)
+    g = assemble_signal_sender(h1, 0, 1, 4)
     assert sorted(g.h.edges) == [(0, 2, 3), (0, 2, 4), (0, 3, 4), (1, 2, 3), (1, 2, 5), (1, 3, 5)]
     assert g.blocks == (frozenset({0, 2, 3, 4}), frozenset({1, 2, 3, 5}))
 
@@ -212,9 +244,9 @@ def _digest(doc):
 def test_sender_documents_pinned():
     # documents of the sender that wrote its block triples by hand
     hs, x, y = build_Hstar(C5, P11, 2)
-    assert _digest(assemble_signal_sender(hs, x, y, 5, 2).to_json_dict()) == "223bd3826480"
+    assert _digest(assemble_signal_sender(hs, x, y, 5).to_json_dict()) == "223bd3826480"
     hf, xf, yf = build_Hstar(fano_plane(), PatternSet(3, 2, frozenset({(1, 2), (2, 1)})), 2)
-    g = assemble_signal_sender(hf, xf, yf, 6, 3)
+    g = assemble_signal_sender(hf, xf, yf, 6)
     assert _digest(g.to_json_dict()) == "c50ce109fd7d"
     assert _digest(sorted(sorted(b) for b in g.blocks)) == "a3620194c061"
 

@@ -47,6 +47,9 @@ def inputs(tmp_path_factory):
     k5 = ramsey3.to_json_dict(ramsey3.Hypergraph.complete(5, 3))
     (work / "k5.json").write_text(json.dumps(k5))
     assert main(["codegree", "host", "-t", "4", "-o", str(work / "host4.json")]) == 0
+    c5 = ramsey3.to_json_dict(ramsey3.Hypergraph.build(2, [(i, (i + 1) % 5) for i in range(5)]))
+    (work / "c5.json").write_text(json.dumps(c5))
+    assert main(["gadget", "hstar", str(work / "c5.json"), "--patterns", "1,1", "-o", str(work / "hs.json")]) == 0
     return work
 
 
@@ -61,6 +64,8 @@ CASES = [
     ("ramsey3.cli", ["gadget", "rainbow", "-k", "2", "--sender", "mock"], BASE + ["gadgets"]),
     ("ramsey3.cli", ["gadget", "bel", "host4.json", "--coloring", "host4.json", "-t", "4", "-k", "2"],
      BASE + ["gadgets"]),
+    ("ramsey3.cli", ["gadget", "hstar", "c5.json", "--patterns", "1,1"], BASE + ["gadgets"]),
+    ("ramsey3.cli", ["gadget", "sender", "hs.json", "-m", "5"], BASE + ["gadgets"]),
     ("ramsey3.cli", ["codegree", "host", "-t", "4"], BASE + ["codegree"]),
     ("ramsey3.cli", ["lab", "paper-params", "-k", "2", "-t", "4"], BASE + ["randomlab"]),
     # the lab commands below load randomlab, which derives substream seeds by blake2b
