@@ -219,7 +219,7 @@ def extend_coloring_lower_bound(
     uv_edges = [canon_edge((u, v, w)) for w in nbhd]
     if len(uv_edges) >= s * s:
         raise ValueError(f"codegree {len(uv_edges)} not below (t-2)^2 = {s * s}")
-    rest = Hypergraph(h.r, h.vertices, h.edges - set(uv_edges), h.labels)
+    rest = h.spanning_subgraph(h.edges - set(uv_edges))
     if check_free(rest, c_partial, t):
         raise ValueError("partial coloring is not free")
 

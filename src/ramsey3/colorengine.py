@@ -35,7 +35,7 @@ from heapq import heapify, heappop, heappush
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from .hypercore import Edge, Hypergraph, canon_edge, enumerate_cliques, json_int
+from .hypercore import Edge, Hypergraph, _edges_well_formed, canon_edge, enumerate_cliques, json_int
 
 __all__ = [
     "BudgetExceeded",
@@ -62,9 +62,43 @@ class BudgetExceeded(Exception):
     """A bounded search ran out of nodes before reaching a verdict."""
 
 
+def _canonical_coloring(k: int, assignment: Mapping[Edge, int]) -> bool:
+    """True when every key is a canonical edge and every color an exact int in 1..k.
+
+    Canonical edges are tuples of one length, at least 1, of exact ints,
+    strictly increasing from an id >= 0: each is its own canon_edge, so no
+    two repeat an edge up to reordering.  The keys go through hypercore's
+    bulk edge check, the colors through a type set and min/max, each a pass
+    at C speed; False means some entry may be bad, not that one is.
+    """
+    keys, colors = assignment.keys(), assignment.values()
+    first = next(iter(keys), None)
+    return (type(first) is tuple and len(first) > 0 and _edges_well_formed(len(first), keys)
+            and set(map(type, colors)) <= {int} and 1 <= min(colors) and max(colors) <= k)
+
+
+def _normalized_coloring(k: int, assignment: Mapping[Iterable[int], int]) -> dict[Edge, int]:
+    """The assignment with each edge through canon_edge; raises naming the first bad entry."""
+    normalized = {}
+    for e, c in assignment.items():
+        if type(c) is not int or not 1 <= c <= k:
+            raise ValueError(f"color {c!r} of edge {e!r} is not an integer in 1..{k}")
+        normalized[canon_edge(e)] = c
+    if len(normalized) != len(assignment):
+        raise ValueError("assignment repeats an edge up to reordering")
+    return normalized
+
+
 @dataclass(frozen=True)
 class EdgeColoring:
-    """Total assignment of colors 1..k to a set of edges; assignment is a read-only view."""
+    """Total assignment of colors 1..k to a set of edges; assignment is a read-only view.
+
+    The entries are checked in bulk (_canonical_coloring: a few C-speed
+    passes over keys and colors) and copied as they are when that check
+    passes.  Otherwise they go entry by entry through _normalized_coloring,
+    which puts each edge in canonical form or raises naming the bad entry;
+    both paths accept the same input and store the same assignment.
+    """
 
     k: int
     assignment: Mapping[Edge, int]
@@ -72,13 +106,8 @@ class EdgeColoring:
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ValueError("need at least one color")
-        normalized = {}
-        for e, c in self.assignment.items():
-            if type(c) is not int or not 1 <= c <= self.k:
-                raise ValueError(f"color {c!r} of edge {e!r} is not an integer in 1..{self.k}")
-            normalized[canon_edge(e)] = c
-        if len(normalized) != len(self.assignment):
-            raise ValueError("assignment repeats an edge up to reordering")
+        a = self.assignment
+        normalized = dict(a) if _canonical_coloring(self.k, a) else _normalized_coloring(self.k, a)
         object.__setattr__(self, "assignment", MappingProxyType(normalized))
 
     @classmethod
@@ -119,7 +148,7 @@ class EdgeColoring:
 
 @dataclass(frozen=True)
 class VertexColoring:
-    """Total assignment of colors 1..k to a set of vertices."""
+    """Total assignment of colors 1..k to a set of vertices; assignment is a read-only view."""
 
     k: int
     assignment: Mapping[int, int]
@@ -130,6 +159,7 @@ class VertexColoring:
         for v, c in self.assignment.items():
             if type(c) is not int or not 1 <= c <= self.k:
                 raise ValueError(f"color {c!r} of vertex {v} is not an integer in 1..{self.k}")
+        object.__setattr__(self, "assignment", MappingProxyType(dict(self.assignment)))
 
     def color(self, v: int) -> int:
         return self.assignment[v]

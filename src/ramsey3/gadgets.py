@@ -159,7 +159,7 @@ def build_F_prime(m: int, r: int = 3) -> TaggedGadget:
     the s_pair tag.
     """
     full = Hypergraph.complete(m, r)
-    h = Hypergraph(r, full.vertices, full.edges - set(_special_bundle(m, r)))
+    h = full.spanning_subgraph(full.edges - set(_special_bundle(m, r)))
     return TaggedGadget(h=h, s_pair=(m - 2, m - 1))
 
 

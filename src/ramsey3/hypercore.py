@@ -61,19 +61,30 @@ def canon_edge(verts: Iterable[int], r: Optional[int] = None) -> Edge:
     return vs
 
 
-def _edges_well_formed(r: int, edges: Collection[Edge], vertices: frozenset[int]) -> bool:
-    """True when every edge is a tuple of r exact ints, strictly increasing, inside vertices.
+_CHECK_CHUNK = 4096  # edges per step of the bulk edge check; their id columns are all it copies
 
-    Each test is one pass at C speed that copies no edge; False means some
-    edge may be bad, not that one is.
+
+def _edges_well_formed(r: int, edges: Collection[Edge], vertices: Optional[frozenset[int]] = None) -> bool:
+    """True when every edge is a tuple of r >= 1 exact ints, strictly increasing, in range.
+
+    In range means inside vertices when they are given, nonnegative when
+    not.  Edges are read a chunk at a time and turned into r columns of
+    ids, so each test is one pass at C speed over a column; False means
+    some edge may be bad, not that one is.
     """
     if not set(map(type, edges)) <= {tuple} or not set(map(len, edges)) <= {r}:
         return False
-    ids = itertools.chain.from_iterable
-    if not set(map(type, ids(edges))) <= {int} or not vertices.issuperset(ids(edges)):
-        return False
-    return all(all(map(operator.lt, map(operator.itemgetter(i), edges), map(operator.itemgetter(i + 1), edges)))
-               for i in range(r - 1))
+    rest = iter(edges)
+    for _ in range(0, len(edges), _CHECK_CHUNK):
+        cols = list(zip(*itertools.islice(rest, _CHECK_CHUNK)))
+        if not set(map(type, itertools.chain.from_iterable(cols))) <= {int}:
+            return False
+        if not (all(map(vertices.issuperset, cols)) if vertices is not None else min(cols[0]) >= 0):
+            return False
+        for lo, hi in zip(cols, cols[1:]):
+            if not all(map(operator.lt, lo, hi)):
+                return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -136,7 +147,22 @@ class Hypergraph:
         ce = canon_edge(e, self.r)
         if ce not in self.edges:
             raise ValueError(f"{ce!r} is not an edge of the hypergraph")
-        return Hypergraph(self.r, self.vertices, self.edges - {ce}, self.labels)
+        return self.spanning_subgraph(self.edges - {ce})
+
+    def spanning_subgraph(self, edges: Iterable[Edge]) -> "Hypergraph":
+        """The hypergraph with these edges of self, and self's r, vertices and labels.
+
+        It equals Hypergraph(r, vertices, edges, labels), but its one check
+        is a subset test against self.edges, which passed every check when
+        self was built; a frozenset keeps the hash of each member, so the
+        test rehashes nothing.
+        """
+        es = frozenset(edges)
+        if not es <= self.edges:
+            raise ValueError(f"{next(iter(es - self.edges))!r} is not an edge of the hypergraph")
+        sub = object.__new__(Hypergraph)
+        vars(sub).update(r=self.r, vertices=self.vertices, edges=es, labels=self.labels)
+        return sub
 
     def plus_edges(self, extra: Iterable[Iterable[int]]) -> "Hypergraph":
         es = frozenset(canon_edge(e, self.r) for e in extra)
@@ -226,9 +252,10 @@ def _clique_masks(edges: Iterable[Edge], r: int) -> tuple[dict, set[int]]:
 
     nbrs[a] (r = 2) or nbrs[a][b], a < b (r = 3) marks the vertices after
     the key that complete an edge, read in the frame of the key's last
-    vertex x (bit i is vertex x + 1 + i), up to _MASK_SPAN ids on; every
-    pair of an edge is a key.  spread holds each vertex with a later
-    neighbour beyond that.
+    vertex x (bit i is vertex x + 1 + i), up to _MASK_SPAN ids on.  For
+    r = 3 the first and middle vertex of every edge have a row, and a pair
+    that no later vertex completes within the span is absent (mask 0).
+    spread holds each vertex with a later neighbour beyond the span.
     """
     nbrs: dict = {}
     spread: set[int] = set()
@@ -246,15 +273,8 @@ def _clique_masks(edges: Iterable[Edge], r: int) -> tuple[dict, set[int]]:
                 row = nbrs[a] = {}
             if c - b <= _MASK_SPAN:
                 row[b] = row.get(b, 0) | 1 << (c - b - 1)
-            elif b not in row:
-                row[b] = 0
-            if c not in row:
-                row[c] = 0
-            row = nbrs.get(b)
-            if row is None:
-                nbrs[b] = {c: 0}
-            elif c not in row:
-                row[c] = 0
+            if b not in nbrs:
+                nbrs[b] = {}
             if c - a > _MASK_SPAN:
                 spread.add(a)
                 if c - b > _MASK_SPAN:
@@ -262,8 +282,11 @@ def _clique_masks(edges: Iterable[Edge], r: int) -> tuple[dict, set[int]]:
     return nbrs, spread
 
 
-def _extend(out: list, nbrs: dict, r: int, stack: list[int], w: int, cands: int, need: int) -> None:
-    # cands holds vertices after w in w's frame; need >= 1 more members
+def _extend(out: list, nbrs: dict, r: int, stack: list[int], w: int, cands: int, need: int,
+            member_rows: Optional[list[dict]] = None) -> None:
+    # cands holds vertices after w in w's frame; need >= 1 more members; for
+    # r = 3, member_rows holds nbrs[s] for each s on the stack (every s starts
+    # or continues an edge, so it has a row)
     while cands:
         i = (cands & -cands).bit_length()
         w += i
@@ -277,11 +300,18 @@ def _extend(out: list, nbrs: dict, r: int, stack: list[int], w: int, cands: int,
             nxt = cands & nbrs[w] if w in nbrs else 0
         else:
             nxt = cands
-            for s in stack:
-                nxt &= nbrs[s][w]
+            for row in member_rows:
+                if w not in row:  # no later vertex completes an edge with s and w
+                    nxt = 0
+                    break
+                nxt &= row[w]
         if nxt.bit_count() >= need - 1:
             stack.append(w)
-            _extend(out, nbrs, r, stack, w, nxt, need - 1)
+            if r == 3:
+                member_rows.append(nbrs[w])
+            _extend(out, nbrs, r, stack, w, nxt, need - 1, member_rows)
+            if r == 3:
+                member_rows.pop()
             stack.pop()
 
 
@@ -307,7 +337,14 @@ def _cliques(edges: Collection[Edge], r: int, t: int) -> list[tuple[int, ...]]:
     for v in sorted(nbrs):
         if v not in spread:
             row = nbrs[v]
-            _extend(out, nbrs, r, [v], v, row if r == 2 else sum(1 << (w - v - 1) for w in row), t - 1)
+            if r == 2:
+                _extend(out, nbrs, r, [v], v, row, t - 1)
+                continue
+            # row[w] holds the third vertices of the edges vw*, which are all
+            # the later candidates of a clique that starts v, w: take that step here
+            for w in sorted(row):
+                if row[w].bit_count() >= t - 2:
+                    _extend(out, nbrs, r, [v, w], w, row[w], t - 2, [row, nbrs[w]])
             continue
         # the rest of a clique that v starts is a (t-1)-clique of the edges
         # (*k, c), k in link[v], whose other (r-1)-sets with c, (*k[1:], c) and

@@ -19,7 +19,9 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
+from operator import itemgetter
 from typing import Optional, Sequence, Union
 
 try:
@@ -74,8 +76,8 @@ def sample_h3(n: int, p: float, seed: int) -> Hypergraph:
         raise ValueError("need a nonnegative vertex count")
     if not 0.0 <= p <= 1.0:
         raise ValueError("edge probability must lie in [0, 1]")
-    rng = random.Random(seed)
-    edges = [tri for tri in itertools.combinations(range(n), 3) if rng.random() < p]
+    draw = random.Random(seed).random
+    edges = [tri for tri in itertools.combinations(range(n), 3) if draw() < p]
     return Hypergraph(3, frozenset(range(n)), frozenset(edges))
 
 
@@ -129,10 +131,7 @@ def prune(family: Sequence[Hypergraph], t: int) -> tuple[Hypergraph, ...]:
     the union.  Verification failure raises, it is not a soft warning.
     """
     bad = compute_bad_edges(family, t)
-    pruned = tuple(
-        Hypergraph(h.r, h.vertices, h.edges - bad[i], h.labels)
-        for i, h in enumerate(family)
-    )
+    pruned = tuple(h.spanning_subgraph(h.edges - bad[i]) for i, h in enumerate(family))
     for h in pruned:
         if enumerate_cliques(h, t):
             raise AssertionError("pruned member still has a clique")
@@ -259,17 +258,36 @@ class FactBoundReport:
     ok: bool
 
 
-def _count_cliques(later: list[int], cands: int, need: int) -> int:
-    """need-cliques among the vertices of cands, need >= 2.
+def _count_cliques(later: list[int], ell: int) -> int:
+    """ell-cliques, ell >= 2, of the graph where bit v of later[u], u < v, marks an edge uv.
 
-    Bit v of later[u], u < v, marks an edge uv of the graph counted in.
+    A clique's first vertex u leaves the candidates later[u], all after u,
+    and each further member v keeps those & later[v]; the last member's
+    choices are one bit_count().  Edges and triangles are counted here,
+    without a call, larger cliques by _count_within on later[u].
     """
+    if ell == 2:
+        return sum(map(int.bit_count, later))
+    total = 0
+    for cands in later:
+        if ell > 3:
+            total += _count_within(later, cands, ell - 1)
+            continue
+        while cands:
+            low = cands & -cands
+            cands ^= low
+            total += (cands & later[low.bit_length() - 1]).bit_count()
+    return total
+
+
+def _count_within(later: list[int], cands: int, need: int) -> int:
+    """need-cliques among the vertices of cands, need >= 2."""
     total = 0
     while cands:
         low = cands & -cands
         cands ^= low
         nxt = cands & later[low.bit_length() - 1]
-        total += nxt.bit_count() if need == 2 else _count_cliques(later, nxt, need - 1)
+        total += nxt.bit_count() if need == 2 else _count_within(later, nxt, need - 1)
     return total
 
 
@@ -284,30 +302,48 @@ def fact_count_bound(
     monochromatic clique and no clique is counted too often.  psi must
     color every pair of 0..n-1; n is derived from the keys.
 
+    The domain is checked in bulk.  psi's keys are canonical edges
+    (sorted tuples of distinct ids >= 0), so when all of them are pairs,
+    n is the largest id plus one, and they are all the pairs of 0..n-1
+    exactly when there are C(n, 2) of them.  Only when that test fails do
+    the vertex scan and the pair scan run, to word the error.  The bound is
+    cached per (n, ell, k, r), with the least clique count that meets it.
+
     Each color class becomes one list of later-neighbour bit masks, and
     its ell-cliques are counted by intersecting masks down to the last
     member, whose choices one bit_count() counts.
     """
-    verts = {x for e in psi.assignment for x in e}
-    n = len(verts)
-    if verts != set(range(n)):
-        raise ValueError("pair coloring must live on vertices 0..n-1")
-    want = comb(n, 2)
-    if len(psi.assignment) != want or any(len(e) != 2 for e in psi.assignment):
-        raise ValueError(f"need all {want} pairs of 0..{n - 1} colored")
+    a = psi.assignment
+    n = max(map(itemgetter(1), a)) + 1 if set(map(len, a)) == {2} else 0
+    if len(a) != comb(n, 2):
+        verts = {x for e in a for x in e}
+        n = len(verts)
+        if verts != set(range(n)):
+            raise ValueError("pair coloring must live on vertices 0..n-1")
+        want = comb(n, 2)
+        if len(a) != want or any(len(e) != 2 for e in a):
+            raise ValueError(f"need all {want} pairs of 0..{n - 1} colored")
     if not 2 <= ell <= n:
         raise ValueError("ell must lie in 2..n")
-    r = (table or _DEFAULT_TABLE).exact(psi.k, ell)
+    k = psi.k
+    r = (table or _DEFAULT_TABLE).exact(k, ell)
     if n < r:
         raise ValueError(f"bound needs n >= {r}: no {r}-subset exists below that")
-    bound = Fraction(n**ell, psi.k * r**ell)
+    bound, need = _fact_bound(n, ell, k, r)
     # one adjacency mask list per color: bit v of later[c - 1][u], u < v, when uv has color c
-    later = [[0] * n for _ in range(psi.k)]
-    for (u, v), c in psi.assignment.items():
+    later = [[0] * n for _ in range(k)]
+    for (u, v), c in a.items():
         later[c - 1][u] |= 1 << v
-    counts = tuple(_count_cliques(row, (1 << n) - 1, ell) for row in later)
+    counts = tuple([_count_cliques(row, ell) for row in later])
     best = max(counts)
-    return FactBoundReport(n, ell, psi.k, r, bound, counts, best, best >= bound)
+    return FactBoundReport(n, ell, k, r, bound, counts, best, best >= need)
+
+
+@lru_cache(maxsize=256)
+def _fact_bound(n: int, ell: int, k: int, r: int) -> tuple[Fraction, int]:
+    """The bound n^ell / (k r^ell), and the least clique count that meets it."""
+    bound = Fraction(n**ell, k * r**ell)
+    return bound, math.ceil(bound)
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,11 @@
 
 import hashlib
 import itertools
+import json
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ramsey3.colorengine as colorengine
@@ -29,6 +30,7 @@ from ramsey3 import (
 )
 import ramsey3.codegree as codegree
 from ramsey3.colorengine import SearchCore
+from ramsey3.gadgets import build_Hstar
 from ramsey3.randomlab import fact_count_bound, sample_h3
 
 from _oracles import (
@@ -104,6 +106,76 @@ def test_edge_coloring_json_round_trip():
 def test_vertex_coloring_round_trip():
     c = VertexColoring(2, {0: 1, 3: 2})
     assert VertexColoring.from_json_dict(c.to_json_dict()) == c
+
+
+def test_vertex_coloring_assignment_is_read_only():
+    # a writable assignment let v.color(0) read 7 although k = 2
+    colors = {0: 1, 1: 2}
+    v = VertexColoring(2, colors)
+    with pytest.raises(TypeError):
+        v.assignment[0] = 7
+    colors[0] = 7  # nor does the caller's dict reach it
+    assert v.color(0) == 1 and dict(v.assignment) == {0: 1, 1: 2}
+
+
+def _outcome(build):
+    """What build() returns, with each entry's types, or what it raises."""
+    try:
+        return sorted(map(repr, build().items()))
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def _loose_colorings(draw):
+    """k and a coloring whose keys may be canonical, reversed, of mixed length
+    or hold bools, floats and negative ids, and whose colors may be out of range."""
+    k = draw(st.integers(1, 3))
+    size = draw(st.integers(1, 3))
+    canonical = st.sets(st.integers(-2, 9), min_size=size, max_size=size).map(sorted).map(tuple)
+    loose_id = st.one_of(st.integers(-2, 9), st.booleans(), st.sampled_from([1.0, 2.5]))
+    key = st.one_of(canonical, canonical.map(lambda e: e[::-1]), st.lists(loose_id, max_size=4).map(tuple))
+    color = st.one_of(st.integers(1, k), st.sampled_from([0, k + 1, True, 1.0]))
+    return k, draw(st.dictionaries(key, color, max_size=6))
+
+
+@st.composite
+def _subgraph_cases(draw):
+    """A hypergraph with labels, a subset of its edges, and an edge it lacks."""
+    r = draw(st.integers(1, 3))
+    vertices = frozenset(draw(st.sets(st.integers(0, 9), min_size=r, max_size=8)))
+    edges = frozenset(draw(st.sets(st.sampled_from(list(itertools.combinations(sorted(vertices), r))))))
+    labels = {v: f"v{v}" for v in draw(st.sets(st.sampled_from(sorted(vertices))))}
+    keep = draw(st.sets(st.sampled_from(sorted(edges)))) if edges else set()
+    lacking = draw(st.sampled_from([e for e in itertools.combinations(range(12), r) if e not in edges]))
+    return Hypergraph(r, vertices, edges, labels), keep, lacking
+
+
+_PATH = (Hypergraph(2, frozenset({0, 1, 2}), frozenset({(0, 1), (1, 2)}), {1: "x"}), {(1, 2)}, (0, 2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_loose_colorings(), _subgraph_cases())
+@example((2, {(0, 1): True}), _PATH)
+@example((2, {(True, 2): 1, (0, 1): 2}), _PATH)
+@example((3, {(0, 1): 1, (1, 0): 2}), _PATH)
+@example((1, {(0, 1): 1, (0, 1, 2): 1}), _PATH)
+@example((2, {(-1, 3): 1, (0, 2): 2}), _PATH)
+def test_bulk_checks_agree_with_the_per_entry_paths(coloring, subgraph):
+    # EdgeColoring: the bulk check, then the entry loop only where it fails,
+    # accepts, rejects and stores just what the entry loop alone does
+    k, assignment = coloring
+    got = _outcome(lambda: EdgeColoring(k, assignment).assignment)
+    assert got == _outcome(lambda: colorengine._normalized_coloring(k, assignment))
+    if colorengine._canonical_coloring(k, assignment):
+        assert got == sorted(map(repr, assignment.items()))
+    # a sub-hypergraph checked by one subset test equals the fully checked one
+    h, keep, lacking = subgraph
+    sub = h.spanning_subgraph(keep)
+    assert sub == Hypergraph(h.r, h.vertices, frozenset(keep), h.labels)
+    assert (sub.r, sub.vertices, sub.edges, sub.labels) == (h.r, h.vertices, keep, h.labels)
+    with pytest.raises(ValueError, match="is not an edge of the hypergraph"):
+        h.spanning_subgraph(keep | {lacking})
 
 
 # -- check_free ---------------------------------------------------------
@@ -629,6 +701,21 @@ def test_vertex_coloring_modes_match_lexicographic_scan(h, ps):
     assert [vc.assignment for vc in got] == want
     one = admissible_vertex_coloring(h, ps)
     assert (one.assignment if one else None) == (want[0] if want else None)
+
+
+def test_vertex_coloring_outputs_pinned():
+    # the read-only assignment changes no coloring or order; digest taken before that change
+    p11 = PatternSet(2, 2, frozenset({(1, 1)}))
+    pf = PatternSet(3, 2, frozenset({(1, 2), (2, 1)}))
+    c5 = Hypergraph.build(2, [(i, (i + 1) % 5) for i in range(5)])
+    digest = hashlib.sha256()
+    for h, ps in ((build_Hstar(c5, p11, 2)[0], p11), (build_Hstar(fano_plane(), pf, 2)[0], pf),
+                  (Hypergraph.complete(5, 3), PatternSet(3, 2, frozenset({(3, 0), (1, 2)}))),
+                  (Hypergraph.build(2, [(i, i + 1) for i in range(9)]), p11)):
+        found = admissible_vertex_coloring(h, ps, mode="enumerate")
+        digest.update(json.dumps([sorted(vc.assignment.items()) for vc in found]).encode())
+        digest.update(json.dumps(sorted(admissible_vertex_coloring(h, ps).assignment.items())).encode())
+    assert digest.hexdigest()[:12] == "250f15c1b578"
 
 
 def test_vertex_coloring_fano_two_coloring_blocked():

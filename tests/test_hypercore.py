@@ -39,7 +39,7 @@ from ramsey3.gadgets import (
     build_rainbow,
     mock_sender,
 )
-from ramsey3.hypercore import canon_edge, codegree
+from ramsey3.hypercore import _edges_well_formed, canon_edge, codegree
 
 from _oracles import brute_cliques, frozenset_path_distance, random_small_hypergraph
 
@@ -167,6 +167,18 @@ def test_constructor_raises_what_the_edge_loop_raises(r, vertices, edges):
     except (TypeError, ValueError) as exc:
         got = type(exc), str(exc)
     assert got == want
+
+
+def test_bulk_edge_check_reads_every_chunk():
+    # 9,880 edges are three chunks of the bulk check; a bad edge in the last one still fails it
+    good = list(itertools.combinations(range(40), 3))
+    vertices = frozenset(range(40))
+    assert _edges_well_formed(3, good, vertices) and _edges_well_formed(3, good)
+    for bad in [(0, 1, 40), (2, 1, 0), (0, 1, True), (0, 1, 2.0), (0, 1)]:
+        assert not _edges_well_formed(3, good + [bad], vertices), bad
+    assert not _edges_well_formed(3, good + [(-1, 0, 1)])
+    with pytest.raises(ValueError, match="repeats an edge"):
+        EdgeColoring(2, {**dict.fromkeys(good, 1), (5, 4, 3): 2})
 
 
 def test_minus_plus_edges():

@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -244,11 +245,30 @@ K6 = list(itertools.combinations(range(6), 2))
     (list(itertools.combinations(range(5), 3)), "need all 10 pairs of 0..4 colored"),  # C(5, 3) == C(5, 2)
     (K6 + [(0, 1, 2)], "need all 15 pairs of 0..5 colored"),
     ([], "ell must lie in 2..n"),
+    ([(0, 1), (0, 3), (1, 3)], "pair coloring must live on vertices 0..n-1"),  # n = 4 by the largest id
+    ([(0, 1, 2)] + list(itertools.combinations(range(5), 2))[1:], "need all 10 pairs of 0..4 colored"),  # C(5, 2) keys, one a triple
+    # every pair of 0..5 in three colors passes the domain check; the default table stops it
+    (EdgeColoring(3, {p: 1 + i % 3 for i, p in enumerate(K6)}), "no exact Ramsey entry for k=3, ell=3"),
 ])
 def test_fact_bound_messages(keys, message):
+    # a case may give its own coloring, to use more than two colors
+    psi = keys if isinstance(keys, EdgeColoring) else EdgeColoring(2, dict.fromkeys(keys, 1))
     with pytest.raises(ValueError) as err:
-        fact_count_bound(EdgeColoring(2, dict.fromkeys(keys, 1)), 3)
+        fact_count_bound(psi, 3)
     assert str(err.value) == message
+
+
+def test_prune_and_fact_reports_pinned():
+    # 200 seeded families with their pruned members, and 200 pair colorings of
+    # K_6..K_9 with their reports; digest taken before the bulk checks
+    digest = hashlib.sha256()
+    for i in range(200):
+        family = sample_family(15, 0.25, 2, derive_seed("pin", i))
+        for h in family + prune(family, 4):
+            digest.update(json.dumps(sorted(h.edges)).encode())
+        rep = fact_count_bound(random_complete_graph_coloring(6 + i % 4, 2, derive_seed("pin", "psi", i)), 3)
+        digest.update(json.dumps([rep.n, rep.ell, rep.k, rep.r, str(rep.bound), rep.counts, rep.best, rep.ok]).encode())
+    assert digest.hexdigest()[:12] == "d2f28f2904d4"
 
 
 # -- expectation reports ------------------------------------------------------
