@@ -21,12 +21,13 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import importlib.util
+import itertools
 import json
 import sys
 import types
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional
+from typing import Any, Optional, Sequence
 
 
 def _layer(name: str) -> types.ModuleType:
@@ -244,15 +245,11 @@ def _cmd_gadget_equalizer(args: argparse.Namespace) -> int:
     return 0
 
 
-def _verify_flag(value: str) -> Optional[bool]:
-    return {"auto": None, "on": True, "off": False}[value]
-
-
 def _cmd_gadget_amplify(args: argparse.Namespace) -> int:
     g = _load_gadget(args.input)
     if args.from_equalizer:
         g = gd.build_far_seed(g, g)
-    g = gd.amplify_distance(g, args.s, verify=_verify_flag(args.verify))
+    g = gd.amplify_distance(g, args.s, verify=args.verify == "on")
     _write(args, json.dumps(g.to_json_dict()))
     return 0
 
@@ -433,98 +430,118 @@ def _add_tk(p: argparse.ArgumentParser, budget: bool = True) -> None:
         p.add_argument("--budget", type=int, default=None, help="search node budget")
 
 
-def _build_parser() -> _Parser:
+class _Unused:
+    """Stands in for a subparser the command being run does not need: every call does nothing."""
+
+    def __getattr__(self, name: str) -> object:
+        return lambda *args, **kwargs: self
+
+
+def _build_parser(argv: Sequence[str] = ()) -> _Parser:
+    """The ramsey3 parser, holding only the subparsers that argv can run.
+
+    argv's words before its first option, at most two (a group and its
+    command), select them; with none, all are built.  A subparser is
+    built the same either way, so it parses alike, but a usage error may
+    list the commands, and only the full parser lists them all.
+    """
+    path = tuple(itertools.takewhile(lambda word: not word.startswith("-"), argv[:2]))
     root = _Parser(prog="ramsey3", description=__doc__)
     sub = root.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("arrow", help="decide arrowing")
+    def add(parent: Any, *names: str, **kwargs: Any) -> Any:
+        wanted = path[: len(names)] == names[: len(path)]
+        return parent.add_parser(names[-1], **kwargs) if wanted else _Unused()
+
+    p = add(sub, "arrow", help="decide arrowing")
     p.add_argument("input")
     _add_tk(p)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_arrow)
 
-    p = sub.add_parser("minimalize", help="greedy edge-minimal arrowing subhypergraph")
+    p = add(sub, "minimalize", help="greedy edge-minimal arrowing subhypergraph")
     p.add_argument("input")
     _add_tk(p)
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_minimalize)
 
-    p = sub.add_parser("free-coloring", help="find a coloring without monochromatic cliques")
+    p = add(sub, "free-coloring", help="find a coloring without monochromatic cliques")
     p.add_argument("input")
     _add_tk(p)
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_free_coloring)
 
-    p = sub.add_parser("cnf", help="export the free-coloring question as DIMACS")
+    p = add(sub, "cnf", help="export the free-coloring question as DIMACS")
     p.add_argument("input")
     _add_tk(p, budget=False)
     p.add_argument("--solve", action="store_true", help="solve with the built-in DPLL instead")
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_cnf)
 
-    p = sub.add_parser("distance", help="interval distance between two edges")
+    p = add(sub, "distance", help="interval distance between two edges")
     p.add_argument("input")
     p.add_argument("-e", required=True, help="first edge, e.g. 0,1,2")
     p.add_argument("-f", required=True, help="second edge")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_distance)
 
-    p = sub.add_parser("cliques", help="enumerate complete t-sets")
+    p = add(sub, "cliques", help="enumerate complete t-sets")
     p.add_argument("input")
     p.add_argument("-t", type=int, required=True)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_cliques)
 
-    g = sub.add_parser("gadget", help="gadget builders").add_subparsers(
+    g = add(sub, "gadget", help="gadget builders").add_subparsers(
         dest="gadget", required=True
     )
 
-    p = g.add_parser("fprime", help="complete hypergraph minus one pair bundle")
+    p = add(g, "gadget", "fprime", help="complete hypergraph minus one pair bundle")
     p.add_argument("-m", type=int, required=True)
     p.add_argument("-r", type=int, default=3, choices=(2, 3))
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_gadget_fprime)
 
-    p = g.add_parser("fell", help="fprime with ell special edges restored")
+    p = add(g, "gadget", "fell", help="fprime with ell special edges restored")
     p.add_argument("-m", type=int, required=True)
     p.add_argument("--ell", type=int, required=True)
     p.add_argument("-r", type=int, default=3, choices=(2, 3))
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_gadget_fell)
 
-    p = g.add_parser("hstar", help="separating auxiliary hypergraph")
+    p = add(g, "gadget", "hstar", help="separating auxiliary hypergraph")
     p.add_argument("input")
     p.add_argument("--patterns", required=True, help="pattern set, e.g. 1,1;2,0; its part count is k")
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_gadget_hstar)
 
-    p = g.add_parser("sender", help="signal sender from an hstar document; ell is H*'s uniformity")
+    p = add(g, "gadget", "sender", help="signal sender from an hstar document; ell is H*'s uniformity")
     p.add_argument("input")
     p.add_argument("-m", type=int, required=True)
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_gadget_sender)
 
-    p = g.add_parser("rainbow", help="star forced to use every color once")
+    p = add(g, "gadget", "rainbow", help="star forced to use every color once")
     p.add_argument("-k", type=int, required=True)
     p.add_argument("--sender", required=True, help="sender gadget file, or 'mock'")
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_gadget_rainbow)
 
-    p = g.add_parser("equalizer", help="positive sender from two rainbow copies")
+    p = add(g, "gadget", "equalizer", help="positive sender from two rainbow copies")
     p.add_argument("-k", type=int, required=True)
     p.add_argument("--sender", required=True, help="sender gadget file, or 'mock'")
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_gadget_equalizer)
 
-    p = g.add_parser("amplify", help="chain an equalizer to a target tag distance")
+    p = add(g, "gadget", "amplify", help="chain an equalizer to a target tag distance")
     p.add_argument("input")
     p.add_argument("-s", type=int, required=True, help="target distance")
     p.add_argument("--from-equalizer", action="store_true", help="build the distance-5 seed from two copies of the input first")
-    p.add_argument("--verify", choices=("auto", "on", "off"), default="auto")
+    p.add_argument("--verify", choices=("auto", "on", "off"), default="auto",
+                   help="on adds the exact, exponential distance check of every step; auto and off rely on the bound")
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_gadget_amplify)
 
-    p = g.add_parser("bel", help="pin a host coloring with rainbow plus far equalizers")
+    p = add(g, "gadget", "bel", help="pin a host coloring with rainbow plus far equalizers")
     p.add_argument("input", help="host hypergraph")
     p.add_argument("--coloring", required=True)
     _add_tk(p, budget=False)
@@ -533,29 +550,29 @@ def _build_parser() -> _Parser:
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_gadget_bel)
 
-    p = g.add_parser("apex", help="join a new vertex to every pair of a base set")
+    p = add(g, "gadget", "apex", help="join a new vertex to every pair of a base set")
     p.add_argument("input")
     p.add_argument("--base", required=True, help="base vertices, e.g. 0,1,2")
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_gadget_apex)
 
-    c = sub.add_parser("codegree", help="partition host and extension checks").add_subparsers(
+    c = add(sub, "codegree", help="partition host and extension checks").add_subparsers(
         dest="codegree", required=True
     )
 
-    p = c.add_parser("host", help="build the partition host and its coloring")
+    p = add(c, "codegree", "host", help="build the partition host and its coloring")
     p.add_argument("-t", type=int, required=True)
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_codegree_host)
 
-    p = c.add_parser("force-check", help="is a monochromatic clique forced")
+    p = add(c, "codegree", "force-check", help="is a monochromatic clique forced")
     p.add_argument("-t", type=int, required=True)
     p.add_argument("--drop", default=None, help="apex bundle indices to delete, e.g. 0,3")
     p.add_argument("--budget", type=int, default=None, help="search node budget")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_codegree_force_check)
 
-    p = c.add_parser("extend", help="extend a free coloring over one pair's edges")
+    p = add(c, "codegree", "extend", help="extend a free coloring over one pair's edges")
     p.add_argument("input")
     p.add_argument("--coloring", required=True)
     p.add_argument("-u", type=int, required=True)
@@ -564,17 +581,17 @@ def _build_parser() -> _Parser:
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_codegree_extend)
 
-    p = c.add_parser("expectation", help="expected monochromatic cliques, exact")
+    p = add(c, "codegree", "expectation", help="expected monochromatic cliques, exact")
     p.add_argument("-t", type=int, required=True)
     p.add_argument("--until", type=int, default=None)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_codegree_expectation)
 
-    lab = sub.add_parser("lab", help="randomized experiments").add_subparsers(
+    lab = add(sub, "lab", help="randomized experiments").add_subparsers(
         dest="lab", required=True
     )
 
-    p = lab.add_parser("sample", help="sample a random 3-graph or family")
+    p = add(lab, "lab", "sample", help="sample a random 3-graph or family")
     p.add_argument("-n", type=int, required=True)
     p.add_argument("-p", type=float, required=True)
     p.add_argument("-k", type=int, default=1)
@@ -582,7 +599,7 @@ def _build_parser() -> _Parser:
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_lab_sample)
 
-    p = lab.add_parser("prune", help="drop clique and shared edges from a family")
+    p = add(lab, "lab", "prune", help="drop clique and shared edges from a family")
     p.add_argument("input", nargs="?", default=None)
     p.add_argument("-t", type=int, required=True)
     p.add_argument("-n", type=int, default=None)
@@ -592,7 +609,7 @@ def _build_parser() -> _Parser:
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_lab_prune)
 
-    p = lab.add_parser("report", help="Monte Carlo first-moment checks")
+    p = add(lab, "lab", "report", help="Monte Carlo first-moment checks")
     p.add_argument("-n", type=int, required=True)
     p.add_argument("-p", type=float, required=True)
     p.add_argument("-t", type=int, required=True)
@@ -602,7 +619,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_lab_report)
 
-    p = lab.add_parser("fact-bound", help="counting bound on a random pair coloring")
+    p = add(lab, "lab", "fact-bound", help="counting bound on a random pair coloring")
     p.add_argument("-n", type=int, required=True)
     p.add_argument("-k", type=int, required=True)
     p.add_argument("--ell", type=int, required=True)
@@ -610,7 +627,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_lab_fact_bound)
 
-    p = lab.add_parser("paper-params", help="construction exponents at true scale")
+    p = add(lab, "lab", "paper-params", help="construction exponents at true scale")
     p.add_argument("-k", type=int, required=True)
     p.add_argument("-t", type=int, required=True)
     p.add_argument("--json", action="store_true")
@@ -620,9 +637,12 @@ def _build_parser() -> _Parser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
+        try:
+            args = _build_parser(argv).parse_args(argv)
+        except _UsageError:  # worded by the full parser, whose listings it may name
+            args = _build_parser().parse_args(argv)
     except _UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

@@ -37,6 +37,7 @@ from .hypercore import (
     Hypergraph,
     canon_edge,
     codegree,
+    distance_lower_bound,
     enumerate_cliques,
     from_json_dict,
     glue,
@@ -63,10 +64,6 @@ __all__ = [
     "attach_apex",
 ]
 
-# path_distance is exponential in the worst case; chain verification is
-# skipped above this many vertices unless explicitly forced.
-_VERIFY_LIMIT = 40
-
 # document tag -> TaggedGadget field, in the order documents list the tags
 _TAG_FIELDS = {"e": "e", "f": "f", "rainbow": "rainbow", "S": "s_pair", "a": "a", "b": "b", "apex": "apex", "dist": "dist"}
 
@@ -83,7 +80,9 @@ class TaggedGadget:
     s_pair: the shared vertex pair of the star or special bundle.
     a, b: distinguished vertices (e.g. the separated pair of H*).
     apex: vertex added by attach_apex.
-    dist: verified lower bound on path_distance(h, e, f).
+    dist: a checked lower bound on path_distance(h, e, f): the tags of an
+        amplify_distance result sit at distance at least dist.  No builder
+        trusts it; build_BEL computes its own bound.
     blocks: vertex sets of the sender building blocks; not serialized.
     """
 
@@ -419,15 +418,29 @@ def build_far_seed(eq1: TaggedGadget, eq2: TaggedGadget) -> TaggedGadget:
     f = tuple(sorted(res.map_b[v] for v in eq2.e))
     if len(set(e) | set(f)) != 5:
         raise AssertionError("far-seed tags must span five vertices")
-    if res.h.num_vertices <= _VERIFY_LIMIT:
-        actual = path_distance(res.h, e, f)
-        if actual != 5:
-            raise AssertionError(f"far-seed distance {actual}, expected 5")
+    # the path e1, f1 = f2, e2 spans the five vertices, so a bound of 5 is exact
+    d = distance_lower_bound(res.h, e, f)
+    if d != 5:
+        raise AssertionError(f"far-seed distance bound {d}, expected 5")
     return TaggedGadget(h=res.h, e=e, f=f, dist=5)
 
 
-def _chain_step(cur: TaggedGadget, verify: Optional[bool]) -> TaggedGadget:
-    """Glue a fresh copy's e onto f; tagged distance grows by one.  verify as in amplify_distance."""
+def _certified_distance(h: Hypergraph, e: Edge, f: Edge, verify: bool) -> int | float:
+    """distance_lower_bound(h, e, f); verify checks it against the exact path_distance."""
+    d = distance_lower_bound(h, e, f)
+    if verify:
+        actual = path_distance(h, e, f)
+        if actual < d:
+            raise AssertionError(f"distance bound {d} exceeds the exact distance {actual}")
+    return d
+
+
+def _chain_step(cur: TaggedGadget, verify: bool) -> TaggedGadget:
+    """Glue a fresh copy's e onto f; the distance d grows to 2d - 3.
+
+    cur.dist must be cur's certified bound, and the result carries its own;
+    verify as in amplify_distance.
+    """
     assert cur.e is not None and cur.f is not None and cur.dist is not None
     e1, f1, f2 = set(cur.e), sorted(cur.f), set(cur.f)
     pairs = None
@@ -441,37 +454,32 @@ def _chain_step(cur: TaggedGadget, verify: Optional[bool]) -> TaggedGadget:
     res = glue(cur.h, cur.h, GlueMap.of(pairs))
     e = cur.e
     f = tuple(sorted(res.map_b[v] for v in cur.f))
-    nxt = TaggedGadget(h=res.h, e=e, f=f, dist=cur.dist + 1)
-    if verify or (verify is None and res.h.num_vertices <= _VERIFY_LIMIT):
-        actual = path_distance(res.h, e, f)
-        if actual < nxt.dist:
-            raise AssertionError(f"chain step reached distance {actual} < {nxt.dist}")
-    return nxt
+    d = _certified_distance(res.h, e, f, verify)
+    if d <= cur.dist:
+        raise AssertionError(f"chain step left the distance bound at {d} <= {cur.dist}")
+    return TaggedGadget(h=res.h, e=e, f=f, dist=d)
 
 
-def amplify_distance(
-    base: TaggedGadget, s: int, verify: Optional[bool] = None
-) -> TaggedGadget:
+def amplify_distance(base: TaggedGadget, s: int, verify: bool = False) -> TaggedGadget:
     """Chain copies of an equalizer until its tags sit at distance >= s.
 
     Each step glues a fresh copy's e-edge onto the current f-edge,
     avoiding any identification that would pull the outer tags together;
-    the verified distance grows by at least one per step.  verify=None
-    checks each step's gadget with path_distance when it has at most
-    _VERIFY_LIMIT (40) vertices, as build_far_seed does; True forces the
-    check, False skips it.
+    the distance grows d -> 2d - 3 (5, 7, 11, 19, 35).  Every gadget,
+    the base included, is certified by distance_lower_bound, whatever its
+    dist tag says; the chain stops at the first whose bound reaches s, and
+    that one is tagged dist = s.  verify=True also checks each bound
+    against the exact, exponential path_distance.
     """
     if base.e is None or base.f is None:
         raise ValueError("tagged edges e and f required")
-    d = base.dist
-    if d is None:
-        d = path_distance(base.h, base.e, base.f)
+    d = _certified_distance(base.h, base.e, base.f, verify)
     if d == inf or d < 5:
         raise ValueError("chain step needs two edges at distance at least 5")
-    cur = dataclasses.replace(base, dist=int(d))
+    cur = dataclasses.replace(base, dist=d)
     while cur.dist < s:
         cur = _chain_step(cur, verify)
-    return cur
+    return dataclasses.replace(cur, dist=s)
 
 
 def build_BEL(
@@ -490,7 +498,9 @@ def build_BEL(
     monochromatic t-cliques then reproduces the input coloring up to a
     color permutation.  h keeps vertices 0..n-1 in the result.
 
-    The coloring must color exactly the edges of h.  The carrier's
+    The far gadget's tags are certified to sit at distance at least 7
+    by distance_lower_bound; its dist tag is not read.  The coloring must
+    color exactly the edges of h.  The carrier's
     codegree postconditions are checked in one pass over its edges,
     without building its pair index.
     """
@@ -510,10 +520,7 @@ def build_BEL(
     bad = check_free(h, coloring, t)
     if bad:
         raise ValueError(f"input coloring has monochromatic cliques, e.g. {bad[0]!r}")
-    dfar = far.dist
-    if dfar is None:
-        dfar = path_distance(far.h, far.e, far.f)
-    if dfar < 7:
+    if distance_lower_bound(far.h, far.e, far.f) < 7:
         raise ValueError("far gadget tags must sit at distance at least 7")
 
     n_h = h.num_vertices

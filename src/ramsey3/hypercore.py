@@ -2,8 +2,8 @@
 
 Shared data layer for the whole package: hypergraphs over integer
 vertices, links and (co)degrees, clique enumeration, an interval-based
-distance between edges, and vertex identification (gluing) used by the
-gadget builders.
+distance between edges with a polynomial lower bound on it, and vertex
+identification (gluing) used by the gadget builders.
 
 All values are immutable after construction and every operation is a
 pure function, so objects may be shared freely, and a 3-graph may keep
@@ -40,6 +40,7 @@ __all__ = [
     "min_positive_codegree",
     "enumerate_cliques",
     "path_distance",
+    "distance_lower_bound",
     "glue",
     "disjoint_union",
     "induced",
@@ -378,6 +379,21 @@ def enumerate_cliques(h: Hypergraph, t: int) -> tuple[tuple[int, ...], ...]:
     return tuple(_cliques(h.edges, h.r, t))
 
 
+def _distance_ends(h: Hypergraph, e: Iterable[int], f: Iterable[int]) -> tuple[Edge, Edge, dict[int, list[Edge]]]:
+    """The canonical edges e and f of the 3-graph h, and the edges through each vertex."""
+    if h.r != 3:
+        raise ValueError("path distance is defined for 3-uniform hypergraphs")
+    ce, cf = canon_edge(e, 3), canon_edge(f, 3)
+    for x in (ce, cf):
+        if x not in h.edges:
+            raise ValueError(f"{x!r} is not an edge of the hypergraph")
+    by_vertex: dict[int, list[Edge]] = defaultdict(list)
+    for g in h.edges:
+        for v in g:
+            by_vertex[v].append(g)
+    return ce, cf, by_vertex
+
+
 def path_distance(h: Hypergraph, e: Iterable[int], f: Iterable[int]) -> int | float:
     """Fewest vertices of a path of edges from e to f, laid out on a line.
 
@@ -387,25 +403,16 @@ def path_distance(h: Hypergraph, e: Iterable[int], f: Iterable[int]) -> int | fl
     distance is the minimum number of vertices over all such paths, with
     dist(e, e) = 3, and inf when no path exists.
 
-    Exact and exponential in the worst case.  Each search state keeps its
-    used vertices as one int mask, bit i for the i-th vertex in sorted
-    order (a rank, never a raw id), so a state costs one int.
+    Exact and exponential in the worst case (distance_lower_bound is the
+    polynomial relaxation).  Each search state keeps its used vertices as
+    one int mask, bit i for the i-th vertex in sorted order (a rank, never
+    a raw id), so a state costs one int.
     """
-    if h.r != 3:
-        raise ValueError("path distance is defined for 3-uniform hypergraphs")
-    ce, cf = canon_edge(e, 3), canon_edge(f, 3)
-    for x in (ce, cf):
-        if x not in h.edges:
-            raise ValueError(f"{x!r} is not an edge of the hypergraph")
+    ce, cf, by_vertex = _distance_ends(h, e, f)
     if ce == cf:
         return 3
     fset = frozenset(cf)
     bit = {v: 1 << i for i, v in enumerate(sorted(h.vertices))}
-
-    by_vertex: dict[int, list[Edge]] = defaultdict(list)
-    for g in h.edges:
-        for v in g:
-            by_vertex[v].append(g)
 
     # Dijkstra over (ordered frontier edge, vertices used so far); extending
     # the frontier interval by one position reuses its last two vertices,
@@ -440,6 +447,41 @@ def path_distance(h: Hypergraph, e: Iterable[int], f: Iterable[int]) -> int | fl
                 if best.get(nk, n + 3) > n + 2:
                     best[nk] = n + 2
                     heapq.heappush(heap, (n + 2, nk[0], nk[1]))
+    return inf
+
+
+def distance_lower_bound(h: Hypergraph, e: Iterable[int], f: Iterable[int]) -> int | float:
+    """A lower bound on path_distance(h, e, f), found in polynomial time.
+
+    The same Dijkstra with the ordered frontier triple as the whole state:
+    a step may not reuse a vertex of the frontier, but may reuse an earlier
+    one.  Every path that path_distance counts is a walk of this search
+    with the same number of positions, so the result is at most the exact
+    distance (inf only when no path exists).  There are at most six states
+    per edge.
+    """
+    ce, cf, by_vertex = _distance_ends(h, e, f)
+    if ce == cf:
+        return 3
+    fset = frozenset(cf)
+    best = dict.fromkeys(itertools.permutations(ce), 3)
+    heap = [(3, fr) for fr in best]
+    while heap:
+        n, frontier = heapq.heappop(heap)
+        if best[frontier] < n:
+            continue
+        if frozenset(frontier) == fset:
+            return n
+        a1, a2, a3 = frontier
+        steps = [((a2, a3, w), n + 1) for w in h.thirds(a2, a3) if w != a1]
+        for g in by_vertex[a3]:
+            w1, w2 = (x for x in g if x != a3)
+            if w1 not in frontier and w2 not in frontier:
+                steps += (((a3, w1, w2), n + 2), ((a3, w2, w1), n + 2))
+        for nk, m in steps:
+            if best.get(nk, m + 1) > m:
+                best[nk] = m
+                heapq.heappush(heap, (m, nk))
     return inf
 
 

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ramsey3.cli as cli
 from ramsey3 import Hypergraph, check_free, from_json_dict, to_json_dict
 from ramsey3.cli import main
 from ramsey3.colorengine import EdgeColoring
@@ -238,6 +239,58 @@ def test_gadget_bel_rejects_a_color_on_a_non_edge(tmp_path, capsys):
     host_path.write_text(json.dumps(doc))
     code, out = run(capsys, "gadget", "bel", str(host_path), "--coloring", str(host_path), "-t", "4", "-k", "2")
     assert code == 1 and out.startswith("error:") and "outside the host" in out, out
+
+
+def test_gadget_bel_rejects_a_forged_dist_tag(tmp_path, capsys):
+    host_path = tmp_path / "host.json"
+    run(capsys, "codegree", "host", "-t", "4", "-o", str(host_path))
+    far = Hypergraph.build(3, [(0, 1, 2), (1, 2, 3), (2, 3, 4), (3, 4, 5)])
+    far_path = write_graph(tmp_path, far, "far.json", tags={"e": (0, 1, 2), "f": (3, 4, 5), "dist": 7})
+    code, out = run(capsys, "distance", far_path, "-e", "0,1,2", "-f", "3,4,5")
+    assert code == 0 and "distance: 6" in out
+    out_path = tmp_path / "bel.json"
+    code, out = run(capsys, "gadget", "bel", str(host_path), "--coloring", str(host_path), "-t", "4", "-k", "2",
+                    "--far", far_path, "-o", str(out_path))
+    assert code == 1 and out == "error: far gadget tags must sit at distance at least 7\n", out
+    assert not out_path.exists()
+
+
+PARSE_CASES = [
+    [], ["-h"], ["--he"], ["nosuch"], ["nosuch", "-h"], ["-t", "3", "arrow"], ["arrow"], ["arrow", "-h"],
+    ["arrow", "x.json", "-t", "3"], ["arrow", "x.json", "-t", "a", "-k", "2"],
+    ["arrow", "x.json", "-t", "3", "-k", "2", "--bogus"], ["gadget"], ["gadget", "-h"], ["gadget", "nosuch"],
+    ["gadget", "-x", "bel"], ["gadget", "bel", "--help"], ["gadget", "amplify", "x", "-s", "3", "--verify", "maybe"],
+    ["codegree", "host", "-t", "x"], ["lab", "--help"], ["lab", "prune", "-h"], ["free-coloring", "--h"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSE_CASES, ids=lambda argv: " ".join(argv) or "no arguments")
+def test_parser_per_command_words_every_message_alike(monkeypatch, capsys, argv):
+    def outcome():
+        try:
+            code = main(list(argv))
+        except SystemExit as stop:  # help
+            code = ("exit", stop.code)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    narrow = outcome()
+    full = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda argv=(): full())
+    assert outcome() == narrow
+
+
+@pytest.mark.parametrize("argv, built", [
+    ([], 28), (["-h"], 28), (["arrow", "k6.json", "-t", "3"], 2), (["gadget", "bel", "h.json"], 3),
+    (["lab", "prune", "-t", "4"], 3), (["gadget", "-h"], 11), (["nosuch"], 1),
+])
+def test_parser_builds_only_the_command_run(monkeypatch, argv, built):
+    # the full parser is the root and 27 subparsers; a group's help needs the group and all its commands
+    made = []
+    init = cli._Parser.__init__
+    monkeypatch.setattr(cli._Parser, "__init__", lambda self, *a, **kw: made.append(init(self, *a, **kw)))
+    cli._build_parser(argv)
+    assert len(made) == built
 
 
 def test_codegree_force_check_and_drop(capsys):

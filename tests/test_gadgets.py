@@ -305,7 +305,8 @@ def test_amplify_reaches_target():
     n0 = seed.h.num_vertices
     amp = amplify_distance(seed, 7, verify=True)
     assert amp.dist >= 7
-    assert amp.h.num_vertices == 2 * (2 * n0 - 3) - 3
+    # one chain step: the 11-vertex gadget's bound is already 7
+    assert amp.h.num_vertices == 2 * n0 - 3
     assert path_distance(amp.h, amp.e, amp.f) >= amp.dist
 
 
@@ -345,7 +346,7 @@ def test_bel_document_pinned():
     # and checked its postconditions through the carrier's pair index (t=5, 6)
     for t, digest in ((4, "9610a98a7d3e"), (5, "85d89d951411"), (6, "95222045abb4")):
         host = build_partition_host(t)
-        g = build_BEL(host.h, host.coloring, 2, t, far_mock(), build_rainbow(2, mock_sender()))
+        g = build_BEL(host.h, host.coloring, 2, t, far_mock(11), build_rainbow(2, mock_sender()))
         assert _digest(g.to_json_dict()) == digest, t
 
 
@@ -413,7 +414,9 @@ def test_bel_rejects_a_coloring_of_a_non_edge():
 def test_sparse_carrier_cliques_within_budget():
     # the t=5 carrier: 1,341 vertices but only 1,634 edges
     host = build_partition_host(5)
-    g = build_BEL(host.h, host.coloring, 2, 5, far_mock(), build_rainbow(2, mock_sender()))
+    far = far_mock(11)
+    assert far.h.num_vertices == 19
+    g = build_BEL(host.h, host.coloring, 2, 5, far, build_rainbow(2, mock_sender()))
     assert (g.h.num_vertices, g.h.num_edges) == (1341, 1634)
     t0 = time.perf_counter()
     k4s = enumerate_cliques(g.h, 4)
@@ -431,6 +434,35 @@ def test_bel_rejects_close_far_gadget():
     seed = build_far_seed(eq, eq)  # distance 5 < 7
     with pytest.raises(ValueError, match="at least 7"):
         build_BEL(host.h, host.coloring, 2, 4, seed, rb)
+
+
+# the 6-vertex path 012, 123, 234, 345: its end edges sit at distance 6
+FORGED_FAR = TaggedGadget(h=Hypergraph.build(3, [(0, 1, 2), (1, 2, 3), (2, 3, 4), (3, 4, 5)]),
+                          e=(0, 1, 2), f=(3, 4, 5), dist=7)
+
+
+def test_bel_rejects_a_forged_dist_tag():
+    assert path_distance(FORGED_FAR.h, FORGED_FAR.e, FORGED_FAR.f) == 6
+    host = build_partition_host(4)
+    with pytest.raises(ValueError, match="far gadget tags must sit at distance at least 7"):
+        build_BEL(host.h, host.coloring, 2, 4, FORGED_FAR, build_rainbow(2, mock_sender()))
+
+
+def test_amplify_certifies_the_base_whatever_its_tag():
+    # the tag claims 7, so a chain that trusted it would stop at once
+    amp = amplify_distance(FORGED_FAR, 7)
+    assert amp.dist == 7 and amp.h.num_vertices > FORGED_FAR.h.num_vertices
+    assert path_distance(amp.h, amp.e, amp.f) >= 7
+
+
+@pytest.mark.parametrize("t, n, m", [(4, 70, 98), (5, 525, 818), (6, 2582, 4098)])
+def test_default_carrier_sizes(t, n, m):
+    # the default far gadget: amplify_distance(seed, 7) stops at 11 vertices
+    far = far_mock()
+    assert (far.h.num_vertices, far.dist) == (11, 7)
+    host = build_partition_host(t)
+    g = build_BEL(host.h, host.coloring, 2, t, far, build_rainbow(2, mock_sender()))
+    assert (g.h.num_vertices, g.h.num_edges) == (n, m)
 
 
 def test_bel_rejects_non_free_coloring():

@@ -39,7 +39,7 @@ from ramsey3.gadgets import (
     build_rainbow,
     mock_sender,
 )
-from ramsey3.hypercore import _edges_well_formed, canon_edge, codegree
+from ramsey3.hypercore import _edges_well_formed, canon_edge, codegree, distance_lower_bound
 
 from _oracles import brute_cliques, frozenset_path_distance, random_small_hypergraph
 
@@ -452,9 +452,48 @@ def test_distance_matches_frozenset_states(inst):
     assert path_distance(h, e, f) == frozenset_path_distance(h, e, f)
 
 
+@settings(max_examples=200, deadline=None)
+@given(distance_instances())
+def test_distance_lower_bound_is_sound(inst):
+    h, e, f = inst
+    assert distance_lower_bound(h, e, f) <= path_distance(h, e, f)
+
+
+def _chain(eq, steps):
+    """The far seed of eq chained steps times; its tags sit at distance 2^(steps + 1) + 3."""
+    g = build_far_seed(eq, eq)
+    return g if steps == 0 else amplify_distance(g, 2 ** (steps + 1) + 3)
+
+
+@pytest.mark.parametrize("steps, n, d", [(0, 7, 5), (1, 11, 7), (2, 19, 11), (3, 35, 19)])
+def test_distance_lower_bound_is_exact_on_chain_gadgets(steps, n, d):
+    g = _chain(build_equalizer(build_rainbow(2, mock_sender())), steps)
+    assert g.h.num_vertices == n
+    assert distance_lower_bound(g.h, g.e, g.f) == path_distance(g.h, g.e, g.f) == d
+
+
+def test_distance_lower_bound_on_the_67_vertex_gadget_is_fast():
+    # the exact search takes about 108 s and 1.5 GiB here
+    g = _chain(build_equalizer(build_rainbow(2, mock_sender())), 4)
+    assert g.h.num_vertices == 67
+    t0 = time.perf_counter()
+    d = distance_lower_bound(g.h, g.e, g.f)
+    elapsed = time.perf_counter() - t0
+    assert d == 35
+    assert elapsed < 1.0, f"took {elapsed:.2f}s, budget 1.0s"
+
+
+def test_distance_lower_bound_validation():
+    assert distance_lower_bound(Hypergraph.build(3, [(0, 1, 2), (5, 6, 7)]), (0, 1, 2), (5, 6, 7)) == math.inf
+    with pytest.raises(ValueError):
+        distance_lower_bound(Hypergraph.build(3, [(0, 1, 2)]), (0, 1, 2), (3, 4, 5))
+    with pytest.raises(ValueError):
+        distance_lower_bound(Hypergraph.complete(4, 2), (0, 1), (2, 3))
+
+
 def test_distance_memory_on_the_s8_gadget():
     eq = build_equalizer(build_rainbow(2, mock_sender()))
-    g = amplify_distance(build_far_seed(eq, eq), 8, verify=False)
+    g = amplify_distance(build_far_seed(eq, eq), 19)
     assert g.h.num_vertices == 35
     tracemalloc.start()
     try:
