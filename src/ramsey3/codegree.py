@@ -101,14 +101,14 @@ def build_partition_host(t: int) -> PartitionHost:
     for u, v in itertools.combinations(range(n), 2):
         col = BLUE if part_of[u] == part_of[v] else RED
         for w in (a, b):
-            colors[canon_edge((u, v, w))] = col
+            colors[(u, v, w)] = col
     for tri in itertools.combinations(range(n), 3):
         owners = {part_of[x] for x in tri}
         if len(owners) == 1:
             colors[tri] = BLUE
         elif len(owners) == 3:
             colors[tri] = RED
-    h = Hypergraph.build(3, colors.keys(), vertices=range(n + 2))
+    h = Hypergraph(3, frozenset(range(n + 2)), frozenset(colors))
     coloring = EdgeColoring(2, colors)
     if codegree(h, a, b) != 0:
         raise AssertionError("reserved pair must start at codegree zero")

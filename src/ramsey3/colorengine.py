@@ -112,11 +112,8 @@ class EdgeColoring:
 
     @classmethod
     def of(cls, k: int, assignment: Mapping[Iterable[int], int]) -> "EdgeColoring":
-        """Coloring from edges in any vertex order; colors must be integers."""
-        pairs = [(canon_edge(e), json_int(c, "color")) for e, c in assignment.items()]
-        if len(dict(pairs)) != len(pairs):
-            raise ValueError("assignment repeats an edge up to reordering")
-        return cls(k, dict(pairs))
+        """Coloring from edges in any vertex order; the constructor canonicalises and checks them."""
+        return cls(k, assignment)
 
     def color(self, e: Iterable[int]) -> int:
         return self.assignment[canon_edge(e)]

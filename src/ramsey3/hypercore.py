@@ -22,7 +22,7 @@ import operator
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import inf
+from math import comb, inf
 from typing import Collection, Iterable, Mapping, Optional, Sequence, Union
 
 Edge = tuple[int, ...]
@@ -71,7 +71,7 @@ def _edges_well_formed(r: int, edges: Collection[Edge], vertices: Optional[froze
     In range means inside vertices when they are given, nonnegative when
     not.  Edges are read a chunk at a time and turned into r columns of
     ids, so each test is one pass at C speed over a column; False means
-    some edge may be bad, not that one is.
+    that some edge breaks this rule.
     """
     if not set(map(type, edges)) <= {tuple} or not set(map(len, edges)) <= {r}:
         return False
@@ -107,11 +107,11 @@ class Hypergraph:
         if any(v < 0 for v in self.vertices):
             raise ValueError("vertex ids must be nonnegative")
         if not _edges_well_formed(self.r, self.edges, self.vertices):
-            # the bulk check accepts only edges this loop accepts; the loop names the bad one
+            # the bulk check's rule, edge by edge, only to name an edge that breaks it
             for e in self.edges:
-                if len(e) != self.r or tuple(sorted(set(e))) != e:
+                if type(e) is not tuple or len(e) != self.r or set(map(type, e)) != {int} or e != tuple(sorted(set(e))):
                     raise ValueError(f"malformed {self.r}-edge: {e!r}")
-                if not set(e) <= self.vertices:
+                if not self.vertices.issuperset(e):
                     raise ValueError(f"edge {e!r} uses vertices outside the vertex set")
         if any(v not in self.vertices for v in self.labels):
             raise ValueError("label on a vertex that is not in the hypergraph")
@@ -226,21 +226,20 @@ def codegree(h: Hypergraph, u: int, v: int) -> int:
 
 
 def min_ell_degree(h: Hypergraph, ell: int) -> int:
-    """Minimum degree over all ell-subsets of the vertex set."""
+    """Minimum degree over all ell-subsets of the vertex set; 0 unless the edges cover all C(n, ell)."""
     if not 1 <= ell <= h.r - 1:
         raise ValueError(f"ell must lie in 1..{h.r - 1}")
-    cnt = Counter(sub for e in h.edges for sub in itertools.combinations(e, ell))
-    verts = sorted(h.vertices)
-    if len(verts) < ell:
+    if len(h.vertices) < ell:
         raise ValueError("not enough vertices")
-    return min(cnt.get(s, 0) for s in itertools.combinations(verts, ell))
+    cnt = Counter(sub for e in h.edges for sub in itertools.combinations(e, ell))
+    return min(cnt.values()) if len(cnt) == comb(len(h.vertices), ell) else 0
 
 
 def min_positive_codegree(h: Hypergraph) -> Optional[int]:
     """Minimum codegree over vertex pairs of positive codegree; None if all are zero."""
     if h.r < 3:
         raise ValueError("codegree needs uniformity at least 3")
-    return min((degree(h, p) for e in h.edges for p in itertools.combinations(e, 2)), default=None)
+    return min(Counter(p for e in h.edges for p in itertools.combinations(e, 2)).values(), default=None)
 
 
 # enumerate_cliques reads a vertex's later neighbours on the id line while they
@@ -642,17 +641,17 @@ def from_json_dict(doc: Mapping[str, object]) -> tuple[Hypergraph, dict]:
     """Parse a hypergraph document; returns the hypergraph and its tags.
 
     r, n and every vertex id must be JSON integers, and every vertex,
-    in edges and in tags alike, must lie in 0..n-1.  labels and tags,
-    when present, are JSON objects; label keys are vertex ids in decimal
-    and label values are strings.
+    in edges and in tags alike, must lie in 0..n-1.  The Hypergraph
+    constructor alone checks the edges, each read as its sorted ids; none
+    may be listed twice.  labels and tags, when present, are JSON objects;
+    label keys are decimal vertex ids and label values are strings.
     """
     try:
         r = json_int(doc["r"], "r")
         n = json_int(doc["n"], "n")
         if not 0 <= n <= _JSON_MAX_N:
             raise ValueError(f"vertex count must lie in 0..{_JSON_MAX_N}, got {n}")
-        raw_edges = doc.get("edges", [])
-        edges = [canon_edge(_json_vertices(e, n, "edge"), r) for e in raw_edges]  # type: ignore[union-attr]
+        edges = [tuple(sorted(e)) for e in doc.get("edges", [])]  # type: ignore[union-attr]
         for key in ("labels", "tags"):
             if not isinstance(doc.get(key, {}), Mapping):
                 raise ValueError(f"{key} must be a JSON object, got {doc[key]!r}")
@@ -663,7 +662,9 @@ def from_json_dict(doc: Mapping[str, object]) -> tuple[Hypergraph, dict]:
             if not plain or type(lab) is not str:
                 raise ValueError(f"label {key!r}: {lab!r} is not a decimal vertex id mapped to a string")
             labels[int(key)] = lab
-        h = Hypergraph.build(r, edges, vertices=range(n), labels=labels)
+        h = Hypergraph(r, frozenset(range(n)), frozenset(edges), labels)
+        if h.num_edges != len(edges):
+            raise ValueError("hypergraph document repeats an edge")
 
         tags: dict[str, object] = {}
         for key, val in doc.get("tags", {}).items():  # type: ignore[union-attr]

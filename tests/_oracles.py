@@ -132,6 +132,26 @@ def frozenset_path_distance(h, e, f):
     return math.inf
 
 
+def reference_edge_reader(doc):
+    """The hypergraph of a document's r, n and edges, read edge by edge and id by id.
+
+    Each id must be an exact int in 0..n-1 and each edge a list or tuple
+    of r distinct ids; an edge listed twice, in any order, is kept once.
+    Raises ValueError or TypeError on anything else.
+    """
+    r, n = doc["r"], doc["n"]
+    if type(r) is not int or type(n) is not int or r < 1 or not 0 <= n <= 1 << 20:
+        raise ValueError(f"bad r {r!r} or n {n!r}")
+    edges = set()
+    for e in doc.get("edges", []):
+        if not isinstance(e, (list, tuple)) or any(type(x) is not int or not 0 <= x < n for x in e):
+            raise ValueError(f"edge {e!r} is not a list of ids in 0..{n - 1}")
+        if len(e) != r or len(set(e)) != r:
+            raise ValueError(f"edge {e!r} is not {r} distinct ids")
+        edges.add(tuple(sorted(e)))
+    return Hypergraph(r, frozenset(range(n)), frozenset(edges))
+
+
 def random_small_hypergraph(seed):
     """Seeded hypergraph with at most 9 edges, uniformity 2 or 3."""
     rng = random.Random(seed)

@@ -78,6 +78,14 @@ def test_domain_error_exit_one(tmp_path, capsys):
     assert code == 1
 
 
+def test_repeated_edge_exit_one(tmp_path, capsys):
+    # the two listings of one edge used to be merged: count 1, exit 0
+    path = tmp_path / "h.json"
+    path.write_text(json.dumps({"r": 3, "n": 3, "edges": [[0, 1, 2], [2, 1, 0]]}))
+    code, out = run(capsys, "cliques", str(path), "-t", "3")
+    assert code == 1 and out == "error: hypergraph document repeats an edge\n"
+
+
 def test_minimalize_round_trip(tmp_path, capsys):
     path = write_graph(tmp_path, Hypergraph.complete(7, 2))
     out_path = tmp_path / "m.json"

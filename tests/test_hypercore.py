@@ -4,6 +4,7 @@ import gc
 import itertools
 import math
 import random
+import re
 import time
 import tracemalloc
 import weakref
@@ -41,7 +42,7 @@ from ramsey3.gadgets import (
 )
 from ramsey3.hypercore import _edges_well_formed, canon_edge, codegree, distance_lower_bound
 
-from _oracles import brute_cliques, frozenset_path_distance, random_small_hypergraph
+from _oracles import brute_cliques, frozenset_path_distance, random_small_hypergraph, reference_edge_reader
 
 
 def seeded_inputs(seed):
@@ -122,7 +123,7 @@ def _edge_loop_outcome(r, vertices, edges):
     """What the edge-by-edge validation raises, as (type, message), or None."""
     try:
         for e in edges:
-            if len(e) != r or tuple(sorted(set(e))) != e:
+            if type(e) is not tuple or len(e) != r or any(type(x) is not int for x in e) or tuple(sorted(set(e))) != e:
                 raise ValueError(f"malformed {r}-edge: {e!r}")
             if not set(e) <= vertices:
                 raise ValueError(f"edge {e!r} uses vertices outside the vertex set")
@@ -167,6 +168,14 @@ def test_constructor_raises_what_the_edge_loop_raises(r, vertices, edges):
     except (TypeError, ValueError) as exc:
         got = type(exc), str(exc)
     assert got == want
+
+
+@pytest.mark.parametrize("bad, rest", [((0, 1.0, 2), [(0, 1, 3), (0, 2, 3), (1, 2, 3)]),
+                                       ((True, 2, 3), [(0, 1, 2), (0, 1, 3), (0, 2, 3)])])
+def test_constructor_rejects_float_and_bool_ids(bad, rest):
+    # such an edge was stored, and enumerate_cliques(h, 4) then raised TypeError shifting an int by a float
+    with pytest.raises(ValueError, match=re.escape(f"malformed 3-edge: {bad!r}")):
+        Hypergraph(3, frozenset(range(4)), frozenset([bad, *rest]))
 
 
 def test_bulk_edge_check_reads_every_chunk():
@@ -272,14 +281,17 @@ def test_cliques_match_subset_scan(seed):
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 def test_pair_queries_match_edge_scan(seed):
     for h in seeded_inputs(seed):
-        for v in h.vertices:
-            assert degree(h, (v,)) == sum(1 for e in h.edges if v in e)
+        degrees = {v: sum(1 for e in h.edges if v in e) for v in h.vertices}
+        for v, want in degrees.items():
+            assert degree(h, (v,)) == want
+        assert min_ell_degree(h, 1) == min(degrees.values())
         if h.r < 3:
             continue
         scan = {p: sum(1 for e in h.edges if set(p) <= set(e))
                 for p in itertools.combinations(sorted(h.vertices), 2)}
         for (u, v), want in scan.items():
             assert codegree(h, u, v) == codegree(h, v, u) == degree(h, (u, v)) == want
+        assert min_ell_degree(h, 2) == min(scan.values())
         assert min_positive_codegree(h) == min((c for c in scan.values() if c), default=None)
 
 
@@ -654,6 +666,54 @@ def test_json_rejects_garbage():
                 {"k": 2, "colors": [[0, 1], [0, 2]]}):
         with pytest.raises(ValueError):
             VertexColoring.from_json_dict(doc)
+
+
+def test_json_rejects_repeated_edges():
+    # a coloring document with the same repeat is rejected too
+    for edges in ([[0, 1, 2], [2, 1, 0]], [[0, 1, 2], [0, 1, 2]]):
+        with pytest.raises(ValueError, match="hypergraph document repeats an edge"):
+            from_json_dict({"r": 3, "n": 3, "edges": edges})
+
+
+_doc_ids = st.one_of(st.integers(-2, 8), st.booleans(), st.sampled_from([0.0, 1.0, 2.5, "1", None]),
+                     st.lists(st.integers(0, 3), max_size=2))
+
+
+@st.composite
+def edge_documents(draw):
+    """r, n and edges that may be unsorted, repeated, out of range, negative, float, bool, string or nested."""
+    r = draw(st.integers(1, 4))
+    n = draw(st.integers(r - 1, 8))
+    good = st.lists(st.integers(0, max(n - 1, r)), min_size=r, max_size=r, unique=True)
+    edges = draw(st.lists(good, max_size=6))
+    if draw(st.booleans()):  # one edge off the rule, anywhere in the list
+        spoilt = draw(good)
+        i = draw(st.integers(0, r - 1))
+        spoilt[i] = draw(st.sampled_from([float(spoilt[i]), True, False, str(spoilt[i]), [spoilt[i]], None, -1, n]))
+        bad = draw(st.one_of(st.just(spoilt), st.lists(st.integers(-1, n), max_size=r + 1),
+                             st.lists(_doc_ids, max_size=5), st.sampled_from([5, "abc", None, {"0": 1}])))
+        edges.insert(draw(st.integers(0, len(edges))), bad)
+    if edges and draw(st.booleans()):
+        again = draw(st.sampled_from(edges))
+        edges.append(draw(st.permutations(again)) if isinstance(again, list) else again)
+    return {"r": r, "n": n, "edges": edges}
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_documents())
+def test_json_edges_read_as_the_edge_by_edge_reader_did(doc):
+    # accepted exactly when the earlier reader accepted and no edge is listed twice
+    try:
+        want = reference_edge_reader(doc)
+        repeats = len(want.edges) != len(doc["edges"])
+    except (TypeError, ValueError):
+        want = None
+    try:
+        got = from_json_dict(doc)[0]
+    except ValueError:
+        assert want is None or repeats
+    else:
+        assert want is not None and not repeats and got == want
 
 
 @pytest.mark.parametrize("labels", [
