@@ -651,9 +651,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     except _UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    except ce.BudgetExceeded as err:
-        print(f"undecided: {err}", file=sys.stderr)
-        return 2
     except RecursionError:
         print("undecided: recursion depth exhausted", file=sys.stderr)
         return 2
@@ -666,6 +663,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (ValueError, AssertionError, KeyError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
+    except ce.BudgetExceeded as err:  # last, as naming it loads colorengine, which hypercore-only commands skip
+        print(f"undecided: {err}", file=sys.stderr)
+        return 2
 
 
 def entrypoint() -> None:

@@ -130,17 +130,16 @@ class EdgeColoring:
 
     @classmethod
     def from_json_dict(cls, doc: Mapping[str, object]) -> "EdgeColoring":
+        """The coloring of a document; its ids and colors are checked once, by the constructor."""
         try:
             k = json_int(doc["k"], "k")
-            pairs = [
-                (tuple(json_int(x, "edge vertex") for x in e), json_int(c, "color"))
-                for e, c in doc["colors"]  # type: ignore[union-attr]
-            ]
+            colors = doc["colors"]
+            assignment = {tuple(e): c for e, c in colors}  # type: ignore[union-attr]
+            if len(assignment) != len(colors):  # type: ignore[arg-type]
+                raise ValueError("coloring document repeats an edge")
+            return cls(k, assignment)
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed coloring document: {exc}") from exc
-        if len(dict(pairs)) != len(pairs):
-            raise ValueError("coloring document repeats an edge")
-        return cls(k, dict(pairs))
 
 
 @dataclass(frozen=True)
@@ -271,7 +270,9 @@ class SearchCore:
     a list of variable indices with a mask of forbidden colors, bit c
     standing for color c: its members must not all take one color of
     the mask.  A member-less constraint with a nonempty mask can never
-    hold.  One instance may be solved many times with different pins.
+    hold.  The constraints are read once, in order, each turned into its
+    clauses as it comes, so a generator will do and no copy of them is
+    kept.  One instance may be solved many times with different pins.
     Variables passed as off are absent from that solve: they are never
     decided or pinned, every constraint through one is dropped, and the
     coloring leaves them out.
@@ -320,13 +321,14 @@ class SearchCore:
         self.variables, self.k = tuple(variables), k
         n, k1 = len(self.variables), k + 1
         self.full = full = (1 << k1) - 2
-        kept = [(list(mem), mask & full) for mem, mask in constraints]
-        members = list(itertools.chain.from_iterable(mem for mem, _ in kept))
-        if members and (set(map(type, members)) != {int} or min(members) < 0 or max(members) >= n):
-            bad = next(v for v in members if type(v) is not int or not 0 <= v < n)
-            raise ValueError(f"constraint member {bad!r} is not an index in 0..{n - 1}")
         self.clauses = clauses = []
-        for mem, mask in kept:
+        symmetric = True
+        for mem, mask in constraints:
+            if mem and (set(map(type, mem)) != {int} or min(mem) < 0 or max(mem) >= n):
+                bad = next(v for v in mem if type(v) is not int or not 0 <= v < n)
+                raise ValueError(f"constraint member {bad!r} is not an index in 0..{n - 1}")
+            mask &= full
+            symmetric = symmetric and mask in (0, full)
             for c in range(1, k1):
                 if mask >> c & 1:
                     clauses.append([v * k1 + c for v in mem])
@@ -339,7 +341,7 @@ class SearchCore:
                 watch0[lits[0]].append(ci)
                 watch0[lits[1]].append(ci)
         self.short = [ci for ci, lits in enumerate(clauses) if len(lits) < 2]
-        self.symmetric = all(mask in (0, full) for _, mask in kept)
+        self.symmetric = symmetric
         self.order: list[int] = []  # by descending constraint count, for the symmetric pin
         if self.symmetric:
             count = [sum(map(len, occ[v * k1 + 1:v * k1 + k1])) for v in range(n)]
@@ -635,6 +637,7 @@ def _clique_core(h: Hypergraph, t: int, k: int, fixed: Mapping[Edge, int] = {}) 
 
     The variables are the sorted edges of h not in fixed.  Each t-clique is one constraint
     over its variable edges, its mask narrowed to the color its fixed edges share, if any.
+    The constraints are a generator, made one clique at a time as the core reads them.
     The core's clauses are the whole encoding: its solves check their colorings against
     them, and export_cnf writes them.
     """
@@ -643,12 +646,14 @@ def _clique_core(h: Hypergraph, t: int, k: int, fixed: Mapping[Edge, int] = {}) 
     code = {e: ~(1 << c) for e, c in fixed.items()}
     code.update((e, i) for i, e in enumerate(edges))
     full = (1 << (k + 1)) - 2
-    cons = []
-    for q in enumerate_cliques(h, t):
-        xs = [code[e] for e in itertools.combinations(q, h.r)]
-        vs = [x for x in xs if x >= 0] if fixed else xs
-        cons.append((vs, full if len(vs) == len(xs) else reduce(int.__and__, [~x for x in xs if x < 0], full)))
-    return SearchCore(edges, k, cons)
+
+    def constraints() -> Iterable[tuple[list[int], int]]:
+        for q in enumerate_cliques(h, t):
+            xs = [code[e] for e in itertools.combinations(q, h.r)]
+            vs = [x for x in xs if x >= 0] if fixed else xs
+            yield vs, full if len(vs) == len(xs) else reduce(int.__and__, [~x for x in xs if x < 0], full)
+
+    return SearchCore(edges, k, constraints())
 
 
 def find_free_coloring(h: Hypergraph, t: int, k: int, budget: Optional[int] = None) -> SearchResult:

@@ -51,10 +51,13 @@ __all__ = [
 
 
 def canon_edge(verts: Iterable[int], r: Optional[int] = None) -> Edge:
-    """Sorted tuple form of an edge; rejects repeats, negative and non-integer ids."""
-    vs = tuple(sorted(map(operator.index, verts)))
+    """Sorted tuple form of an edge; rejects repeats, negative, bool and non-integer ids."""
+    xs = tuple(verts)
+    if bool in map(type, xs):
+        raise ValueError(f"edge {xs!r} has a bool vertex id")
+    vs = tuple(sorted(map(operator.index, xs)))
     if len(set(vs)) != len(vs):
-        raise ValueError(f"edge {tuple(verts)!r} has repeated vertices")
+        raise ValueError(f"edge {xs!r} has repeated vertices")
     if r is not None and len(vs) != r:
         raise ValueError(f"expected a {r}-edge, got {vs!r}")
     if vs and vs[0] < 0:
@@ -104,7 +107,9 @@ class Hypergraph:
     def __post_init__(self) -> None:
         if self.r < 1:
             raise ValueError("uniformity must be at least 1")
-        if any(v < 0 for v in self.vertices):
+        if not set(map(type, self.vertices)) <= {int}:
+            raise ValueError(f"vertex id {next(v for v in self.vertices if type(v) is not int)!r} is not an int")
+        if min(self.vertices, default=0) < 0:
             raise ValueError("vertex ids must be nonnegative")
         if not _edges_well_formed(self.r, self.edges, self.vertices):
             # the bulk check's rule, edge by edge, only to name an edge that breaks it

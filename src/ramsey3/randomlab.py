@@ -94,10 +94,14 @@ def random_complete_graph_coloring(n: int, k: int, seed: int) -> EdgeColoring:
         raise ValueError("need at least two vertices")
     if k < 1:
         raise ValueError("need at least one color")
-    rng = random.Random(seed)
-    return EdgeColoring(
-        k, {pair: rng.randrange(k) + 1 for pair in itertools.combinations(range(n), 2)}
-    )
+    # the draws randrange(k) makes: k.bit_length() random bits, again while the value is k or more
+    bits, draw, colors = k.bit_length(), random.Random(seed).getrandbits, {}
+    for pair in itertools.combinations(range(n), 2):
+        c = draw(bits)
+        while c >= k:
+            c = draw(bits)
+        colors[pair] = c + 1
+    return EdgeColoring(k, colors)
 
 
 def compute_bad_edges(family: Sequence[Hypergraph], t: int) -> tuple[frozenset[Edge], ...]:

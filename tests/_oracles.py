@@ -188,3 +188,43 @@ def random_extension_instance(t, seed):
     if not res.found:
         return None
     return h, u, v, res.coloring
+
+
+def reference_core_index(variables, k, constraints):
+    """SearchCore's clauses and index lists, built from a list of all constraints first.
+
+    The constructor body that read the constraints in three passes: a
+    copy of each, a flat member list checked in bulk, then the clauses.
+    Returns clauses, occ, watch0, short, symmetric and order, or raises
+    ValueError naming the first bad member, as the core does.
+    """
+    if k < 1:
+        raise ValueError("need at least one color")
+    n, k1 = len(tuple(variables)), k + 1
+    full = (1 << k1) - 2
+    kept = [(list(mem), mask & full) for mem, mask in constraints]
+    members = list(itertools.chain.from_iterable(mem for mem, _ in kept))
+    if members and (set(map(type, members)) != {int} or min(members) < 0 or max(members) >= n):
+        bad = next(v for v in members if type(v) is not int or not 0 <= v < n)
+        raise ValueError(f"constraint member {bad!r} is not an index in 0..{n - 1}")
+    clauses = []
+    for mem, mask in kept:
+        for c in range(1, k1):
+            if mask >> c & 1:
+                clauses.append([v * k1 + c for v in mem])
+    occ = [[] for _ in range(n * k1)]
+    watch0 = [[] for _ in range(n * k1)]
+    for ci, lits in enumerate(clauses):
+        for a in lits:
+            occ[a].append(ci)
+        if len(lits) > 1:
+            watch0[lits[0]].append(ci)
+            watch0[lits[1]].append(ci)
+    short = [ci for ci, lits in enumerate(clauses) if len(lits) < 2]
+    symmetric = all(mask in (0, full) for _, mask in kept)
+    order = []
+    if symmetric:
+        count = [sum(map(len, occ[v * k1 + 1:v * k1 + k1])) for v in range(n)]
+        order = sorted(range(n), key=count.__getitem__, reverse=True)
+    return {"clauses": clauses, "occ": occ, "watch0": watch0, "short": short, "symmetric": symmetric,
+            "order": order}

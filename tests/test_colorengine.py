@@ -1,9 +1,12 @@
 """Coloring search: free colorings, arrowing, patterns, CNF export."""
 
+import gc
 import hashlib
 import itertools
 import json
 import random
+import re
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -40,6 +43,7 @@ from _oracles import (
     brute_sat,
     brute_vertex_colorings,
     random_small_hypergraph,
+    reference_core_index,
 )
 
 K5 = Hypergraph.complete(5, 3)
@@ -101,6 +105,28 @@ def test_edge_coloring_json_round_trip():
     assert doc["k"] == 3
     assert doc["colors"] == sorted(doc["colors"])
     assert EdgeColoring.from_json_dict(doc) == c
+
+
+@pytest.mark.parametrize("colors", [
+    [[[0, 1.0, 2], 1]],
+    [[[0, True, 2], 1]],
+    [[[0, "1", 2], 1]],
+    [[[0, [1], 2], 1]],
+    [[[0, None, 2], 1]],
+    [[[0, -1, 2], 1]],
+    [[[0, 1, 2], 1.0]],
+    [[[0, 1, 2], 3]],
+    [[[0, 1, 2], 1], [[0, 1, 2], 2]],
+    [[[0, 1, 2], 1], [[2, 1, 0], 1]],
+    [[5, 1]],
+    [[[0, 1, 2]]],
+    7,
+])
+def test_edge_coloring_document_ids_checked_by_the_constructor(colors):
+    # the reader passes each edge's ids to the constructor as they are; a bad one,
+    # a float or a list included, is a ValueError, never a TypeError
+    with pytest.raises(ValueError):
+        EdgeColoring.from_json_dict({"k": 2, "colors": colors})
 
 
 def test_vertex_coloring_round_trip():
@@ -471,9 +497,68 @@ def test_core_rejects_bad_pins_and_members():
     for pins in ({0: True}, {0: 1.0}, {0: 3}, {True: 1}, {2: 1}):
         with pytest.raises(ValueError):
             core.solve(pins=pins)
-    for members in ([0, 2], [-1], [0, True], [1, True], [0.0], [0, 1.5]):
+    for members in ([0, 2], [-1], [0, True], [1, True], [0.0], [0, 1.5], ["1"], [None], [0, "a"]):
         with pytest.raises(ValueError):
             SearchCore([(0,), (1,)], 2, [(members, 6)])
+
+
+def _random_core_instance(rng):
+    """n variables, k colors and up to 12 constraints, as lists or tuples.
+
+    Half the instances are color-symmetric (every mask 0 or full); in the
+    rest a mask may also hold bit 0 or bits above k.  About one in eight
+    gets a bad member: out of range, a bool, a float, a str or None.
+    """
+    n, k = rng.randint(1, 8), rng.randint(1, 4)
+    full = (1 << (k + 1)) - 2
+    masks = [0, full] if rng.random() < 0.5 else [0, full, *rng.sample(range(1 << (k + 3)), 4)]
+    cons = []
+    for _ in range(rng.randint(0, 12)):
+        mem = rng.sample(range(n), rng.randint(0, min(n, 5)))
+        cons.append((mem if rng.random() < 0.8 else tuple(mem), rng.choice(masks)))
+    if cons and rng.random() < 0.125:
+        i = rng.randrange(len(cons))
+        mem = list(cons[i][0])
+        mem.insert(rng.randint(0, len(mem)), rng.choice([n, -1, True, 1.0, "1", None]))
+        cons[i] = (mem, cons[i][1])
+    return n, k, cons
+
+
+def test_core_reads_its_constraints_once_as_the_list_reference_did():
+    # the core reads its constraints once, here from a generator, and builds what
+    # the reference builds from a list of them all, or raises what it raises
+    seen = {"error": 0, "symmetric": 0, "asymmetric": 0}
+    for seed in range(300):
+        n, k, cons = _random_core_instance(random.Random(seed))
+        variables = [(v,) for v in range(n)]
+        try:
+            want = reference_core_index(variables, k, cons)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                SearchCore(variables, k, (c for c in cons))
+            seen["error"] += 1
+            continue
+        core = SearchCore(variables, k, (c for c in cons))
+        assert {name: getattr(core, name) for name in want} == want, seed
+        seen["symmetric" if want["symmetric"] else "asymmetric"] += 1
+    assert min(seen.values()) >= 20, seen
+
+
+def test_clique_core_streams_its_constraints():
+    # each clique becomes its clauses as the fold makes it, so the build holds no
+    # constraint list: the t=7 apex core's traced peak was 2.2 times its size
+    host = codegree.build_partition_host(7)
+    aug = codegree.augment_apex_pair(host)[0]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        core = colorengine._clique_core(aug, 7, 2, host.coloring.assignment)
+        retained, peak = (m - base for m in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert len(core.clauses) == 3130
+    assert peak <= 1.25 * retained, (peak, retained)
 
 
 @settings(max_examples=150, deadline=None)

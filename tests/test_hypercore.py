@@ -120,8 +120,11 @@ def test_float_vertex_ids_rejected(call):
 
 
 def _edge_loop_outcome(r, vertices, edges):
-    """What the edge-by-edge validation raises, as (type, message), or None."""
+    """What the vertex id check and the edge-by-edge validation raise, as (type, message), or None."""
     try:
+        for v in vertices:
+            if type(v) is not int:
+                raise ValueError(f"vertex id {v!r} is not an int")
         for e in edges:
             if type(e) is not tuple or len(e) != r or any(type(x) is not int for x in e) or tuple(sorted(set(e))) != e:
                 raise ValueError(f"malformed {r}-edge: {e!r}")
@@ -176,6 +179,27 @@ def test_constructor_rejects_float_and_bool_ids(bad, rest):
     # such an edge was stored, and enumerate_cliques(h, 4) then raised TypeError shifting an int by a float
     with pytest.raises(ValueError, match=re.escape(f"malformed 3-edge: {bad!r}")):
         Hypergraph(3, frozenset(range(4)), frozenset([bad, *rest]))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: Hypergraph.build(3, [(0, True, 2)]),
+    lambda: Hypergraph.complete(4, 3).minus_edge((0, True, 2)),
+    lambda: Hypergraph.complete(4, 3).plus_edges([(True, 2, 3)]),
+    lambda: canon_edge((2, True, 0)),
+    lambda: EdgeColoring(2, {(0, True, 2): 1}),
+    lambda: EdgeColoring.of(2, {(2, 0, True): 1, (0, 1, 3): 2}),
+], ids=["build", "minus_edge", "plus_edges", "canon_edge", "EdgeColoring", "EdgeColoring.of"])
+def test_bool_vertex_ids_rejected(call):
+    # each call stored or removed (0, 1, 2), True turned into 1
+    with pytest.raises(ValueError, match="bool vertex id"):
+        call()
+
+
+@pytest.mark.parametrize("vertices", [{0, 1, 2.5}, {0, 1.0, 2}, {0, True, 2}, {0, "1", 2}])
+def test_constructor_rejects_vertex_ids_that_are_not_ints(vertices):
+    # {0, 1, 2.5} was a vertex set, and its documents renumbered the float id like any sparse id
+    with pytest.raises(ValueError, match="is not an int"):
+        Hypergraph(3, frozenset(vertices), frozenset())
 
 
 def test_bulk_edge_check_reads_every_chunk():

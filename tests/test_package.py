@@ -23,15 +23,17 @@ LAYERS = ("hypercore", "colorengine", "gadgets", "codegree", "randomlab")
 # Imports `module`, runs the command line on argv when there is one, then
 # prints the layers whose module body has run (a layer registered for a
 # lazy load but never read keeps its lazy module type) and whether OpenSSL's
-# hash module was loaded.
+# hash module was loaded, and exits with the command line's exit code.
 PROBE = """
 import contextlib, io, json, sys, types
 import {module}
+code = 0
 if sys.argv[1:]:
     with contextlib.redirect_stdout(io.StringIO()):
-        ramsey3.cli.main(sys.argv[1:])
+        code = ramsey3.cli.main(sys.argv[1:])
 print(json.dumps([[n for n in {layers!r} if type(sys.modules.get("ramsey3." + n)) is types.ModuleType],
                   "_hashlib" in sys.modules]))
+sys.exit(code)
 """
 
 
@@ -47,6 +49,7 @@ def inputs(tmp_path_factory):
     k5 = ramsey3.to_json_dict(ramsey3.Hypergraph.complete(5, 3))
     (work / "k5.json").write_text(json.dumps(k5))
     assert main(["codegree", "host", "-t", "4", "-o", str(work / "host4.json")]) == 0
+    (work / "repeated.json").write_text(json.dumps({"r": 3, "n": 3, "edges": [[0, 1, 2], [2, 1, 0]]}))
     c5 = ramsey3.to_json_dict(ramsey3.Hypergraph.build(2, [(i, (i + 1) % 5) for i in range(5)]))
     (work / "c5.json").write_text(json.dumps(c5))
     assert main(["gadget", "hstar", str(work / "c5.json"), "--patterns", "1,1", "-o", str(work / "hs.json")]) == 0
@@ -94,6 +97,17 @@ def test_entry_point_runs_only_its_layers(inputs, module, argv, loaded):
     assert sorted(layers) == sorted(loaded)
     # blake2b comes from CPython's own module; loading OpenSSL would cost 3.6 MiB of RSS
     assert not openssl
+
+
+@pytest.mark.parametrize("argv", [["cliques", "repeated.json", "-t", "3"],
+                                  ["distance", "k5.json", "-e", "0,1,2", "-f", "0,1,7"]],
+                         ids=["cliques", "distance"])
+def test_failing_hypercore_command_runs_only_hypercore(inputs, argv):
+    # the exit-code clauses name colorengine's BudgetExceeded last, so an error exit never loads it
+    proc = fresh(argv, inputs)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+    assert json.loads(proc.stdout) == [["hypercore"], False]
 
 
 def test_public_names_are_their_layers_objects():

@@ -84,6 +84,17 @@ def test_random_pair_coloring_total():
     assert psi == random_complete_graph_coloring(7, 3, 9)
 
 
+def test_random_pair_coloring_draws_as_randrange():
+    # the colors come from getrandbits, drawn exactly as randrange(k) draws them,
+    # so every seeded coloring is the one randrange gave
+    for k in range(1, 6):
+        for n in range(2, 9):
+            for seed in range(100):
+                rng = random.Random(seed)
+                want = {pair: rng.randrange(k) + 1 for pair in itertools.combinations(range(n), 2)}
+                assert dict(random_complete_graph_coloring(n, k, seed).assignment) == want, (n, k, seed)
+
+
 # -- pruning ---------------------------------------------------------------
 
 def quad_edges(q):
