@@ -215,7 +215,7 @@ def extend_coloring_lower_bound(
     if u not in h.vertices or v not in h.vertices or u == v:
         raise ValueError("need two distinct vertices of the hypergraph")
     s = t - 2
-    nbhd = sorted(h.thirds(u, v))
+    nbhd = sorted(w for e in h.edges if u in e and v in e for w in e if w not in (u, v))
     uv_edges = [canon_edge((u, v, w)) for w in nbhd]
     if len(uv_edges) >= s * s:
         raise ValueError(f"codegree {len(uv_edges)} not below (t-2)^2 = {s * s}")

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-import operator
 from collections import defaultdict
 from dataclasses import dataclass
 from math import inf
@@ -45,6 +44,7 @@ from .hypercore import (
     is_linear,
     path_distance,
     to_json_dict,
+    vertex_ids,
 )
 
 __all__ = [
@@ -101,9 +101,12 @@ class TaggedGadget:
         for name in ("e", "f"):
             if getattr(self, name) is not None:
                 object.__setattr__(self, name, canon_edge(getattr(self, name)))
+        for name in ("a", "b", "apex"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, vertex_ids([getattr(self, name)], f"tag {name}")[0])
         object.__setattr__(self, "rainbow", tuple(canon_edge(e) for e in self.rainbow))
         if self.s_pair is not None:
-            sp = tuple(sorted(self.s_pair))
+            sp = tuple(sorted(vertex_ids(self.s_pair, "s_pair")))
             if len(sp) != 2 or sp[0] == sp[1]:
                 raise ValueError(f"s_pair must be two distinct vertices, got {self.s_pair!r}")
             object.__setattr__(self, "s_pair", sp)
@@ -500,9 +503,8 @@ def build_BEL(
 
     The far gadget's tags are certified to sit at distance at least 7
     by distance_lower_bound; its dist tag is not read.  The coloring must
-    color exactly the edges of h.  The carrier's
-    codegree postconditions are checked in one pass over its edges,
-    without building its pair index.
+    color exactly the edges of h.  The carrier's codegree postconditions
+    are checked in one pass over its edges.
     """
     if not h.is_dense():
         raise ValueError("host must use vertices 0..n-1")
@@ -563,7 +565,7 @@ def build_BEL(
 
 def attach_apex(g: TaggedGadget, base: Iterable[int]) -> TaggedGadget:
     """Add one vertex joined by a triple to every pair of the base set."""
-    bs = sorted(set(map(operator.index, base)))
+    bs = sorted(set(vertex_ids(base)))
     if len(bs) < 2:
         raise ValueError("apex needs at least two base vertices")
     if not set(bs) <= g.h.vertices:

@@ -6,12 +6,9 @@ distance between edges with a polynomial lower bound on it, and vertex
 identification (gluing) used by the gadget builders.
 
 All values are immutable after construction and every operation is a
-pure function, so objects may be shared freely, and a 3-graph may keep
-the one pair index that every pair question reads (Hypergraph.pairs).
-Clique enumeration builds its own int neighbour masks per call instead,
-each at most a fixed number of bits wide, whatever the ids.  They hold
-only the later vertices each key needs, so they cannot answer pair
-questions, and keeping them would add to the pair index, not replace it.
+pure function, so objects may be shared freely.  A Hypergraph stores no
+derived index: pair questions read the edges, and a search that needs a
+table (clique masks, the distance searches' steps) builds it per call.
 """
 
 from __future__ import annotations
@@ -21,7 +18,6 @@ import itertools
 import operator
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from functools import cached_property
 from math import comb, inf
 from typing import Collection, Iterable, Mapping, Optional, Sequence, Union
 
@@ -50,12 +46,18 @@ __all__ = [
 ]
 
 
+def vertex_ids(xs: Iterable[object], what: str = "vertex set") -> tuple[int, ...]:
+    """xs as int ids: a bool raises ValueError, a float or other non-integer TypeError."""
+    xs = tuple(xs)
+    if bool in map(type, xs):
+        raise ValueError(f"{what} {xs!r} has a bool vertex id")
+    return tuple(map(operator.index, xs))
+
+
 def canon_edge(verts: Iterable[int], r: Optional[int] = None) -> Edge:
     """Sorted tuple form of an edge; rejects repeats, negative, bool and non-integer ids."""
     xs = tuple(verts)
-    if bool in map(type, xs):
-        raise ValueError(f"edge {xs!r} has a bool vertex id")
-    vs = tuple(sorted(map(operator.index, xs)))
+    vs = tuple(sorted(vertex_ids(xs, "edge")))
     if len(set(vs)) != len(vs):
         raise ValueError(f"edge {xs!r} has repeated vertices")
     if r is not None and len(vs) != r:
@@ -130,7 +132,7 @@ class Hypergraph:
         labels: Optional[Mapping[int, str]] = None,
     ) -> "Hypergraph":
         es = frozenset(canon_edge(e, r) for e in edges)
-        vs = frozenset(map(operator.index, vertices)) | {v for e in es for v in e}
+        vs = frozenset(vertex_ids(vertices)) | {v for e in es for v in e}
         return cls(r, vs, es, dict(labels or {}))
 
     @classmethod
@@ -175,23 +177,6 @@ class Hypergraph:
         vs = self.vertices | {v for e in es for v in e}
         return Hypergraph(self.r, vs, self.edges | es, self.labels)
 
-    @cached_property
-    def pairs(self) -> dict[int, dict[int, set[int]]]:
-        """Read-only pair index of a 3-graph: pairs[u][v], u < v, is {w : uvw an edge}."""
-        if self.r != 3:
-            raise ValueError("the pair index is defined for 3-uniform hypergraphs")
-        idx: dict[int, dict[int, set[int]]] = {}
-        for a, b, c in self.edges:
-            row = idx.setdefault(a, {})
-            row.setdefault(b, set()).add(c)
-            row.setdefault(c, set()).add(b)
-            idx.setdefault(b, {}).setdefault(c, set()).add(a)
-        return idx
-
-    def thirds(self, u: int, v: int) -> Collection[int]:
-        """Third vertices of the edges through {u, v}; empty at codegree zero."""
-        return self.pairs.get(min(u, v), {}).get(max(u, v), ())
-
 
 def fano_plane() -> Hypergraph:
     """The seven lines of the Fano plane; linear and not 2-colorable."""
@@ -216,13 +201,11 @@ def link(h: Hypergraph, v: int) -> Hypergraph:
 
 def degree(h: Hypergraph, s: Iterable[int]) -> int:
     """Number of edges containing every vertex of s, with 1 <= |s| <= r-1."""
-    ss = frozenset(map(operator.index, s))
+    ss = frozenset(vertex_ids(s))
     if not ss <= h.vertices:
         raise ValueError("vertex not in hypergraph")
     if not 1 <= len(ss) <= h.r - 1:
         raise ValueError(f"degree wants a set of size 1..{h.r - 1}, got {len(ss)}")
-    if h.r == 3 and len(ss) == 2:
-        return len(h.thirds(*ss))
     return sum(1 for e in h.edges if ss <= set(e))
 
 
@@ -373,8 +356,7 @@ def enumerate_cliques(h: Hypergraph, t: int) -> tuple[tuple[int, ...], ...]:
     int neighbour masks, one AND per stack member and step; no mask is
     wider than _MASK_SPAN bits, whatever the ids.  If a later neighbour
     of v lies farther off, the rest of each clique that v starts is found
-    as a local problem on the edges that continue v's own.  h.pairs is
-    neither read nor built.
+    as a local problem on the edges that continue v's own.
     """
     if h.r not in (2, 3):
         raise ValueError("clique enumeration supports uniformity 2 and 3 only")
@@ -383,19 +365,23 @@ def enumerate_cliques(h: Hypergraph, t: int) -> tuple[tuple[int, ...], ...]:
     return tuple(_cliques(h.edges, h.r, t))
 
 
-def _distance_ends(h: Hypergraph, e: Iterable[int], f: Iterable[int]) -> tuple[Edge, Edge, dict[int, list[Edge]]]:
-    """The canonical edges e and f of the 3-graph h, and the edges through each vertex."""
+def _distance_ends(h: Hypergraph, e: Iterable[int], f: Iterable[int]) -> tuple[Edge, Edge, dict, dict]:
+    """Edges e and f of the 3-graph h in canonical form, and its step table: for each edge uvw,
+    in every order, (v, w) is in ends[u], and w is in thirds[u, v] when u < v."""
     if h.r != 3:
         raise ValueError("path distance is defined for 3-uniform hypergraphs")
     ce, cf = canon_edge(e, 3), canon_edge(f, 3)
     for x in (ce, cf):
         if x not in h.edges:
             raise ValueError(f"{x!r} is not an edge of the hypergraph")
-    by_vertex: dict[int, list[Edge]] = defaultdict(list)
+    ends: dict[int, list[tuple[int, int]]] = defaultdict(list)
+    thirds: dict[tuple[int, int], list[int]] = defaultdict(list)
     for g in h.edges:
-        for v in g:
-            by_vertex[v].append(g)
-    return ce, cf, by_vertex
+        for u, v, w in itertools.permutations(g):
+            ends[u].append((v, w))
+            if u < v:
+                thirds[u, v].append(w)
+    return ce, cf, ends, thirds
 
 
 def path_distance(h: Hypergraph, e: Iterable[int], f: Iterable[int]) -> int | float:
@@ -412,7 +398,7 @@ def path_distance(h: Hypergraph, e: Iterable[int], f: Iterable[int]) -> int | fl
     one int mask, bit i for the i-th vertex in sorted order (a rank, never
     a raw id), so a state costs one int.
     """
-    ce, cf, by_vertex = _distance_ends(h, e, f)
+    ce, cf, ends, thirds = _distance_ends(h, e, f)
     if ce == cf:
         return 3
     fset = frozenset(cf)
@@ -434,23 +420,21 @@ def path_distance(h: Hypergraph, e: Iterable[int], f: Iterable[int]) -> int | fl
         if frozenset(frontier) == fset:
             return n
         _, a2, a3 = frontier
-        for w in h.thirds(a2, a3):
+        for w in thirds[min(a2, a3), max(a2, a3)]:
             if used & bit[w]:
                 continue
             nk = ((a2, a3, w), used | bit[w])
             if best.get(nk, n + 2) > n + 1:
                 best[nk] = n + 1
                 heapq.heappush(heap, (n + 1, nk[0], nk[1]))
-        for g in by_vertex.get(a3, ()):
-            rest = [x for x in g if x != a3]
-            both = bit[rest[0]] | bit[rest[1]]
+        for w1, w2 in ends[a3]:
+            both = bit[w1] | bit[w2]
             if used & both:
                 continue
-            for w1, w2 in (rest, rest[::-1]):
-                nk = ((a3, w1, w2), used | both)
-                if best.get(nk, n + 3) > n + 2:
-                    best[nk] = n + 2
-                    heapq.heappush(heap, (n + 2, nk[0], nk[1]))
+            nk = ((a3, w1, w2), used | both)
+            if best.get(nk, n + 3) > n + 2:
+                best[nk] = n + 2
+                heapq.heappush(heap, (n + 2, nk[0], nk[1]))
     return inf
 
 
@@ -464,7 +448,7 @@ def distance_lower_bound(h: Hypergraph, e: Iterable[int], f: Iterable[int]) -> i
     distance (inf only when no path exists).  There are at most six states
     per edge.
     """
-    ce, cf, by_vertex = _distance_ends(h, e, f)
+    ce, cf, ends, thirds = _distance_ends(h, e, f)
     if ce == cf:
         return 3
     fset = frozenset(cf)
@@ -477,11 +461,8 @@ def distance_lower_bound(h: Hypergraph, e: Iterable[int], f: Iterable[int]) -> i
         if frozenset(frontier) == fset:
             return n
         a1, a2, a3 = frontier
-        steps = [((a2, a3, w), n + 1) for w in h.thirds(a2, a3) if w != a1]
-        for g in by_vertex[a3]:
-            w1, w2 = (x for x in g if x != a3)
-            if w1 not in frontier and w2 not in frontier:
-                steps += (((a3, w1, w2), n + 2), ((a3, w2, w1), n + 2))
+        steps = [((a2, a3, w), n + 1) for w in thirds[min(a2, a3), max(a2, a3)] if w != a1]
+        steps += [((a3, w1, w2), n + 2) for w1, w2 in ends[a3] if w1 not in frontier and w2 not in frontier]
         for nk, m in steps:
             if best.get(nk, m + 1) > m:
                 best[nk] = m
@@ -497,7 +478,7 @@ class GlueMap:
 
     @classmethod
     def of(cls, pairs: Iterable[tuple[int, int]]) -> "GlueMap":
-        return cls(tuple((operator.index(x), operator.index(y)) for x, y in pairs))
+        return cls(tuple(vertex_ids((x, y), "glue pair") for x, y in pairs))
 
 
 @dataclass
@@ -561,7 +542,7 @@ def disjoint_union(a: Hypergraph, b: Hypergraph) -> GlueResult:
 
 def induced(h: Hypergraph, s: Iterable[int]) -> Hypergraph:
     """Subhypergraph on the vertex set s, keeping isolated vertices of s."""
-    ss = frozenset(map(operator.index, s))
+    ss = frozenset(vertex_ids(s))
     if not ss <= h.vertices:
         raise ValueError("vertex not in hypergraph")
     es = frozenset(e for e in h.edges if set(e) <= ss)
@@ -569,14 +550,8 @@ def induced(h: Hypergraph, s: Iterable[int]) -> Hypergraph:
 
 
 def is_linear(h: Hypergraph) -> bool:
-    """True when every two distinct edges meet in at most one vertex."""
-    es = sorted(h.edges)
-    for i, e in enumerate(es):
-        se = set(e)
-        for f in es[i + 1 :]:
-            if len(se.intersection(f)) > 1:
-                return False
-    return True
+    """True when every two distinct edges meet in at most one vertex: no pair lies in two edges."""
+    return len({p for e in h.edges for p in itertools.combinations(e, 2)}) == len(h.edges) * comb(h.r, 2)
 
 
 _VERTEX_TAGS = ("a", "b", "apex")

@@ -95,8 +95,8 @@ def brute_sat(clauses):
 def frozenset_path_distance(h, e, f):
     """path_distance by the same Dijkstra with each state's used vertices a frozenset.
 
-    The reference for the bit-mask states of ramsey3's path_distance; the
-    pair lookups scan the edge list instead of reading the pair index.
+    The reference for the bit-mask states of ramsey3's path_distance; its
+    pair lookups scan the edge list instead of a table of third vertices.
     """
     ce, cf = tuple(sorted(e)), tuple(sorted(f))
     if ce == cf:
@@ -130,6 +130,17 @@ def frozenset_path_distance(h, e, f):
                         best[nk] = n + 2
                         heapq.heappush(heap, (n + 2, *nk))
     return math.inf
+
+
+def pairwise_is_linear(h):
+    """is_linear by comparing every two edges: no two distinct edges meet in two vertices or more."""
+    es = sorted(h.edges)
+    for i, e in enumerate(es):
+        se = set(e)
+        for f in es[i + 1 :]:
+            if len(se.intersection(f)) > 1:
+                return False
+    return True
 
 
 def reference_edge_reader(doc):

@@ -12,7 +12,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ramsey3.cli as cli
@@ -556,6 +556,12 @@ def _well_formed(draw):
     edges = draw(st.lists(edge, unique_by=tuple, max_size=10))
     graph = {"r": r, "n": n, "edges": edges}
     coloring = {"k": draw(st.integers(1, 3)), "colors": [[e, draw(st.integers(0, 3))] for e in edges]}
+    if edges and draw(st.integers(0, 3)) == 0:
+        # one time in four, one entry's edge holds an id that is not an int, behind a valid hypergraph
+        entry = draw(st.sampled_from(coloring["colors"]))
+        bad = draw(st.one_of(st.floats(0, n - 1, allow_nan=False), st.text(max_size=2), st.none(), st.booleans(),
+                             st.lists(st.integers(0, n - 1), max_size=2)))
+        entry[0] = [*entry[0][:-1], bad]
     vertex, tag_edge = st.integers(0, n - 1), st.one_of(edge, *([st.sampled_from(edges)] if edges else []))
     tags = draw(st.fixed_dictionaries({}, optional={"e": tag_edge, "f": tag_edge, "a": vertex, "b": vertex,
                                                     "dist": st.integers(4, 7)}))
@@ -569,6 +575,11 @@ def _well_formed(draw):
     return graph, {"members": [graph, graph]}, coloring, tagged
 
 
+_BAD_ID_GRAPH = {"r": 3, "n": 4, "edges": [[0, 1, 2], [0, 1, 3]]}
+_BAD_ID_DOCS = (_BAD_ID_GRAPH, {"members": [_BAD_ID_GRAPH] * 2}, {"k": 2, "colors": [[[0, 1, 2], 1], [[0, 1, 2.5], 2]]},
+                {**_BAD_ID_GRAPH, "tags": {}})
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     command=st.sampled_from(["arrow", "cliques", "gadget bel", "lab prune", "gadget amplify",
@@ -580,6 +591,9 @@ def _well_formed(draw):
     t=st.integers(1, 4),
     k=st.integers(0, 3),
 )
+# the two commands that read a coloring, each given one whose edge holds a float id
+@example(command="gadget bel", docs=_BAD_ID_DOCS, t=3, k=2)
+@example(command="codegree extend", docs=_BAD_ID_DOCS, t=4, k=2)
 def test_fuzzed_documents_never_traceback(command, docs, t, k):
     # every document the CLI can be given ends in a documented exit code
     # with a one-line message, never in an uncaught exception

@@ -342,8 +342,8 @@ def test_bel_on_toy_host():
 
 
 def test_bel_document_pinned():
-    # the documents of the BEL that carried its rainbow tags through TaggedGadget.remapped (t=4)
-    # and checked its postconditions through the carrier's pair index (t=5, 6)
+    # the carrier documents at t=4, 5 and 6; a change to the glue, the tags or the
+    # postcondition checks of the assembly must leave them as they are
     for t, digest in ((4, "9610a98a7d3e"), (5, "85d89d951411"), (6, "95222045abb4")):
         host = build_partition_host(t)
         g = build_BEL(host.h, host.coloring, 2, t, far_mock(11), build_rainbow(2, mock_sender()))

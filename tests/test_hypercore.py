@@ -30,6 +30,7 @@ from ramsey3 import (
     path_distance,
     to_json_dict,
 )
+from ramsey3.codegree import BLUE, build_partition_host, extend_coloring_lower_bound
 from ramsey3.colorengine import EdgeColoring, VertexColoring
 from ramsey3.gadgets import (
     TaggedGadget,
@@ -42,7 +43,13 @@ from ramsey3.gadgets import (
 )
 from ramsey3.hypercore import _edges_well_formed, canon_edge, codegree, distance_lower_bound
 
-from _oracles import brute_cliques, frozenset_path_distance, random_small_hypergraph, reference_edge_reader
+from _oracles import (
+    brute_cliques,
+    frozenset_path_distance,
+    pairwise_is_linear,
+    random_small_hypergraph,
+    reference_edge_reader,
+)
 
 
 def seeded_inputs(seed):
@@ -193,6 +200,30 @@ def test_bool_vertex_ids_rejected(call):
     # each call stored or removed (0, 1, 2), True turned into 1
     with pytest.raises(ValueError, match="bool vertex id"):
         call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: Hypergraph.build(3, [], vertices=[True, 2]),
+    lambda: induced(Hypergraph.complete(5, 3), [True, 2, 3]),
+    lambda: degree(Hypergraph.complete(5, 3), [True, 2]),
+    lambda: GlueMap.of([(True, 0)]),
+    lambda: attach_apex(TaggedGadget(Hypergraph.complete(4, 3)), [True, 2]),
+    lambda: TaggedGadget(Hypergraph.complete(4, 3), a=True),
+    lambda: TaggedGadget(Hypergraph.complete(4, 3), b=False),
+    lambda: TaggedGadget(Hypergraph.complete(4, 3), apex=True),
+    lambda: TaggedGadget(Hypergraph.complete(4, 3), s_pair=(True, 2)),
+], ids=["build", "induced", "degree", "GlueMap.of", "attach_apex", "tag a", "tag b", "tag apex", "tag S"])
+def test_bool_vertex_id_arguments_rejected(call):
+    # each call read True as vertex 1 (False as 0), which canon_edge never does
+    with pytest.raises(ValueError, match="bool vertex id"):
+        call()
+
+
+@pytest.mark.parametrize("tags", [{"a": 1.0}, {"apex": 2.0}, {"s_pair": (0, 1.0)}])
+def test_float_tag_vertex_ids_rejected(tags):
+    # a float tag vertex was kept as a float, since 1.0 is in the vertex set {0, 1, 2, 3}
+    with pytest.raises(TypeError):
+        TaggedGadget(Hypergraph.complete(4, 3), **tags)
 
 
 @pytest.mark.parametrize("vertices", [{0, 1, 2.5}, {0, 1.0, 2}, {0, True, 2}, {0, "1", 2}])
@@ -413,6 +444,33 @@ def test_enumerate_cliques_builds_no_pair_index():
     h = Hypergraph.complete(6, 3)
     assert len(enumerate_cliques(h, 4)) == 15
     assert "pairs" not in h.__dict__
+
+
+_PAIR_QUESTIONS = {
+    "degree": lambda h: degree(h, (1,)),
+    "codegree": lambda h: codegree(h, 0, 1),
+    "min_ell_degree": lambda h: min_ell_degree(h, 2),
+    "min_positive_codegree": min_positive_codegree,
+    "is_linear": is_linear,
+    "link": lambda h: link(h, 0),
+    "induced": lambda h: induced(h, range(4)),
+    "enumerate_cliques": lambda h: enumerate_cliques(h, 4),
+    "path_distance": lambda h: path_distance(h, (0, 1, 2), (3, 4, 5)),
+    "distance_lower_bound": lambda h: distance_lower_bound(h, (0, 1, 2), (3, 4, 5)),
+    "extend_coloring_lower_bound": lambda h: extend_coloring_lower_bound(
+        h, 4, 5, EdgeColoring(2, {e: BLUE for e in h.edges if not {4, 5} <= set(e)}), 4),
+    "build_partition_host": lambda h: build_partition_host(4).h,
+}
+
+
+@pytest.mark.parametrize("question", _PAIR_QUESTIONS)
+def test_queries_leave_a_hypergraph_its_four_fields(question):
+    # a Hypergraph keeps no derived state: every answer is read off the edges or built per call
+    h = Hypergraph.build(3, [(0, 1, 2), (0, 1, 3), (1, 2, 3), (2, 3, 4), (3, 4, 5), (0, 4, 5)])
+    out = _PAIR_QUESTIONS[question](h)
+    for g in (h, out):
+        if isinstance(g, Hypergraph):
+            assert vars(g).keys() == {"r", "vertices", "edges", "labels"}, question
 
 
 def test_enumerate_cliques_keeps_no_reference():
@@ -636,6 +694,37 @@ def test_induced():
 def test_is_linear():
     assert is_linear(Hypergraph.build(3, [(0, 1, 2), (2, 3, 4)]))
     assert not is_linear(Hypergraph.build(3, [(0, 1, 2), (0, 1, 3)]))
+
+
+_C5 = [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]
+
+
+@st.composite
+def _near_linear(draw):
+    """Sub-hypergraphs of the Fano plane or of C_5, or a greedy partial linear space, with up to two random edges added."""
+    source = draw(st.sampled_from(["fano", "c5", "greedy"]))
+    if source == "greedy":
+        r, n = 3, draw(st.integers(3, 9))
+        edges, covered = [], set()
+        for e in draw(st.permutations(list(itertools.combinations(range(n), 3)))):
+            pairs = set(itertools.combinations(e, 2))
+            if not covered & pairs and draw(st.booleans()):
+                edges.append(e)
+                covered |= pairs
+    else:
+        r, n, base = (3, 7, sorted(fano_plane().edges)) if source == "fano" else (2, 5, _C5)
+        edges = draw(st.lists(st.sampled_from(base), unique=True))
+    extra = st.sets(st.integers(0, n - 1), min_size=r, max_size=r).map(sorted)
+    return Hypergraph.build(r, edges + draw(st.lists(extra, max_size=2)), vertices=range(n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_near_linear())
+@example(Hypergraph.build(2, _C5))
+@example(fano_plane())
+@example(Hypergraph.build(3, [(0, 1, 2), (0, 1, 3)]))
+def test_is_linear_matches_pairwise_oracle(h):
+    assert is_linear(h) == pairwise_is_linear(h)
 
 
 # -- serialization ------------------------------------------------------
