@@ -19,6 +19,7 @@ a command runs only the layers it touches.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import importlib.util
 import itertools
@@ -27,7 +28,7 @@ import sys
 import types
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence, Union
 
 
 def _layer(name: str) -> types.ModuleType:
@@ -92,12 +93,43 @@ def _load_coloring(path: str) -> ce.EdgeColoring:
     return ce.EdgeColoring.from_json_dict(_load_doc(path, "coloring"))
 
 
-def _write(args: argparse.Namespace, text: str) -> None:
+def _write(args: argparse.Namespace, text: Union[str, Iterable[str]]) -> None:
+    """Write text, or its pieces in order, and a newline to --output, or to stdout without one or with "-"."""
     out = getattr(args, "output", None)
-    if out and out != "-":
-        Path(out).write_text(text + "\n")
-    else:
-        print(text)
+    pieces = iter([text] if isinstance(text, str) else text)
+    first = next(pieces, "")  # an error in making the text raises here, before the output is opened
+    with open(out, "w") if out and out != "-" else contextlib.nullcontext(sys.stdout) as f:
+        f.write(first)
+        f.writelines(pieces)
+        f.write("\n")
+
+
+_ROWS = 1024  # edge rows per piece of a written hypergraph document; encoding a piece is the write's one transient
+
+
+def _document(h: hc.Hypergraph, tags: Optional[dict] = None,
+              wrap: Callable[[dict], dict] = lambda doc: doc) -> Iterator[str]:
+    """The text of json.dumps(wrap(hc.to_json_dict(h, tags))), in pieces.
+
+    The document is made for h without edges, and its "edges": [] is
+    filled with h's sorted edges, renumbered as to_json_dict renumbers
+    them, _ROWS rows to a piece, each piece one json.dumps of the edge
+    tuples: no list per edge and no whole-document string is built.
+    """
+    head, tail = json.dumps(wrap(hc.to_json_dict(h.spanning_subgraph(()), tags))).split('"edges": []', 1)
+    yield head + '"edges": ['
+    edges = sorted(h.edges)
+    rename = None if h.is_dense() else {v: i for i, v in enumerate(sorted(h.vertices))}.__getitem__
+    for i in range(0, len(edges), _ROWS):
+        rows = edges[i:i + _ROWS]
+        if rename:
+            rows = [tuple(map(rename, e)) for e in rows]
+        yield (", " if i else "") + json.dumps(rows)[1:-1]
+    yield "]" + tail
+
+
+def _write_gadget(args: argparse.Namespace, g: gd.TaggedGadget) -> None:
+    _write(args, _document(g.h, g.tags()))
 
 
 def _emit(args: argparse.Namespace, doc: object, human: Optional[str] = None) -> None:
@@ -153,7 +185,7 @@ def _cmd_arrow(args: argparse.Namespace) -> int:
 def _cmd_minimalize(args: argparse.Namespace) -> int:
     h = _load_hypergraph(args.input)
     result = ce.minimalize(h, args.t, args.k, budget=args.budget)
-    _write(args, json.dumps(hc.to_json_dict(result)))
+    _write(args, _document(result))
     return 0
 
 
@@ -199,13 +231,13 @@ def _cmd_cliques(args: argparse.Namespace) -> int:
 
 def _cmd_gadget_fprime(args: argparse.Namespace) -> int:
     g = gd.build_F_prime(args.m, r=args.r)
-    _write(args, json.dumps(g.to_json_dict()))
+    _write_gadget(args, g)
     return 0
 
 
 def _cmd_gadget_fell(args: argparse.Namespace) -> int:
     g = gd.build_F_ell(args.m, args.ell, r=args.r)
-    _write(args, json.dumps(g.to_json_dict()))
+    _write_gadget(args, g)
     return 0
 
 
@@ -213,7 +245,7 @@ def _cmd_gadget_hstar(args: argparse.Namespace) -> int:
     h = _load_hypergraph(args.input)
     ps = _parse_patterns(args.patterns)
     hstar, x, y = gd.build_Hstar(h, ps, ps.k)
-    _write(args, json.dumps(gd.TaggedGadget(h=hstar, a=x, b=y).to_json_dict()))
+    _write_gadget(args, gd.TaggedGadget(h=hstar, a=x, b=y))
     return 0
 
 
@@ -222,7 +254,7 @@ def _cmd_gadget_sender(args: argparse.Namespace) -> int:
     if hs.a is None or hs.b is None:
         raise ValueError("input needs tags a and b marking the separated pair")
     g = gd.assemble_signal_sender(hs.h, hs.a, hs.b, args.m)
-    _write(args, json.dumps(g.to_json_dict()))
+    _write_gadget(args, g)
     return 0
 
 
@@ -234,14 +266,14 @@ def _sender_from_flag(value: str) -> gd.TaggedGadget:
 
 def _cmd_gadget_rainbow(args: argparse.Namespace) -> int:
     g = gd.build_rainbow(args.k, _sender_from_flag(args.sender))
-    _write(args, json.dumps(g.to_json_dict()))
+    _write_gadget(args, g)
     return 0
 
 
 def _cmd_gadget_equalizer(args: argparse.Namespace) -> int:
     rb = gd.build_rainbow(args.k, _sender_from_flag(args.sender))
     g = gd.build_equalizer(rb)
-    _write(args, json.dumps(g.to_json_dict()))
+    _write_gadget(args, g)
     return 0
 
 
@@ -250,7 +282,7 @@ def _cmd_gadget_amplify(args: argparse.Namespace) -> int:
     if args.from_equalizer:
         g = gd.build_far_seed(g, g)
     g = gd.amplify_distance(g, args.s, verify=args.verify == "on")
-    _write(args, json.dumps(g.to_json_dict()))
+    _write_gadget(args, g)
     return 0
 
 
@@ -269,26 +301,25 @@ def _cmd_gadget_bel(args: argparse.Namespace) -> int:
         else _load_gadget(args.rainbow)
     )
     g = gd.build_BEL(h, coloring, args.k, args.t, far, rainbow)
-    _write(args, json.dumps(g.to_json_dict()))
+    _write_gadget(args, g)
     return 0
 
 
 def _cmd_gadget_apex(args: argparse.Namespace) -> int:
     g = _load_gadget(args.input)
     g = gd.attach_apex(g, _parse_ints(args.base, "vertex list"))
-    _write(args, json.dumps(g.to_json_dict()))
+    _write_gadget(args, g)
     return 0
 
 
 def _cmd_codegree_host(args: argparse.Namespace) -> int:
     host = cd.build_partition_host(args.t)
-    doc = {
+    _write(args, _document(host.h, {"a": host.a, "b": host.b}, lambda doc: {
         "t": host.t,
-        "host": hc.to_json_dict(host.h, {"a": host.a, "b": host.b}),
+        "host": doc,
         "coloring": host.coloring.to_json_dict(),
         "parts": [sorted(p) for p in host.parts],
-    }
-    _write(args, json.dumps(doc))
+    }))
     return 0
 
 
@@ -345,7 +376,7 @@ def _cmd_codegree_expectation(args: argparse.Namespace) -> int:
 def _cmd_lab_sample(args: argparse.Namespace) -> int:
     if args.k == 1:
         h = rl.sample_h3(args.n, args.p, args.seed)
-        _write(args, json.dumps(hc.to_json_dict(h)))
+        _write(args, _document(h))
     else:
         fam = rl.sample_family(args.n, args.p, args.k, args.seed)
         _write(args, json.dumps({"members": [hc.to_json_dict(h) for h in fam]}))

@@ -35,7 +35,7 @@ from heapq import heapify, heappop, heappush
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from .hypercore import Edge, Hypergraph, _edges_well_formed, canon_edge, enumerate_cliques, json_int
+from .hypercore import Edge, Hypergraph, _bounded_cliques, _edges_well_formed, canon_edge, enumerate_cliques, json_int
 
 __all__ = [
     "BudgetExceeded",
@@ -247,20 +247,32 @@ class SearchResult:
 def check_free(
     h: Hypergraph, coloring: EdgeColoring, t: int
 ) -> list[tuple[tuple[int, ...], int]]:
-    """All monochromatic t-cliques under the coloring, as (clique, color).
+    """All monochromatic t-cliques under the coloring, as (clique, color), in lexicographic clique order.
 
-    The coloring must cover every edge of h; an empty result certifies
-    that the coloring is free of monochromatic complete t-sets.
+    The coloring must cover every edge of h; its entries for other sets are
+    ignored.  An empty result certifies that the coloring is free of
+    monochromatic complete t-sets.  Uniformity 2 and 3 are supported; t must
+    be at least r.
+
+    Each color class of h's edges is searched on its own by
+    hypercore._bounded_cliques: masks local to each first vertex, and a
+    node pruned when a greedy coloring of its last member's link on the
+    candidates uses fewer colors than members are still needed (the
+    coloring bound of Tomita and Seki).  That search shares no code with
+    enumerate_cliques, which builds the search core's constraints, so a
+    clique the kernel missed is not also missed here.
     """
-    missing = [e for e in h.edges if e not in coloring.assignment]
+    if h.r not in (2, 3):
+        raise ValueError("clique enumeration supports uniformity 2 and 3 only")
+    if t < h.r:
+        raise ValueError("clique size below the uniformity")
+    classes: dict[Optional[int], list[Edge]] = {}
+    for e in h.edges:
+        classes.setdefault(coloring.assignment.get(e), []).append(e)
+    missing = classes.get(None)
     if missing:
-        raise ValueError(f"coloring misses {len(missing)} edges, e.g. {sorted(missing)[0]!r}")
-    out = []
-    for q in enumerate_cliques(h, t):
-        cols = {coloring.assignment[e] for e in itertools.combinations(q, h.r)}
-        if len(cols) == 1:
-            out.append((q, cols.pop()))
-    return out
+        raise ValueError(f"coloring misses {len(missing)} edges, e.g. {min(missing)!r}")
+    return sorted((q, c) for c, edges in classes.items() for q in _bounded_cliques(edges, h.r, t))
 
 
 class SearchCore:

@@ -123,9 +123,13 @@ class TaggedGadget:
             if not blk <= verts:
                 raise ValueError("block outside the vertex set")
 
-    def to_json_dict(self) -> dict:
+    def tags(self) -> dict:
+        """The document's tags: each set field but h and blocks, under its tag name."""
         tags = {tag: getattr(self, name) for tag, name in _TAG_FIELDS.items()}
-        return to_json_dict(self.h, {tag: val for tag, val in tags.items() if val not in (None, ())})
+        return {tag: val for tag, val in tags.items() if val not in (None, ())}
+
+    def to_json_dict(self) -> dict:
+        return to_json_dict(self.h, self.tags())
 
     @classmethod
     def from_json_dict(cls, doc: Mapping[str, object]) -> "TaggedGadget":
@@ -503,8 +507,10 @@ def build_BEL(
 
     The far gadget's tags are certified to sit at distance at least 7
     by distance_lower_bound; its dist tag is not read.  The coloring must
-    color exactly the edges of h.  The carrier's codegree postconditions
-    are checked in one pass over its edges.
+    color exactly the edges of h.  The far copies go to glue as a
+    generator of maps, one per host edge, so the carrier's edges are held
+    once, in its own edge set.  Its codegree postconditions are checked in
+    one pass over those edges.
     """
     if not h.is_dense():
         raise ValueError("host must use vertices 0..n-1")
@@ -529,8 +535,8 @@ def build_BEL(
     base = glue(h, rainbow_g.h)
     eprime = [tuple(sorted(base.map_b[v] for v in e)) for e in rainbow_g.rainbow]
     fe, ff = sorted(far.e), sorted(far.f)
-    copies = [list(zip(g, fe)) + list(zip(eprime[coloring.color(g) - 1], ff)) for g in sorted(h.edges)]
-    acc = glue(base.h, far.h, [GlueMap.of(p) for p in copies]).h
+    copies = (GlueMap.of([*zip(g, fe), *zip(eprime[coloring.color(g) - 1], ff)]) for g in sorted(h.edges))
+    acc = glue(base.h, far.h, copies).h
 
     expected = n_h + rainbow_g.h.num_vertices + h.num_edges * (far.h.num_vertices - 6)
     if acc.num_vertices != expected:

@@ -3,7 +3,11 @@
 Shared data layer for the whole package: hypergraphs over integer
 vertices, links and (co)degrees, clique enumeration, an interval-based
 distance between edges with a polynomial lower bound on it, and vertex
-identification (gluing) used by the gadget builders.
+identification (gluing) used by the gadget builders.  There are two
+clique searches that share no code: the kernel of enumerate_cliques, and
+_bounded_cliques, pruned by a coloring bound, which colorengine.check_free
+runs on each color class.  glue reads its maps once, so a builder can
+stream its copies in.
 
 All values are immutable after construction and every operation is a
 pure function, so objects may be shared freely.  A Hypergraph stores no
@@ -19,7 +23,7 @@ import operator
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from math import comb, inf
-from typing import Collection, Iterable, Mapping, Optional, Sequence, Union
+from typing import Collection, Iterable, Iterator, Mapping, Optional, Union
 
 Edge = tuple[int, ...]
 
@@ -148,8 +152,8 @@ class Hypergraph:
         return len(self.edges)
 
     def is_dense(self) -> bool:
-        """True if the vertex set is exactly 0..n-1."""
-        return self.vertices == frozenset(range(len(self.vertices)))
+        """True if the vertex set is exactly 0..n-1: n distinct ids >= 0 whose largest is n-1."""
+        return max(self.vertices, default=-1) == len(self.vertices) - 1
 
     def minus_edge(self, e: Iterable[int]) -> "Hypergraph":
         ce = canon_edge(e, self.r)
@@ -365,6 +369,66 @@ def enumerate_cliques(h: Hypergraph, t: int) -> tuple[tuple[int, ...], ...]:
     return tuple(_cliques(h.edges, h.r, t))
 
 
+def _bounded_cliques(edges: Iterable[Edge], r: int, t: int) -> list[tuple[int, ...]]:
+    """The t-cliques, t >= r, of the r-graph (r = 2 or 3) on these sorted edges, in lexicographic order.
+
+    colorengine.check_free's search, which shares no code with _cliques.
+    Each clique grows from its first vertex v, with masks over v's later
+    neighbours only (bit i for the i-th), so none is wider than a degree.
+    At a node with last member w, candidates C and m members to add, the
+    rest is a clique of w's link on C (x ~ y when wxy is an edge; for
+    r = 2, the graph itself): the node is pruned when a greedy coloring of
+    that link uses fewer than m colors (Tomita and Seki's coloring bound).
+    """
+    first: dict[int, list[Edge]] = {}  # v -> the rest of each edge that starts at v
+    after: dict[Edge, list[int]] = {}  # k -> the last vertex of each edge (*k, x)
+    for e in edges:
+        first.setdefault(e[0], []).append(e[1:])
+        after.setdefault(e[:-1], []).append(e[-1])
+    out: list[tuple[int, ...]] = []
+    for v in sorted(first):
+        us = [v, *sorted({x for k in first[v] for x in k})]  # local id i is us[i]
+        pos = {u: i for i, u in enumerate(us)}
+        rows: dict[tuple[int, ...], int] = {}
+
+        def row(s: int, x: int) -> int:
+            # the local ids i for which (s, x, i) is an edge, or (x, i) for r = 2
+            key = (s, x)[3 - r:]
+            if key not in rows:
+                rows[key] = sum(1 << pos[y] for y in after.get(tuple(us[i] for i in key), ()) if y in pos)
+            return rows[key]
+
+        def grow(stack: list[int], cands: int, m: int) -> None:
+            # stack: local ids of the members so far; cands: the later local ids that extend it
+            if m == 1:
+                base = [us[i] for i in stack]
+                out.extend((*base, u) for i, u in enumerate(us) if cands >> i & 1)
+                return
+            left = cands
+            for _ in range(m):  # m greedy color classes of the last member's link on cands, or prune
+                if not left:
+                    return
+                free = left
+                while free:  # a class takes the lowest id left and drops its later neighbours
+                    low = free & -free
+                    left ^= low
+                    free &= ~(low | row(stack[-1], low.bit_length() - 1))
+            while cands:
+                low = cands & -cands
+                cands ^= low
+                x = low.bit_length() - 1
+                nxt = cands
+                for s in stack if r == 3 else stack[-1:]:
+                    nxt &= row(s, x)
+                if nxt.bit_count() >= m - 1:
+                    stack.append(x)
+                    grow(stack, nxt, m - 1)
+                    stack.pop()
+
+        grow([0], (1 << len(us)) - 2, t - 1)
+    return out
+
+
 def _distance_ends(h: Hypergraph, e: Iterable[int], f: Iterable[int]) -> tuple[Edge, Edge, dict, dict]:
     """Edges e and f of the 3-graph h in canonical form, and its step table: for each edge uvw,
     in every order, (v, w) is in ends[u], and w is in thirds[u, v] when u < v."""
@@ -491,15 +555,17 @@ class GlueResult:
 def glue(
     a: Hypergraph,
     b: Hypergraph,
-    m: Union[GlueMap, Sequence[GlueMap]] = GlueMap(),
+    m: Union[GlueMap, Iterable[GlueMap]] = GlueMap(),
 ) -> GlueResult:
     """Disjoint union of a and copies of b, followed by the identifications.
 
-    m is one GlueMap or a sequence of them, one copy of b per map, each a
-    partial injection from a to its copy.  Output ids are dense: a's ids
-    (kept verbatim when already 0..n-1, which the gadget builders rely
-    on), then each copy's new vertices, so one call equals the fold of
-    single-copy calls.  map_b is the vertex map of the last copy.
+    m is one GlueMap or any iterable of them, read once, one copy of b per
+    map, each a partial injection from a to its copy.  Output ids are
+    dense: a's ids (kept verbatim when already 0..n-1, which the gadget
+    builders rely on), then each copy's new vertices, so one call equals
+    the fold of single-copy calls.  map_b is the vertex map of the last
+    copy.  The edges go straight into the result's one edge set, a copy
+    at a time, so a generator of maps is never held whole.
 
     Raises:
         ValueError: on uniformity mismatch, unknown vertices, or a
@@ -510,30 +576,33 @@ def glue(
     copies = [m] if isinstance(m, GlueMap) else m
     map_a = {v: i for i, v in enumerate(sorted(a.vertices))}
     labels: dict[int, str] = {map_a[v]: lab for v, lab in a.labels.items()}
-    edges = {tuple(sorted(map_a[x] for x in e)) for e in a.edges}
     next_id = len(map_a)
     map_b: dict[int, int] = {}
-    for gm in copies:
-        partner_ab = dict(gm.pairs)
-        partner_ba = {y: x for x, y in gm.pairs}
-        if not partner_ab.keys() <= a.vertices or not partner_ba.keys() <= b.vertices:
-            raise ValueError(f"glue pairs {gm.pairs} use unknown vertices")
-        if any(partner_ab[x] != y or partner_ba[y] != x for x, y in gm.pairs):
-            raise ValueError("non-injective glue")
-        map_b = {}
-        for v in sorted(b.vertices):
-            if v in partner_ba:
-                map_b[v] = map_a[partner_ba[v]]
-            else:
-                map_b[v] = next_id
-                next_id += 1
-        edges.update(tuple(sorted(map_b[x] for x in e)) for e in b.edges)
-        for v, lab in sorted(b.labels.items()):
-            nv = map_b[v]
-            labels[nv] = f"{labels[nv]}|{lab}" if nv in labels else lab
 
-    h = Hypergraph(a.r, frozenset(range(next_id)), frozenset(edges), labels)
-    return GlueResult(h, map_a, map_b)
+    def edges() -> Iterator[Edge]:
+        nonlocal map_b, next_id
+        yield from (tuple(sorted(map(map_a.__getitem__, e))) for e in a.edges)
+        for gm in copies:
+            partner_ab = dict(gm.pairs)
+            partner_ba = {y: x for x, y in gm.pairs}
+            if not partner_ab.keys() <= a.vertices or not partner_ba.keys() <= b.vertices:
+                raise ValueError(f"glue pairs {gm.pairs} use unknown vertices")
+            if any(partner_ab[x] != y or partner_ba[y] != x for x, y in gm.pairs):
+                raise ValueError("non-injective glue")
+            map_b = {}
+            for v in sorted(b.vertices):
+                if v in partner_ba:
+                    map_b[v] = map_a[partner_ba[v]]
+                else:
+                    map_b[v] = next_id
+                    next_id += 1
+            yield from (tuple(sorted(map(map_b.__getitem__, e))) for e in b.edges)
+            for v, lab in sorted(b.labels.items()):
+                nv = map_b[v]
+                labels[nv] = f"{labels[nv]}|{lab}" if nv in labels else lab
+
+    es = frozenset(edges())
+    return GlueResult(Hypergraph(a.r, frozenset(range(next_id)), es, labels), map_a, map_b)
 
 
 def disjoint_union(a: Hypergraph, b: Hypergraph) -> GlueResult:

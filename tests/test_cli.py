@@ -1,5 +1,6 @@
 """End-to-end command checks through main(argv)."""
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -16,10 +17,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ramsey3.cli as cli
-from ramsey3 import Hypergraph, check_free, from_json_dict, to_json_dict
+from ramsey3 import Hypergraph, check_free, from_json_dict, minimalize, to_json_dict
 from ramsey3.cli import main
+from ramsey3.codegree import build_partition_host
 from ramsey3.colorengine import EdgeColoring
-from ramsey3.gadgets import TaggedGadget
+from ramsey3.gadgets import TaggedGadget, amplify_distance, build_BEL, build_far_seed, build_rainbow, mock_sender
 from ramsey3.hypercore import codegree
 from ramsey3.randomlab import sample_h3
 
@@ -419,6 +421,54 @@ def test_result_documents_unchanged(tmp_path, capsys, argv, exit_code, digest):
     doc = json.loads(capsys.readouterr().out)
     assert code == exit_code
     assert hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()[:12] == digest
+
+
+def _dumped(doc):
+    return (json.dumps(doc) + "\n").encode()
+
+
+@pytest.mark.parametrize("t", [4, 5, 6])
+def test_written_documents_are_json_dumps_bytes(tmp_path, t):
+    # documents go out in slices of edge rows, byte for byte what json.dumps writes
+    paths = {name: str(tmp_path / f"{name}.json") for name in ("host", "eq", "far", "bel", "min")}
+    assert main(["codegree", "host", "-t", str(t), "-o", paths["host"]]) == 0
+    host = build_partition_host(t)
+    assert Path(paths["host"]).read_bytes() == _dumped({
+        "t": t,
+        "host": to_json_dict(host.h, {"a": host.a, "b": host.b}),
+        "coloring": host.coloring.to_json_dict(),
+        "parts": [sorted(p) for p in host.parts],
+    })
+    assert main(["gadget", "equalizer", "-k", "2", "--sender", "mock", "-o", paths["eq"]]) == 0
+    assert main(["gadget", "amplify", paths["eq"], "--from-equalizer", "-s", "7", "-o", paths["far"]]) == 0
+    eq = TaggedGadget.from_json_dict(json.loads(Path(paths["eq"]).read_text()))
+    far = amplify_distance(build_far_seed(eq, eq), 7)
+    assert Path(paths["far"]).read_bytes() == _dumped(far.to_json_dict())
+    assert main(["gadget", "bel", paths["host"], "--coloring", paths["host"], "-t", str(t), "-k", "2",
+                 "--far", paths["far"], "-o", paths["bel"]]) == 0
+    bel = build_BEL(host.h, host.coloring, 2, t, far, build_rainbow(2, mock_sender()))
+    assert Path(paths["bel"]).read_bytes() == _dumped(bel.to_json_dict())
+    k = Hypergraph.complete(t + 2, 2)
+    assert main(["minimalize", write_graph(tmp_path, k), "-t", "3", "-k", "2", "-o", paths["min"]]) == 0
+    assert Path(paths["min"]).read_bytes() == _dumped(to_json_dict(minimalize(k, 3, 2)))
+
+
+_SPREAD = [tuple(7 * x + 300 for x in e) for e in itertools.combinations(range(26), 3)]  # 2,600 edges, three slices
+
+
+@pytest.mark.parametrize("h, tags", [
+    (Hypergraph.build(3, _SPREAD, labels={300: "p", 475: "q|r"}), {"e": _SPREAD[0], "f": _SPREAD[-1], "a": 307}),
+    (Hypergraph.complete(27, 3), {"S": (0, 1)}),
+    (Hypergraph(3, frozenset({0, 4, 9}), frozenset(), {4: "z"}), {"a": 9}),
+    (Hypergraph(2, frozenset(), frozenset()), None),
+], ids=["sparse ids, labels and tags", "three slices", "no edges", "empty"])
+def test_document_writer_matches_json_dumps(tmp_path, capsys, h, tags):
+    want = _dumped(to_json_dict(h, tags))
+    out = tmp_path / "doc.json"
+    cli._write(argparse.Namespace(output=str(out)), cli._document(h, tags))
+    assert out.read_bytes() == want
+    cli._write(argparse.Namespace(), cli._document(h, tags))
+    assert capsys.readouterr().out.encode() == want
 
 
 _BAD_ITEMS = ["+0,0_1", " 1,2", "0,-1", "1,,2", "\u0663", "0x1", ""]

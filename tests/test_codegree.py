@@ -59,6 +59,16 @@ def test_host_rejects_small_t():
         build_partition_host(3)
 
 
+def test_host10_within_time():
+    # the host's freeness check once walked all 2 * 8^8 red K_9s (about 45 s on 2 cores);
+    # the coloring bound settles each color class at its first vertices
+    start = time.perf_counter()
+    host = build_partition_host(10)
+    elapsed = time.perf_counter() - start
+    assert host.h.num_edges == 2 * comb(64, 2) + 8 * comb(8, 3) + comb(8, 3) * 8 ** 3
+    assert elapsed < 10.0, f"took {elapsed:.2f}s, budget 10.0s"
+
+
 def test_apex_bundle_and_augment():
     host = build_partition_host(4)
     bundle = apex_bundle(host)

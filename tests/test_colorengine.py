@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ramsey3.colorengine as colorengine
+import ramsey3.hypercore as hypercore
 from ramsey3 import (
     ArrowVerdict,
     EdgeColoring,
@@ -225,6 +226,52 @@ def test_check_free_allows_superset():
     h = Hypergraph.complete(4, 3)
     extra = dict.fromkeys(K5.edges, 1)
     assert len(check_free(h, EdgeColoring(2, extra), 4)) == 1
+
+
+@st.composite
+def colored_graphs(draw):
+    """An r-graph with a k-coloring of its edges and some colored non-edges; ids dense or spread past 256."""
+    r = draw(st.sampled_from((2, 3)))
+    n = draw(st.integers(r, 9))
+    ids = sorted(draw(st.sets(st.integers(0, 3000), min_size=n, max_size=n))) if draw(st.booleans()) else list(range(n))
+    r_sets = list(itertools.combinations(ids, r))
+    edges = draw(st.sets(st.sampled_from(r_sets)))
+    k = draw(st.integers(1, 3))
+    colors = {e: draw(st.integers(1, k)) for e in sorted(edges)}
+    extra = draw(st.sets(st.sampled_from(r_sets)))
+    assignment = {**{e: draw(st.integers(1, k)) for e in sorted(extra - edges)}, **colors}
+    return Hypergraph.build(r, edges, ids), EdgeColoring(k, assignment), colors
+
+
+@settings(max_examples=300, deadline=None)
+@given(colored_graphs(), st.integers(0, 3))
+@example((Hypergraph.complete(7, 3), EdgeColoring(1, dict.fromkeys(Hypergraph.complete(7, 3).edges, 1)),
+          dict.fromkeys(Hypergraph.complete(7, 3).edges, 1)), 3)
+def test_check_free_matches_brute_force(case, extra_t):
+    h, coloring, colors = case
+    t = h.r + extra_t
+    assert check_free(h, coloring, t) == brute_mono_cliques(h, colors, t)
+
+
+def test_check_free_does_not_use_the_clique_kernel(monkeypatch):
+    # the check's search is separate from the one that builds the core's constraints
+    def kernel(*args):
+        raise AssertionError("check_free called the clique kernel")
+
+    for module, name in ((hypercore, "enumerate_cliques"), (hypercore, "_cliques"), (colorengine, "enumerate_cliques")):
+        monkeypatch.setattr(module, name, kernel)
+    with pytest.raises(AssertionError):
+        enumerate_cliques(K5, 4)
+    for h, edge in ((K5, (0, 1, 2)), (K6P, (0, 1))):
+        coloring = all_one_but(h, edge)
+        for t in range(h.r, 6):
+            assert check_free(h, coloring, t) == brute_mono_cliques(h, coloring.assignment, t)
+
+
+@pytest.mark.parametrize("h, t", [(Hypergraph.build(1, [(0,), (1,)]), 2), (Hypergraph.complete(5, 4), 5), (K5, 2)])
+def test_check_free_rejects_unsupported_questions(h, t):
+    with pytest.raises(ValueError):
+        check_free(h, EdgeColoring(1, dict.fromkeys(h.edges, 1)), t)
 
 
 # -- search vs oracle ---------------------------------------------------

@@ -681,6 +681,8 @@ def test_glue_many_copies_equals_fold(seed, copies):
         acc = last.h
     assert once.h == acc and once.h.labels == acc.labels
     assert once.map_b == (last.map_b if last else {})
+    streamed = glue(a, b, (m for m in maps))  # read once, as build_BEL hands them over
+    assert streamed == once and streamed.h.labels == once.h.labels
 
 
 # -- induced / linear ---------------------------------------------------
