@@ -89,8 +89,13 @@ def _load_gadget(path: str) -> gd.TaggedGadget:
     return gd.TaggedGadget.from_json_dict(_load_doc(path, "host"))
 
 
-def _load_coloring(path: str) -> ce.EdgeColoring:
-    return ce.EdgeColoring.from_json_dict(_load_doc(path, "coloring"))
+def _load_host_and_coloring(args: argparse.Namespace) -> tuple[hc.Hypergraph, ce.EdgeColoring]:
+    """args.input's hypergraph and args.coloring's coloring; one path named by both, "-" too, is parsed once."""
+    doc = _load_doc(args.input)
+    h = hc.from_json_dict(doc.pop("host", doc))[0]  # a host member is dropped once read
+    if args.coloring != args.input:
+        doc = _load_doc(args.coloring)
+    return h, ce.EdgeColoring.from_json_dict(doc.get("coloring", doc))
 
 
 def _write(args: argparse.Namespace, text: Union[str, Iterable[str]]) -> None:
@@ -292,8 +297,7 @@ def _mock_far(k: int) -> gd.TaggedGadget:
 
 
 def _cmd_gadget_bel(args: argparse.Namespace) -> int:
-    h = _load_hypergraph(args.input)
-    coloring = _load_coloring(args.coloring)
+    h, coloring = _load_host_and_coloring(args)
     far = _mock_far(args.k) if args.far is None else _load_gadget(args.far)
     rainbow = (
         gd.build_rainbow(args.k, gd.mock_sender())
@@ -338,8 +342,7 @@ def _cmd_codegree_force_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_codegree_extend(args: argparse.Namespace) -> int:
-    h = _load_hypergraph(args.input)
-    coloring = _load_coloring(args.coloring)
+    h, coloring = _load_host_and_coloring(args)
     cert = cd.extend_coloring_lower_bound(h, args.u, args.v, coloring, args.t)
     doc = {
         "u": cert.u,
@@ -568,7 +571,7 @@ def _build_parser(argv: Sequence[str] = ()) -> _Parser:
     p.add_argument("-s", type=int, required=True, help="target distance")
     p.add_argument("--from-equalizer", action="store_true", help="build the distance-5 seed from two copies of the input first")
     p.add_argument("--verify", choices=("auto", "on", "off"), default="auto",
-                   help="on adds the exact, exponential distance check of every step; auto and off rely on the bound")
+                   help="on also checks every step's bound by the exact A* search on its table; auto and off rely on the bound")
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_gadget_amplify)
 

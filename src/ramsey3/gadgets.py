@@ -476,7 +476,8 @@ def amplify_distance(base: TaggedGadget, s: int, verify: bool = False) -> Tagged
     the base included, is certified by distance_lower_bound, whatever its
     dist tag says; the chain stops at the first whose bound reaches s, and
     that one is tagged dist = s.  verify=True also checks each bound
-    against the exact, exponential path_distance.
+    against the exact path_distance, an A* search on the bound's own
+    table, exponential only in the worst case.
     """
     if base.e is None or base.f is None:
         raise ValueError("tagged edges e and f required")

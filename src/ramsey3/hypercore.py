@@ -3,16 +3,18 @@
 Shared data layer for the whole package: hypergraphs over integer
 vertices, links and (co)degrees, clique enumeration, an interval-based
 distance between edges with a polynomial lower bound on it, and vertex
-identification (gluing) used by the gadget builders.  There are two
-clique searches that share no code: the kernel of enumerate_cliques, and
-_bounded_cliques, pruned by a coloring bound, which colorengine.check_free
-runs on each color class.  glue reads its maps once, so a builder can
-stream its copies in.
+identification (gluing) used by the gadget builders.  Both distance
+functions read one relaxed table, searched backwards from the target edge;
+the exact distance is an A* search on it, exponential in the worst case.
+There are two clique searches that share no code: the kernel of
+enumerate_cliques, and _bounded_cliques, pruned by a coloring bound, which
+colorengine.check_free runs on each color class.  glue reads its maps
+once, so a builder can stream its copies in.
 
 All values are immutable after construction and every operation is a
 pure function, so objects may be shared freely.  A Hypergraph stores no
 derived index: pair questions read the edges, and a search that needs a
-table (clique masks, the distance searches' steps) builds it per call.
+table (clique masks, the distance table) builds it per call.
 """
 
 from __future__ import annotations
@@ -429,9 +431,17 @@ def _bounded_cliques(edges: Iterable[Edge], r: int, t: int) -> list[tuple[int, .
     return out
 
 
-def _distance_ends(h: Hypergraph, e: Iterable[int], f: Iterable[int]) -> tuple[Edge, Edge, dict, dict]:
-    """Edges e and f of the 3-graph h in canonical form, and its step table: for each edge uvw,
-    in every order, (v, w) is in ends[u], and w is in thirds[u, v] when u < v."""
+def _distance_table(h: Hypergraph, e: Iterable[int], f: Iterable[int]) -> tuple[Edge, dict, dict, dict]:
+    """Edge e of the 3-graph h in canonical form, h's step table, and the relaxed distances to f.
+
+    For each edge uvw, in every order, (v, w) is in ends[u], and w is in
+    thirds[u, v] when u < v.  togo maps each ordered frontier triple from
+    which a relaxed path reaches f (f's orderings map to 0) to the fewest
+    positions such a path still adds.  A relaxed step may not reuse a
+    frontier vertex, but may reuse an earlier one, so every path that
+    path_distance counts is a relaxed path of the same length.  One
+    Dijkstra, run backwards from f's orderings, finds togo.
+    """
     if h.r != 3:
         raise ValueError("path distance is defined for 3-uniform hypergraphs")
     ce, cf = canon_edge(e, 3), canon_edge(f, 3)
@@ -445,7 +455,21 @@ def _distance_ends(h: Hypergraph, e: Iterable[int], f: Iterable[int]) -> tuple[E
             ends[u].append((v, w))
             if u < v:
                 thirds[u, v].append(w)
-    return ce, cf, ends, thirds
+    togo = dict.fromkeys(itertools.permutations(cf), 0)
+    heap = [(0, fr) for fr in togo]
+    while heap:
+        n, frontier = heapq.heappop(heap)
+        if togo[frontier] < n:
+            continue
+        # the steps into (b1, b2, b3): one position from (a1, b1, b2), two from (a1, a2, b1)
+        b1, b2, b3 = frontier
+        steps = [((a1, b1, b2), n + 1) for a1 in thirds[min(b1, b2), max(b1, b2)] if a1 != b3]
+        steps += [((a1, a2, b1), n + 2) for a1, a2 in ends[b1] if a1 not in frontier and a2 not in frontier]
+        for nk, m in steps:
+            if togo.get(nk, m + 1) > m:
+                togo[nk] = m
+                heapq.heappush(heap, (m, nk))
+    return ce, ends, thirds, togo
 
 
 def path_distance(h: Hypergraph, e: Iterable[int], f: Iterable[int]) -> int | float:
@@ -457,81 +481,51 @@ def path_distance(h: Hypergraph, e: Iterable[int], f: Iterable[int]) -> int | fl
     distance is the minimum number of vertices over all such paths, with
     dist(e, e) = 3, and inf when no path exists.
 
-    Exact and exponential in the worst case (distance_lower_bound is the
-    polynomial relaxation).  Each search state keeps its used vertices as
-    one int mask, bit i for the i-th vertex in sorted order (a rank, never
-    a raw id), so a state costs one int.
+    An A* search (Hart, Nilsson and Raphael) whose estimate is the relaxed
+    table that distance_lower_bound reads: it never exceeds the positions
+    still needed, and no step lowers it by more than the step adds, so the
+    first state popped on f is exact.  Ties in the estimate go to the
+    longer prefix.  Exponential in the worst case.  Each search state
+    keeps its used vertices as one int mask, bit i for the i-th vertex in
+    sorted order (a rank, never a raw id), so a state costs one int.
     """
-    ce, cf, ends, thirds = _distance_ends(h, e, f)
-    if ce == cf:
-        return 3
-    fset = frozenset(cf)
+    ce, ends, thirds, togo = _distance_table(h, e, f)
     bit = {v: 1 << i for i, v in enumerate(sorted(h.vertices))}
 
-    # Dijkstra over (ordered frontier edge, vertices used so far); extending
-    # the frontier interval by one position reuses its last two vertices,
-    # extending by two reuses only the last one.
-    heap: list[tuple[int, tuple[int, int, int], int]] = []
+    # states are (ordered frontier edge, vertices used so far); extending the
+    # frontier interval by one position reuses its last two vertices,
+    # extending by two reuses only the last one.  A frontier absent from
+    # togo cannot reach f, so the search never enters it; togo is 0 on f's
+    # orderings alone.
     start_used = bit[ce[0]] | bit[ce[1]] | bit[ce[2]]
-    for perm in itertools.permutations(ce):
-        heapq.heappush(heap, (3, perm, start_used))
+    heap = sorted((3 + togo[fr], -3, fr, start_used) for fr in itertools.permutations(ce) if fr in togo)
     best: dict[tuple[tuple[int, int, int], int], int] = {}
     while heap:
-        n, frontier, used = heapq.heappop(heap)
-        key = (frontier, used)
-        if best.get(key, n) < n:
+        _, neg, frontier, used = heapq.heappop(heap)
+        n = -neg
+        if best.get((frontier, used), n) < n:
             continue
-        if frozenset(frontier) == fset:
+        if not togo[frontier]:
             return n
         _, a2, a3 = frontier
-        for w in thirds[min(a2, a3), max(a2, a3)]:
-            if used & bit[w]:
-                continue
-            nk = ((a2, a3, w), used | bit[w])
-            if best.get(nk, n + 2) > n + 1:
-                best[nk] = n + 1
-                heapq.heappush(heap, (n + 1, nk[0], nk[1]))
-        for w1, w2 in ends[a3]:
-            both = bit[w1] | bit[w2]
-            if used & both:
-                continue
-            nk = ((a3, w1, w2), used | both)
-            if best.get(nk, n + 3) > n + 2:
-                best[nk] = n + 2
-                heapq.heappush(heap, (n + 2, nk[0], nk[1]))
+        steps = [((a2, a3, w), bit[w], n + 1) for w in thirds[min(a2, a3), max(a2, a3)]]
+        steps += [((a3, w1, w2), bit[w1] | bit[w2], n + 2) for w1, w2 in ends[a3]]
+        for fr, new, m in steps:
+            nk = (fr, used | new)
+            if not used & new and fr in togo and best.get(nk, m + 1) > m:
+                best[nk] = m
+                heapq.heappush(heap, (m + togo[fr], -m, *nk))
     return inf
 
 
 def distance_lower_bound(h: Hypergraph, e: Iterable[int], f: Iterable[int]) -> int | float:
     """A lower bound on path_distance(h, e, f), found in polynomial time.
 
-    The same Dijkstra with the ordered frontier triple as the whole state:
-    a step may not reuse a vertex of the frontier, but may reuse an earlier
-    one.  Every path that path_distance counts is a walk of this search
-    with the same number of positions, so the result is at most the exact
-    distance (inf only when no path exists).  There are at most six states
-    per edge.
+    3 plus the least relaxed distance to f from an ordering of e, read off
+    the table that path_distance searches by; inf only when no path exists.
     """
-    ce, cf, ends, thirds = _distance_ends(h, e, f)
-    if ce == cf:
-        return 3
-    fset = frozenset(cf)
-    best = dict.fromkeys(itertools.permutations(ce), 3)
-    heap = [(3, fr) for fr in best]
-    while heap:
-        n, frontier = heapq.heappop(heap)
-        if best[frontier] < n:
-            continue
-        if frozenset(frontier) == fset:
-            return n
-        a1, a2, a3 = frontier
-        steps = [((a2, a3, w), n + 1) for w in thirds[min(a2, a3), max(a2, a3)] if w != a1]
-        steps += [((a3, w1, w2), n + 2) for w1, w2 in ends[a3] if w1 not in frontier and w2 not in frontier]
-        for nk, m in steps:
-            if best.get(nk, m + 1) > m:
-                best[nk] = m
-                heapq.heappush(heap, (m, nk))
-    return inf
+    ce, _, _, togo = _distance_table(h, e, f)
+    return 3 + min((togo[fr] for fr in itertools.permutations(ce) if fr in togo), default=inf)
 
 
 @dataclass(frozen=True)

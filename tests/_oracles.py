@@ -132,6 +132,44 @@ def frozenset_path_distance(h, e, f):
     return math.inf
 
 
+def relaxed_path_distance(h, e, f):
+    """distance_lower_bound by a forward Dijkstra whose whole state is the ordered frontier triple.
+
+    A step may not reuse a vertex of the frontier, but may reuse an
+    earlier one.  The reference for ramsey3's backward relaxed table; its
+    steps scan the edge list, as frozenset_path_distance's do.
+    """
+    ce, cf = tuple(sorted(e)), tuple(sorted(f))
+    if ce == cf:
+        return 3
+    edges = sorted(h.edges)
+    heap = [(3, perm) for perm in itertools.permutations(ce)]
+    heapq.heapify(heap)
+    best = {}
+    while heap:
+        n, frontier = heapq.heappop(heap)
+        if best.get(frontier, n) < n:
+            continue
+        if frozenset(frontier) == frozenset(cf):
+            return n
+        a1, a2, a3 = frontier
+        for g in edges:
+            if a2 in g and a3 in g:
+                (w,) = set(g) - {a2, a3}
+                if w != a1 and best.get((a2, a3, w), n + 2) > n + 1:
+                    best[a2, a3, w] = n + 1
+                    heapq.heappush(heap, (n + 1, (a2, a3, w)))
+            if a3 in g:
+                rest = [x for x in g if x != a3]
+                if rest[0] in frontier or rest[1] in frontier:
+                    continue
+                for w1, w2 in (rest, rest[::-1]):
+                    if best.get((a3, w1, w2), n + 3) > n + 2:
+                        best[a3, w1, w2] = n + 2
+                        heapq.heappush(heap, (n + 2, (a3, w1, w2)))
+    return math.inf
+
+
 def pairwise_is_linear(h):
     """is_linear by comparing every two edges: no two distinct edges meet in two vertices or more."""
     es = sorted(h.edges)

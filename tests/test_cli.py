@@ -343,6 +343,28 @@ def test_codegree_extend(tmp_path, capsys):
     assert check_free(withuv, col, 4) == []
 
 
+@pytest.mark.parametrize("command", ["gadget bel", "codegree extend"])
+def test_input_and_coloring_from_one_stdin(tmp_path, capsys, monkeypatch, command):
+    # "-" for both reads stdin once: the one document gives the hypergraph and the coloring
+    host_path = tmp_path / "host.json"
+    run(capsys, "codegree", "host", "-t", "4", "-o", str(host_path))
+    doc = json.loads(host_path.read_text())
+    host, tags = from_json_dict(doc["host"])
+    a, b = tags["a"], tags["b"]
+    if command == "codegree extend":
+        doc["host"] = to_json_dict(host.plus_edges([(0, a, b), (2, a, b)]))
+        host_path.write_text(json.dumps(doc))
+    rest = {"gadget bel": ["-t", "4", "-k", "2"], "codegree extend": ["-u", str(a), "-v", str(b), "-t", "4"]}[command]
+    outs = {}
+    for form in ("file", "stdin"):
+        src = str(host_path) if form == "file" else "-"
+        monkeypatch.setattr(sys, "stdin", io.StringIO(host_path.read_text()))
+        outs[form] = tmp_path / f"{form}.json"
+        code, out = run(capsys, *command.split(), src, "--coloring", src, *rest, "-o", str(outs[form]))
+        assert code == 0, out
+    assert outs["stdin"].read_bytes() == outs["file"].read_bytes()
+
+
 def test_codegree_expectation(capsys):
     code, out = run(capsys, "codegree", "expectation", "-t", "4", "--json")
     rows = json.loads(out)["expectations"]

@@ -49,6 +49,7 @@ from _oracles import (
     pairwise_is_linear,
     random_small_hypergraph,
     reference_edge_reader,
+    relaxed_path_distance,
 )
 
 
@@ -553,6 +554,14 @@ def test_distance_lower_bound_is_sound(inst):
     assert distance_lower_bound(h, e, f) <= path_distance(h, e, f)
 
 
+@settings(max_examples=200, deadline=None)
+@given(distance_instances())
+def test_distance_lower_bound_matches_the_forward_relaxed_search(inst):
+    # the backward table gives the bound the forward relaxed search finds
+    h, e, f = inst
+    assert distance_lower_bound(h, e, f) == relaxed_path_distance(h, e, f)
+
+
 def _chain(eq, steps):
     """The far seed of eq chained steps times; its tags sit at distance 2^(steps + 1) + 3."""
     g = build_far_seed(eq, eq)
@@ -567,13 +576,34 @@ def test_distance_lower_bound_is_exact_on_chain_gadgets(steps, n, d):
 
 
 def test_distance_lower_bound_on_the_67_vertex_gadget_is_fast():
-    # the exact search takes about 108 s and 1.5 GiB here
     g = _chain(build_equalizer(build_rainbow(2, mock_sender())), 4)
     assert g.h.num_vertices == 67
     t0 = time.perf_counter()
     d = distance_lower_bound(g.h, g.e, g.f)
     elapsed = time.perf_counter() - t0
     assert d == 35
+    assert elapsed < 1.0, f"took {elapsed:.2f}s, budget 1.0s"
+
+
+@pytest.mark.parametrize("steps, n, d", [(4, 67, 35), (5, 131, 67)])
+def test_exact_distance_on_long_chain_gadgets_is_fast(steps, n, d):
+    # a plain Dijkstra over the same states took about 108 s and 1.5 GiB on the 67-vertex chain
+    g = _chain(build_equalizer(build_rainbow(2, mock_sender())), steps)
+    assert g.h.num_vertices == n
+    t0 = time.perf_counter()
+    dist = path_distance(g.h, g.e, g.f)
+    elapsed = time.perf_counter() - t0
+    assert dist == d
+    assert elapsed < 1.0, f"took {elapsed:.2f}s, budget 1.0s"
+
+
+def test_amplify_with_the_exact_check_to_67_is_fast():
+    eq = build_equalizer(build_rainbow(2, mock_sender()))
+    seed = build_far_seed(eq, eq)
+    t0 = time.perf_counter()
+    g = amplify_distance(seed, 67, verify=True)
+    elapsed = time.perf_counter() - t0
+    assert (g.h.num_vertices, g.dist) == (131, 67)
     assert elapsed < 1.0, f"took {elapsed:.2f}s, budget 1.0s"
 
 
