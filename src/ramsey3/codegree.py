@@ -216,33 +216,33 @@ def extend_coloring_lower_bound(
         raise ValueError("need two distinct vertices of the hypergraph")
     s = t - 2
     nbhd = sorted(w for e in h.edges if u in e and v in e for w in e if w not in (u, v))
-    uv_edges = [canon_edge((u, v, w)) for w in nbhd]
-    if len(uv_edges) >= s * s:
-        raise ValueError(f"codegree {len(uv_edges)} not below (t-2)^2 = {s * s}")
-    rest = h.spanning_subgraph(h.edges - set(uv_edges))
+    if len(nbhd) >= s * s:
+        raise ValueError(f"codegree {len(nbhd)} not below (t-2)^2 = {s * s}")
+    rest = h.spanning_subgraph(h.edges - {canon_edge((u, v, w)) for w in nbhd})
     if check_free(rest, c_partial, t):
         raise ValueError("partial coloring is not free")
 
-    def blue_spanning(bset: tuple[int, ...]) -> bool:
-        for anchor in (u, v):
-            for e in itertools.combinations(sorted((*bset, anchor)), 3):
-                if e in h.edges and c_partial.assignment[e] != BLUE:
-                    return False
-        return True
+    def fine(*xs: int) -> bool:  # blue, or not an edge of h
+        e = canon_edge(xs)
+        return e not in h.edges or c_partial.assignment[e] == BLUE
+
+    def pack(stack: list[int], cands: list[int]) -> bool:  # True: a set was packed, unwind to the root
+        if len(stack) == s:
+            chosen.append(frozenset(stack))
+            used.update(stack)
+            return True
+        for i, w in enumerate(cands):  # increasing, so the sets come in lexicographic order
+            nxt = [z for z in cands[i + 1:] if z not in used and all(fine(x, w, z) for x in (u, v, *stack))]
+            if w not in used and len(nxt) >= s - len(stack) - 1 and pack([*stack, w], nxt) and stack:
+                return True
+        return False
 
     chosen: list[frozenset[int]] = []
     used: set[int] = set()
-    for bset in itertools.combinations(nbhd, s):
-        if used.intersection(bset):
-            continue
-        if blue_spanning(bset):
-            chosen.append(frozenset(bset))
-            used.update(bset)
+    pack([], nbhd)
 
     assignment = dict(c_partial.assignment)
-    for e in uv_edges:
-        (w,) = (x for x in e if x not in (u, v))
-        assignment[e] = RED if w in used else BLUE
+    assignment.update((canon_edge((u, v, w)), RED if w in used else BLUE) for w in nbhd)
     extended = EdgeColoring(2, assignment)
     bad = check_free(h, extended, t)
     if bad:

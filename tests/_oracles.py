@@ -132,18 +132,20 @@ def frozenset_path_distance(h, e, f):
     return math.inf
 
 
-def relaxed_path_distance(h, e, f):
+def relaxed_path_distance(h, e, f, ordered=False):
     """distance_lower_bound by a forward Dijkstra whose whole state is the ordered frontier triple.
 
     A step may not reuse a vertex of the frontier, but may reuse an
-    earlier one.  The reference for ramsey3's backward relaxed table; its
-    steps scan the edge list, as frozenset_path_distance's do.
+    earlier one.  With ordered, e is the one start frontier, in its given
+    order, and the result is 3 plus that frontier's entry in the backward
+    table.  The reference for ramsey3's backward relaxed table; its steps
+    scan the edge list, as frozenset_path_distance's do.
     """
     ce, cf = tuple(sorted(e)), tuple(sorted(f))
     if ce == cf:
         return 3
     edges = sorted(h.edges)
-    heap = [(3, perm) for perm in itertools.permutations(ce)]
+    heap = [(3, tuple(e))] if ordered else [(3, perm) for perm in itertools.permutations(ce)]
     heapq.heapify(heap)
     best = {}
     while heap:
@@ -237,6 +239,35 @@ def random_extension_instance(t, seed):
     if not res.found:
         return None
     return h, u, v, res.coloring
+
+
+def scan_extension(h, u, v, c_partial, t):
+    """extend_coloring_lower_bound's packing and extended assignment, by scanning every (t-2)-subset.
+
+    Each (t-2)-subset B of the pair's codegree neighbours, in
+    lexicographic order, is packed when it avoids the vertices packed so
+    far and every edge inside B + u and B + v has color 1 (blue).  The
+    pair's edges {u, v, w} get color 2 (red) for w packed and 1 otherwise.
+    Returns (b_sets, assignment).
+    """
+    nbhd = sorted(w for e in h.edges if u in e and v in e for w in e if w not in (u, v))
+
+    def blue_spanning(bset):
+        for anchor in (u, v):
+            for e in itertools.combinations(sorted((*bset, anchor)), 3):
+                if e in h.edges and c_partial.assignment[e] != 1:
+                    return False
+        return True
+
+    chosen, used = [], set()
+    for bset in itertools.combinations(nbhd, t - 2):
+        if not used.intersection(bset) and blue_spanning(bset):
+            chosen.append(frozenset(bset))
+            used.update(bset)
+    assignment = dict(c_partial.assignment)
+    for w in nbhd:
+        assignment[tuple(sorted((u, v, w)))] = 2 if w in used else 1
+    return tuple(chosen), assignment
 
 
 def reference_core_index(variables, k, constraints):

@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 from math import comb
 
@@ -26,7 +27,7 @@ from ramsey3.codegree import (
 from ramsey3.hypercore import codegree, induced
 import ramsey3.colorengine as colorengine
 
-from _oracles import brute_cliques, brute_mono_cliques, random_extension_instance
+from _oracles import brute_cliques, brute_mono_cliques, random_extension_instance, scan_extension
 
 
 # -- host construction ---------------------------------------------------
@@ -320,6 +321,80 @@ def test_extension_randomized_sample():
         cert = extend_coloring_lower_bound(h, u, v, partial, 4)
         assert check_free(h, cert.extended, 4) == []
         done += 1
+
+
+@pytest.mark.parametrize("t", [4, 5, 6])
+def test_extension_matches_the_subset_scan(t):
+    # 200 instances for each s = t-2: the kernel's s-cliques pack as the scan of all s-subsets does
+    done = seed = 0
+    while done < 200:
+        inst = random_extension_instance(t, 47_000 + seed)
+        seed += 1
+        if inst is None:
+            continue
+        h, u, v, partial = inst
+        cert = extend_coloring_lower_bound(h, u, v, partial, t)
+        assert (cert.b_sets, cert.extended.assignment) == scan_extension(h, u, v, partial, t), seed
+        done += 1
+
+
+def _host_but_one_apex_triple(t):
+    """The partition host plus every apex triple but the first, with the host coloring."""
+    host = build_partition_host(t)
+    return host, host.h.plus_edges(apex_bundle(host)[1:])
+
+
+@pytest.mark.parametrize("t", [4, 5, 6, 7, 8])
+def test_extension_matches_the_subset_scan_on_partition_hosts(t):
+    host, h = _host_but_one_apex_triple(t)
+    cert = extend_coloring_lower_bound(h, host.a, host.b, host.coloring, t)
+    assert (cert.b_sets, cert.extended.assignment) == scan_extension(h, host.a, host.b, host.coloring, t)
+
+
+@pytest.mark.parametrize("t, budget", [(8, 0.5), (9, 5.0), (10, 5.0)])
+def test_extension_below_the_threshold_within_time(t, budget):
+    # the scan of all (t-2)-subsets took 2-2.6 s at t=8 and would face 73.6 M at t=9, 3.9 G at t=10
+    host, h = _host_but_one_apex_triple(t)
+    start = time.perf_counter()
+    cert = extend_coloring_lower_bound(h, host.a, host.b, host.coloring, t)
+    elapsed = time.perf_counter() - start
+    assert len(cert.b_sets) == t - 3  # every column but the short one
+    assert check_free(h, cert.extended, t) == []
+    assert elapsed < budget, f"took {elapsed:.2f}s, budget {budget}s"
+
+
+def test_extension_rejects_t2():
+    h = Hypergraph.build(3, [(0, 2, 3)], vertices=range(4))
+    with pytest.raises(ValueError, match=r"codegree 0 not below \(t-2\)\^2 = 0"):
+        extend_coloring_lower_bound(h, 0, 1, EdgeColoring(2, {(0, 2, 3): BLUE}), 2)
+
+
+def test_extension_at_t3_packs_nothing():
+    # codegree below 1 leaves the neighbourhood empty, so the packing is empty
+    h = Hypergraph.build(3, [], vertices=range(4))
+    cert = extend_coloring_lower_bound(h, 0, 1, EdgeColoring(2, {}), 3)
+    assert cert.b_sets == () and dict(cert.extended.assignment) == {}
+
+
+@pytest.mark.parametrize("t", [8, 9, 10])
+def test_extension_on_a_pure_codegree_star_is_small_and_fast(t):
+    # h is only the (t-2)^2 - 1 edges through the pair, so every (t-2)-subset of
+    # the neighbourhood is blue-spanning: C(35, 6) = 1.6 M of them at t=8, C(48, 7)
+    # = 73.6 M at t=9; listing them all took 1.5 s and a 162 MiB traced peak at t=8
+    m = (t - 2) ** 2 - 1
+    h = Hypergraph.build(3, [(w, m, m + 1) for w in range(m)], vertices=range(m + 2))
+    start = time.perf_counter()
+    cert = extend_coloring_lower_bound(h, m, m + 1, EdgeColoring(2, {}), t)
+    elapsed = time.perf_counter() - start
+    assert cert.b_sets == tuple(frozenset(range(i, i + t - 2)) for i in range(0, m - t + 3, t - 2))
+    assert elapsed < 0.5, f"took {elapsed:.2f}s"
+    tracemalloc.start()
+    try:
+        extend_coloring_lower_bound(h, m, m + 1, EdgeColoring(2, {}), t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, f"traced peak {peak} bytes"
 
 
 # -- expectation ---------------------------------------------------------

@@ -41,7 +41,7 @@ from ramsey3.gadgets import (
     build_rainbow,
     mock_sender,
 )
-from ramsey3.hypercore import _edges_well_formed, canon_edge, codegree, distance_lower_bound
+from ramsey3.hypercore import _distance_table, _edges_well_formed, canon_edge, codegree, distance_lower_bound
 
 from _oracles import (
     brute_cliques,
@@ -560,6 +560,20 @@ def test_distance_lower_bound_matches_the_forward_relaxed_search(inst):
     # the backward table gives the bound the forward relaxed search finds
     h, e, f = inst
     assert distance_lower_bound(h, e, f) == relaxed_path_distance(h, e, f)
+
+
+def test_relaxed_table_matches_the_forward_search_from_every_frontier():
+    # each backward step keeps the forward step's frontier condition: one
+    # position may not bring back the dropped vertex, two must add two new ones
+    for seed in range(60):
+        rng = random.Random(seed)
+        pool = list(itertools.combinations(range(rng.randint(5, 8)), 3))
+        edges = rng.sample(pool, rng.randint(1, min(12, len(pool))))
+        h = Hypergraph.build(3, edges)
+        for f in edges:
+            togo = _distance_table(h, f, f)[3]
+            for fr in itertools.chain.from_iterable(map(itertools.permutations, edges)):
+                assert togo.get(fr, math.inf) == relaxed_path_distance(h, fr, f, ordered=True) - 3, (seed, f, fr)
 
 
 def _chain(eq, steps):
