@@ -109,7 +109,7 @@ def _write(args: argparse.Namespace, text: Union[str, Iterable[str]]) -> None:
         f.write("\n")
 
 
-_ROWS = 1024  # edge rows per piece of a written hypergraph document; encoding a piece is the write's one transient
+_ROWS = 1024  # edge rows, or DIMACS lines, per piece of a written document; making a piece is the write's one transient
 
 
 def _document(h: hc.Hypergraph, tags: Optional[dict] = None,
@@ -212,7 +212,9 @@ def _cmd_cnf(args: argparse.Namespace) -> int:
             coloring = doc.decode(model)
             _write(args, json.dumps({"satisfiable": True, "coloring": coloring.to_json_dict()}))
         return 0
-    _write(args, doc.text.rstrip("\n"))
+    lines = doc.lines()
+    blocks = iter(lambda: "\n".join(itertools.islice(lines, _ROWS)), "")  # no line is empty
+    _write(args, (("\n" if i else "") + block for i, block in enumerate(blocks)))
     return 0
 
 

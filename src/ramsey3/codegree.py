@@ -204,8 +204,8 @@ def extend_coloring_lower_bound(
     codegree bound.  The result is re-verified and failure raises.
 
     Raises:
-        ValueError: wrong uniformity, codegree too large, or c_partial
-            not a free coloring of h without the pair's edges.
+        ValueError: wrong uniformity, t below 2, codegree too large, or
+            c_partial not a free coloring of h without the pair's edges.
         AssertionError: the extension failed verification.
     """
     if h.r != 3:
@@ -214,6 +214,8 @@ def extend_coloring_lower_bound(
         raise ValueError("extension argument is 2-colored")
     if u not in h.vertices or v not in h.vertices or u == v:
         raise ValueError("need two distinct vertices of the hypergraph")
+    if t < 2:
+        raise ValueError(f"clique size t = {t} is below 2")
     s = t - 2
     nbhd = sorted(w for e in h.edges if u in e and v in e for w in e if w not in (u, v))
     if len(nbhd) >= s * s:

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from functools import reduce
 from heapq import heapify, heappop, heappush
 from types import MappingProxyType
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .hypercore import Edge, Hypergraph, _bounded_cliques, _edges_well_formed, canon_edge, enumerate_cliques, json_int
 
@@ -299,7 +299,11 @@ class SearchCore:
     and a variable with none, or a clause whose atoms all hold, is a
     conflict.  A visited clause whose other watch is already ruled out
     moves this watch to a third ruled-out atom when it has one, so it
-    leaves the lists of atoms that keep being assigned.
+    leaves the lists of atoms that keep being assigned.  Only the atoms of
+    variables in some clause get clause and watch lists; the others share
+    the empty tuple, which every reader takes as no clauses.  The clauses
+    are kept as tuples, and each solve copies them into lists whose
+    watched atoms it reorders.
 
     A conflict is traced back through the reasons to its first unique
     implication point.  That yields a nogood: assignments that cannot
@@ -334,6 +338,7 @@ class SearchCore:
         n, k1 = len(self.variables), k + 1
         self.full = full = (1 << k1) - 2
         self.clauses = clauses = []
+        live = set()  # the variables in some clause
         symmetric = True
         for mem, mask in constraints:
             if mem and (set(map(type, mem)) != {int} or min(mem) < 0 or max(mem) >= n):
@@ -341,11 +346,14 @@ class SearchCore:
                 raise ValueError(f"constraint member {bad!r} is not an index in 0..{n - 1}")
             mask &= full
             symmetric = symmetric and mask in (0, full)
+            if mask:
+                live.update(mem)
             for c in range(1, k1):
                 if mask >> c & 1:
-                    clauses.append([v * k1 + c for v in mem])
-        self.occ = occ = [[] for _ in range(n * k1)]  # clauses through each atom
-        self.watch0 = watch0 = [[] for _ in range(n * k1)]  # clauses first watching each atom
+                    clauses.append(tuple([v * k1 + c for v in mem]))
+        # clauses through each atom, and clauses first watching it: () for a variable in none
+        self.occ = occ = [[] if v in live else () for v in range(n) for _ in range(k1)]
+        self.watch0 = watch0 = [[] if v in live else () for v in range(n) for _ in range(k1)]
         for ci, lits in enumerate(clauses):
             for a in lits:
                 occ[a].append(ci)
@@ -888,16 +896,18 @@ class CnfDocument:
     def var(self, i: int, c: int) -> int:
         return i * self.k + c
 
-    @property
-    def text(self) -> str:
-        lines = []
+    def lines(self) -> Iterator[str]:
+        """The lines of text, without their newlines, one at a time."""
         for i, e in enumerate(self.edges):
             for c in range(1, self.k + 1):
-                lines.append(f"c map {self.var(i, c)} {','.join(map(str, e))} {c}")
-        lines.append(f"p cnf {self.num_vars} {len(self.clauses)}")
+                yield f"c map {self.var(i, c)} {','.join(map(str, e))} {c}"
+        yield f"p cnf {self.num_vars} {len(self.clauses)}"
         for cl in self.clauses:
-            lines.append(" ".join(map(str, cl)) + " 0")
-        return "\n".join(lines) + "\n"
+            yield " ".join(map(str, cl)) + " 0"
+
+    @property
+    def text(self) -> str:
+        return "\n".join(self.lines()) + "\n"
 
     def decode(self, true_vars: Iterable[int]) -> EdgeColoring:
         tv = set(true_vars)

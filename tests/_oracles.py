@@ -276,7 +276,9 @@ def reference_core_index(variables, k, constraints):
     The constructor body that read the constraints in three passes: a
     copy of each, a flat member list checked in bulk, then the clauses.
     Returns clauses, occ, watch0, short, symmetric and order, or raises
-    ValueError naming the first bad member, as the core does.
+    ValueError naming the first bad member, as the core does.  Clauses
+    are tuples, and an atom of a variable in no clause has () for its
+    occ and watch0 entries.
     """
     if k < 1:
         raise ValueError("need at least one color")
@@ -291,9 +293,10 @@ def reference_core_index(variables, k, constraints):
     for mem, mask in kept:
         for c in range(1, k1):
             if mask >> c & 1:
-                clauses.append([v * k1 + c for v in mem])
-    occ = [[] for _ in range(n * k1)]
-    watch0 = [[] for _ in range(n * k1)]
+                clauses.append(tuple(v * k1 + c for v in mem))
+    live = {v for mem, mask in kept if mask for v in mem}
+    occ = [[] if a // k1 in live else () for a in range(n * k1)]
+    watch0 = [[] if a // k1 in live else () for a in range(n * k1)]
     for ci, lits in enumerate(clauses):
         for a in lits:
             occ[a].append(ci)

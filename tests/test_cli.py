@@ -20,7 +20,7 @@ import ramsey3.cli as cli
 from ramsey3 import Hypergraph, check_free, from_json_dict, minimalize, to_json_dict
 from ramsey3.cli import main
 from ramsey3.codegree import build_partition_host
-from ramsey3.colorengine import EdgeColoring
+from ramsey3.colorengine import EdgeColoring, export_cnf
 from ramsey3.gadgets import TaggedGadget, amplify_distance, build_BEL, build_far_seed, build_rainbow, mock_sender
 from ramsey3.hypercore import codegree
 from ramsey3.randomlab import sample_h3
@@ -132,6 +132,20 @@ def test_cnf_dimacs_and_solve(tmp_path, capsys):
     assert code == 0 and doc["satisfiable"] is True
     col = EdgeColoring.from_json_dict(doc["coloring"])
     assert check_free(Hypergraph.complete(4, 3), col, 4) == []
+
+
+@pytest.mark.parametrize("h, t", [
+    (Hypergraph.build(3, [], vertices=()), 4),  # the header line alone
+    (Hypergraph.complete(4, 3), 4),  # one block of lines
+    (sample_h3(23, 0.6, 20150205), 6),  # 4,217 lines: five blocks, the last one short
+])
+@pytest.mark.parametrize("to_file", [False, True])
+def test_cnf_writes_the_document_text(tmp_path, capsys, h, t, to_file):
+    path = write_graph(tmp_path, h)
+    out_path = tmp_path / "out.cnf"
+    code, out = run(capsys, "cnf", path, "-t", str(t), "-k", "2", *(["-o", str(out_path)] if to_file else []))
+    assert code == 0
+    assert (out_path.read_text() if to_file else out) == export_cnf(h, t, 2).text
 
 
 @pytest.mark.parametrize("command", ["arrow", "free-coloring", "cnf"])
@@ -341,6 +355,16 @@ def test_codegree_extend(tmp_path, capsys):
     assert code == 0
     col = EdgeColoring.from_json_dict(ext["coloring"])
     assert check_free(withuv, col, 4) == []
+
+
+@pytest.mark.parametrize("t", ["1", "0", "-3"])
+def test_codegree_extend_rejects_t_below_2(tmp_path, capsys, t):
+    host_path = tmp_path / "host.json"
+    run(capsys, "codegree", "host", "-t", "4", "-o", str(host_path))
+    tags = json.loads(host_path.read_text())["host"]["tags"]
+    code, out = run(capsys, "codegree", "extend", str(host_path), "--coloring", str(host_path),
+                    "-u", str(tags["a"]), "-v", str(tags["b"]), "-t", t)
+    assert code == 1 and f"t = {t} is below 2" in out, out
 
 
 @pytest.mark.parametrize("command", ["gadget bel", "codegree extend"])

@@ -369,6 +369,14 @@ def test_extension_rejects_t2():
         extend_coloring_lower_bound(h, 0, 1, EdgeColoring(2, {(0, 2, 3): BLUE}), 2)
 
 
+@pytest.mark.parametrize("t", [1, 0, -3])
+def test_extension_rejects_t_below_2(t):
+    # (t-2)^2 grows again below t = 2, so the codegree cap alone would let these through
+    h = Hypergraph.build(3, [(0, 2, 3)], vertices=range(4))
+    with pytest.raises(ValueError, match=rf"t = {t} is below 2"):
+        extend_coloring_lower_bound(h, 0, 1, EdgeColoring(2, {(0, 2, 3): BLUE}), t)
+
+
 def test_extension_at_t3_packs_nothing():
     # codegree below 1 leaves the neighbourhood empty, so the packing is empty
     h = Hypergraph.build(3, [], vertices=range(4))

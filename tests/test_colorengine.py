@@ -608,6 +608,25 @@ def test_clique_core_streams_its_constraints():
     assert peak <= 1.25 * retained, (peak, retained)
 
 
+def test_core_holds_no_clause_tables_for_unconstrained_variables():
+    # one 3-member constraint among 30,000 variables: only its members get
+    # lists; the others share (), in the core and in each solve's watch copy
+    variables = [(v,) for v in range(30000)]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        core = SearchCore(variables, 2, [([0, 1, 2], 6)])
+        retained = tracemalloc.get_traced_memory()[0] - base
+        res = core.solve()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert _tree(res) == (True, 29998, 1, 0, 0, 0)
+    assert retained < 4 * 2**20, retained
+    assert peak < 20 * 2**20, peak
+
+
 @settings(max_examples=150, deadline=None)
 @given(masked_instances())
 def test_core_resolves_without_off_as_fresh(inst):
@@ -666,6 +685,13 @@ def test_free_coloring_search_tree_unchanged(n, r, t, k, tree, digest):
     res = find_free_coloring(Hypergraph.complete(n, r), t, k)
     assert _tree(res) == tree
     assert _color_digest(res.coloring) == digest
+
+
+def test_sparse_free_coloring_search_tree_unchanged():
+    # the benchmark's big 3-graph: 1,053 edges, of which few lie in a 6-clique
+    res = find_free_coloring(sample_h3(23, 0.6, 20150205), 6, 2)
+    assert _tree(res) == (True, 1050, 2, 0, 0, 0)
+    assert _color_digest(res.coloring) == "e09698a0325d"
 
 
 @pytest.mark.parametrize("t, tree", [
