@@ -7,11 +7,13 @@ carries the partition-host forcing and extension arguments, and
 randomlab runs the seeded sampling experiments.  cli exposes all of it
 as the ramsey3 command.
 
-Layers load on first use: `import ramsey3` runs no layer module, and
-the first read of a public name below imports that name's layer.
+Layers load on first use, through this package alone: `import ramsey3`
+runs no layer module, the first read of a public name below imports its
+layer, and `from ramsey3 import gadgets` gives the layer unrun.
 """
 
-import importlib
+import importlib.util
+import sys
 
 __version__ = "0.1.0"
 
@@ -35,6 +37,15 @@ __all__ = list(_LAYER_OF)
 
 
 def __getattr__(name: str) -> object:
-    if name not in _LAYER_OF:
+    if name in _LAYER_OF:
+        return getattr(importlib.import_module(f"{__name__}.{_LAYER_OF[name]}"), name)
+    if name not in ("codegree", "colorengine", "gadgets", "hypercore", "randomlab"):
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(importlib.import_module(f"{__name__}.{_LAYER_OF[name]}"), name)
+    fullname = f"{__name__}.{name}"
+    if fullname not in sys.modules:  # a lazy module: its body runs on the first attribute read
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        sys.modules[fullname] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[fullname])
+    globals()[name] = sys.modules[fullname]  # registered here too, as an import would do
+    return sys.modules[fullname]

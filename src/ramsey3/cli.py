@@ -21,39 +21,15 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
-import importlib.util
 import itertools
 import json
 import sys
-import types
 from fractions import Fraction
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence, Union
 
-
-def _layer(name: str) -> types.ModuleType:
-    """The layer module ramsey3.<name>; its body runs on the first attribute read.
-
-    It is registered in sys.modules and on the package now, as an import
-    would do, so that a later import or a package attribute read finds it.
-    """
-    fullname = f"{__package__}.{name}"
-    if fullname in sys.modules:
-        return sys.modules[fullname]
-    spec = importlib.util.find_spec(fullname)
-    spec.loader = importlib.util.LazyLoader(spec.loader)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[fullname] = module
-    spec.loader.exec_module(module)
-    setattr(sys.modules[__package__], name, module)
-    return module
-
-
-cd = _layer("codegree")
-ce = _layer("colorengine")
-gd = _layer("gadgets")
-hc = _layer("hypercore")
-rl = _layer("randomlab")
+# lazy: the package registers each layer unrun, and its body runs on first use
+from . import codegree as cd, colorengine as ce, gadgets as gd, hypercore as hc, randomlab as rl
 
 __all__ = ["main", "entrypoint"]
 

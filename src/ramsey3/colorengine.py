@@ -35,7 +35,8 @@ from heapq import heapify, heappop, heappush
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
-from .hypercore import Edge, Hypergraph, _bounded_cliques, _edges_well_formed, canon_edge, enumerate_cliques, json_int
+from .hypercore import (Edge, Hypergraph, _bounded_cliques, _edges_well_formed, canon_edge, enumerate_cliques, json_int,
+                        vertex_ids)
 
 __all__ = [
     "BudgetExceeded",
@@ -110,11 +111,6 @@ class EdgeColoring:
         normalized = dict(a) if _canonical_coloring(self.k, a) else _normalized_coloring(self.k, a)
         object.__setattr__(self, "assignment", MappingProxyType(normalized))
 
-    @classmethod
-    def of(cls, k: int, assignment: Mapping[Iterable[int], int]) -> "EdgeColoring":
-        """Coloring from edges in any vertex order; the constructor canonicalises and checks them."""
-        return cls(k, assignment)
-
     def color(self, e: Iterable[int]) -> int:
         return self.assignment[canon_edge(e)]
 
@@ -152,10 +148,11 @@ class VertexColoring:
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ValueError("need at least one color")
+        vs = vertex_ids(self.assignment, "colored vertices")
         for v, c in self.assignment.items():
             if type(c) is not int or not 1 <= c <= self.k:
                 raise ValueError(f"color {c!r} of vertex {v} is not an integer in 1..{self.k}")
-        object.__setattr__(self, "assignment", MappingProxyType(dict(self.assignment)))
+        object.__setattr__(self, "assignment", MappingProxyType(dict(zip(vs, self.assignment.values()))))
 
     def color(self, v: int) -> int:
         return self.assignment[v]
@@ -196,7 +193,7 @@ class PatternSet:
 
     def __post_init__(self) -> None:
         for p in self.patterns:
-            if len(p) != self.k or any(a < 0 for a in p) or sum(p) != self.ell:
+            if len(p) != self.k or any(type(a) is not int or a < 0 for a in p) or sum(p) != self.ell:
                 raise ValueError(f"pattern {p!r} is not a composition of {self.ell} into {self.k} parts")
 
 

@@ -428,6 +428,7 @@ def _bounded_cliques(edges: Iterable[Edge], r: int, t: int) -> list[tuple[int, .
                     stack.pop()
 
         grow([0], (1 << len(us)) - 2, t - 1)
+        del grow  # its closure holds it: free that cycle now, not at the next collection
     return out
 
 
@@ -530,13 +531,12 @@ def distance_lower_bound(h: Hypergraph, e: Iterable[int], f: Iterable[int]) -> i
 
 @dataclass(frozen=True)
 class GlueMap:
-    """Cross-side identification list: pairs (vertex of A, vertex of B)."""
+    """Cross-side identification list: pairs (vertex of A, vertex of B), ids checked by vertex_ids."""
 
     pairs: tuple[tuple[int, int], ...] = ()
 
-    @classmethod
-    def of(cls, pairs: Iterable[tuple[int, int]]) -> "GlueMap":
-        return cls(tuple(vertex_ids((x, y), "glue pair") for x, y in pairs))
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "pairs", tuple(vertex_ids((x, y), "glue pair") for x, y in self.pairs))
 
 
 @dataclass

@@ -118,9 +118,10 @@ def test_canon_edge():
     lambda: Hypergraph.build(3, [], vertices=[0.5, 2.9]),
     lambda: induced(Hypergraph.complete(5, 3), [0, 1.5, 2]),
     lambda: degree(Hypergraph.complete(5, 3), [0, 1.5]),
-    lambda: GlueMap.of([(0.7, 1.2)]),
+    lambda: GlueMap([(0.7, 1.2)]),
     lambda: attach_apex(TaggedGadget(Hypergraph.complete(4, 3)), [0, 1.5, 2]),
-], ids=["build", "induced", "degree", "GlueMap.of", "attach_apex"])
+    lambda: VertexColoring(2, {0: 1, 1.0: 2}),
+], ids=["build", "induced", "degree", "GlueMap", "attach_apex", "VertexColoring"])
 def test_float_vertex_ids_rejected(call):
     # a float id is an error, as in canon_edge, never truncated to an int
     with pytest.raises(TypeError):
@@ -195,8 +196,8 @@ def test_constructor_rejects_float_and_bool_ids(bad, rest):
     lambda: Hypergraph.complete(4, 3).plus_edges([(True, 2, 3)]),
     lambda: canon_edge((2, True, 0)),
     lambda: EdgeColoring(2, {(0, True, 2): 1}),
-    lambda: EdgeColoring.of(2, {(2, 0, True): 1, (0, 1, 3): 2}),
-], ids=["build", "minus_edge", "plus_edges", "canon_edge", "EdgeColoring", "EdgeColoring.of"])
+    lambda: EdgeColoring(2, {(2, 0, True): 1, (0, 1, 3): 2}),
+], ids=["build", "minus_edge", "plus_edges", "canon_edge", "EdgeColoring", "EdgeColoring unsorted"])
 def test_bool_vertex_ids_rejected(call):
     # each call stored or removed (0, 1, 2), True turned into 1
     with pytest.raises(ValueError, match="bool vertex id"):
@@ -207,13 +208,16 @@ def test_bool_vertex_ids_rejected(call):
     lambda: Hypergraph.build(3, [], vertices=[True, 2]),
     lambda: induced(Hypergraph.complete(5, 3), [True, 2, 3]),
     lambda: degree(Hypergraph.complete(5, 3), [True, 2]),
-    lambda: GlueMap.of([(True, 0)]),
+    lambda: GlueMap([(True, 0)]),
+    lambda: GlueMap(((0, True),)),
     lambda: attach_apex(TaggedGadget(Hypergraph.complete(4, 3)), [True, 2]),
     lambda: TaggedGadget(Hypergraph.complete(4, 3), a=True),
     lambda: TaggedGadget(Hypergraph.complete(4, 3), b=False),
     lambda: TaggedGadget(Hypergraph.complete(4, 3), apex=True),
     lambda: TaggedGadget(Hypergraph.complete(4, 3), s_pair=(True, 2)),
-], ids=["build", "induced", "degree", "GlueMap.of", "attach_apex", "tag a", "tag b", "tag apex", "tag S"])
+    lambda: VertexColoring(2, {True: 1, 0: 2}),
+], ids=["build", "induced", "degree", "GlueMap", "GlueMap b side", "attach_apex", "tag a", "tag b", "tag apex",
+        "tag S", "VertexColoring"])
 def test_bool_vertex_id_arguments_rejected(call):
     # each call read True as vertex 1 (False as 0), which canon_edge never does
     with pytest.raises(ValueError, match="bool vertex id"):

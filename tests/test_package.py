@@ -141,3 +141,51 @@ def test_fresh_process_exit_codes(tmp_path, argv, code, word):
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == code, proc.stderr
     assert word in proc.stderr and "Traceback" not in proc.stderr
+
+
+# Prefixed to each script that run_fresh runs: ran() lists the layers whose body has run.
+RAN = """
+import sys, types
+def ran():
+    return [n for n in {layers!r} if type(sys.modules.get("ramsey3." + n)) is types.ModuleType]
+""".format(layers=LAYERS)
+
+
+def run_fresh(script):
+    proc = subprocess.run([sys.executable, "-c", RAN + script], env=ENV, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_layer_read_from_the_package_is_lazy():
+    run_fresh("""
+from ramsey3 import gadgets
+assert ran() == [], ran()
+assert gadgets.mock_sender().h.num_edges == 2
+assert sorted(ran()) == ["colorengine", "gadgets", "hypercore"], ran()
+""")
+
+
+def test_import_finds_the_layer_the_package_registered():
+    # a later import, and a package read of a layer that sys.modules holds, return the same module
+    run_fresh("""
+import ramsey3.cli
+import ramsey3.hypercore
+assert ramsey3.hypercore is ramsey3.cli.hc
+held = sys.modules["ramsey3.colorengine"]
+del ramsey3.colorengine
+from ramsey3 import colorengine
+assert colorengine is held is ramsey3.cli.ce
+""")
+
+
+def test_patch_on_a_layer_reaches_every_alias():
+    # read an attribute first, as monkeypatch does: it runs the body, which then never runs again
+    run_fresh("""
+import ramsey3.cli
+from ramsey3 import hypercore
+assert callable(hypercore.glue)
+marker = object()
+hypercore.glue = marker
+import ramsey3.hypercore
+assert ramsey3.cli.hc.glue is ramsey3.hypercore.glue is marker
+""")
