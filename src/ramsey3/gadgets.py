@@ -34,6 +34,8 @@ from .hypercore import (
     Edge,
     GlueMap,
     Hypergraph,
+    _TAG_KINDS,
+    _map_tags,
     canon_edge,
     codegree,
     distance_lower_bound,
@@ -65,7 +67,7 @@ __all__ = [
 ]
 
 # document tag -> TaggedGadget field, in the order documents list the tags
-_TAG_FIELDS = {"e": "e", "f": "f", "rainbow": "rainbow", "S": "s_pair", "a": "a", "b": "b", "apex": "apex", "dist": "dist"}
+_TAG_FIELDS = {tag: "s_pair" if tag == "S" else tag for tag in _TAG_KINDS}
 
 
 @dataclass(frozen=True)
@@ -73,7 +75,10 @@ class TaggedGadget:
     """A hypergraph with distinguished structure, written as a tagged document.
 
     Each field but h and blocks is one tag, named like the field except
-    s_pair, whose tag is "S" (_TAG_FIELDS); unset tags are left out.
+    s_pair, whose tag is "S" (_TAG_FIELDS); unset tags are left out.  One
+    table, hypercore._TAG_KINDS, fixes each tag's kind and the document
+    order; the constructor reads the tags through it by vertex_ids' rule
+    and keeps every vertex set sorted.
 
     e, f: the coupled edge pair of a sender or equalizer.
     rainbow: the star edges of a rainbow gadget, in color order.
@@ -98,27 +103,17 @@ class TaggedGadget:
     blocks: tuple[frozenset[int], ...] = ()
 
     def __post_init__(self) -> None:
-        for name in ("e", "f"):
-            if getattr(self, name) is not None:
-                object.__setattr__(self, name, canon_edge(getattr(self, name)))
-        for name in ("a", "b", "apex"):
-            if getattr(self, name) is not None:
-                object.__setattr__(self, name, vertex_ids([getattr(self, name)], f"tag {name}")[0])
-        object.__setattr__(self, "rainbow", tuple(canon_edge(e) for e in self.rainbow))
-        if self.s_pair is not None:
-            sp = tuple(sorted(vertex_ids(self.s_pair, "s_pair")))
-            if len(sp) != 2 or sp[0] == sp[1]:
-                raise ValueError(f"s_pair must be two distinct vertices, got {self.s_pair!r}")
-            object.__setattr__(self, "s_pair", sp)
+        for tag, val in _map_tags(self.tags(), vertex_ids).items():
+            object.__setattr__(self, _TAG_FIELDS[tag], val)
+        if self.s_pair is not None and (len(self.s_pair) != 2 or self.s_pair[0] == self.s_pair[1]):
+            raise ValueError(f"s_pair must be two distinct vertices, got {self.s_pair!r}")
         for tag, val in (("e", self.e), ("f", self.f), *(("rainbow", e) for e in self.rainbow)):
             if val is not None and val not in self.h.edges:
                 raise ValueError(f"tag {tag}={val!r} is not an edge of the gadget")
         verts = self.h.vertices
-        for tag, val in (("a", self.a), ("b", self.b), ("apex", self.apex)):
+        for tag, val in (("a", self.a), ("b", self.b), ("apex", self.apex), *(("S", v) for v in self.s_pair or ())):
             if val is not None and val not in verts:
                 raise ValueError(f"tag {tag}={val} is not a vertex of the gadget")
-        if self.s_pair is not None and not set(self.s_pair) <= verts:
-            raise ValueError(f"s_pair {self.s_pair!r} not inside the vertex set")
         for blk in self.blocks:
             if not blk <= verts:
                 raise ValueError("block outside the vertex set")

@@ -25,7 +25,7 @@ import operator
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from math import comb, inf
-from typing import Collection, Iterable, Iterator, Mapping, Optional, Union
+from typing import Any, Callable, Collection, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 Edge = tuple[int, ...]
 
@@ -56,7 +56,7 @@ def vertex_ids(xs: Iterable[object], what: str = "vertex set") -> tuple[int, ...
     """xs as int ids: a bool raises ValueError, a float or other non-integer TypeError."""
     xs = tuple(xs)
     if bool in map(type, xs):
-        raise ValueError(f"{what} {xs!r} has a bool vertex id")
+        raise ValueError(f"{what} has a bool vertex id: {next(x for x in xs if type(x) is bool)!r}")
     return tuple(map(operator.index, xs))
 
 
@@ -617,25 +617,28 @@ def is_linear(h: Hypergraph) -> bool:
     return len({p for e in h.edges for p in itertools.combinations(e, 2)}) == len(h.edges) * comb(h.r, 2)
 
 
-_VERTEX_TAGS = ("a", "b", "apex")
-_EDGE_TAGS = ("e", "f")
+# every tag a document may carry, in document order, and its kind; dist is an int that names no vertex
+_TAG_KINDS = {"e": "set", "f": "set", "rainbow": "sets", "S": "set", "a": "vertex", "b": "vertex", "apex": "vertex",
+              "dist": "dist"}
 
 
-def _remap_tags(tags: Mapping[str, object], pos: Mapping[int, int]) -> dict:
+def _map_tags(tags: Mapping[str, object], ids: Callable[[Any, str], Sequence[int]]) -> dict:
+    """tags by _TAG_KINDS: vertex lists read by ids(xs, what), vertex sets sorted; every error names its tag."""
     out: dict[str, object] = {}
-    for key, val in tags.items():
-        if val is None:
-            continue
-        if key in _VERTEX_TAGS:
-            out[key] = pos[val]  # type: ignore[index]
-        elif key in _EDGE_TAGS or key == "S":
-            out[key] = sorted(pos[x] for x in val)  # type: ignore[union-attr]
-        elif key == "rainbow":
-            out[key] = [sorted(pos[x] for x in e) for e in val]  # type: ignore[union-attr]
-        elif key == "dist":
-            out[key] = int(val)  # type: ignore[arg-type]
+    for tag, val in tags.items():
+        kind, what = _TAG_KINDS.get(tag), f"tag {tag}"
+        if kind is None:
+            raise ValueError(f"unknown tag {tag!r}")
+        if kind == "dist":
+            out[tag] = json_int(val, what)
+        elif kind == "vertex":
+            out[tag] = ids([val], what)[0]
+        elif kind == "set":
+            out[tag] = tuple(sorted(ids(val, what)))
+        elif isinstance(val, (list, tuple)):
+            out[tag] = tuple(tuple(sorted(ids(xs, what))) for xs in val)
         else:
-            raise ValueError(f"unknown tag {key!r}")
+            raise ValueError(f"{what} must be a list of vertex sets, got {val!r}")
     return out
 
 
@@ -653,14 +656,13 @@ def to_json_dict(h: Hypergraph, tags: Optional[Mapping[str, object]] = None) -> 
     doc: dict[str, object] = {"r": h.r, "n": len(verts), "edges": edges}
     if h.labels:
         doc["labels"] = {str(pos[v]): h.labels[v] for v in sorted(h.labels)}
+    tags = {tag: val for tag, val in (tags or {}).items() if val is not None}
     if tags:
-        remapped = _remap_tags(tags, pos)
-        if remapped:
-            doc["tags"] = remapped
+        doc["tags"] = _map_tags(tags, lambda xs, what: [pos[x] for x in xs])
     return doc
 
 
-_JSON_MAX_N = 1 << 20  # n costs memory before any edge is read; the t=8 BEL carrier has 74,142
+_JSON_MAX_N = 1 << 20  # n costs memory before any edge is read; the t=10 BEL carrier, the largest built, has 165,830
 
 
 def json_int(x: object, what: str) -> int:
@@ -668,16 +670,6 @@ def json_int(x: object, what: str) -> int:
     if type(x) is not int:
         raise ValueError(f"{what} must be an integer, got {x!r}")
     return x
-
-
-def _json_vertices(xs: object, n: int, what: str) -> list[int]:
-    if not isinstance(xs, (list, tuple)):
-        raise ValueError(f"{what} must be a list of vertices, got {xs!r}")
-    vs = [json_int(x, what) for x in xs]
-    for v in vs:
-        if not 0 <= v < n:
-            raise ValueError(f"{what} {xs!r} outside vertex range 0..{n - 1}")
-    return vs
 
 
 def from_json_dict(doc: Mapping[str, object]) -> tuple[Hypergraph, dict]:
@@ -709,18 +701,16 @@ def from_json_dict(doc: Mapping[str, object]) -> tuple[Hypergraph, dict]:
         if h.num_edges != len(edges):
             raise ValueError("hypergraph document repeats an edge")
 
-        tags: dict[str, object] = {}
-        for key, val in doc.get("tags", {}).items():  # type: ignore[union-attr]
-            if key == "dist":
-                tags[key] = json_int(val, "dist")
-            elif key in _VERTEX_TAGS:
-                tags[key] = _json_vertices([val], n, f"tag {key}")[0]
-            elif key in _EDGE_TAGS or key == "S":
-                tags[key] = tuple(sorted(_json_vertices(val, n, f"tag {key}")))
-            elif key == "rainbow":
-                tags[key] = tuple(tuple(sorted(_json_vertices(e, n, "rainbow edge"))) for e in val)  # type: ignore[union-attr]
-            else:
-                raise ValueError(f"unknown tag {key!r}")
+        def ids(xs: object, what: str) -> list[int]:  # the document id rule: exact JSON ints in 0..n-1
+            if not isinstance(xs, (list, tuple)):
+                raise ValueError(f"{what} must be a list of vertices, got {xs!r}")
+            vs = [json_int(x, what) for x in xs]
+            for v in vs:
+                if not 0 <= v < n:
+                    raise ValueError(f"{what} vertex {v} outside vertex range 0..{n - 1}")
+            return vs
+
+        tags = _map_tags(doc.get("tags", {}), ids)  # type: ignore[arg-type]
     except (KeyError, TypeError, AttributeError) as exc:
         raise ValueError(f"malformed hypergraph document: {exc}") from exc
     return h, tags

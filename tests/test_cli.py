@@ -564,6 +564,18 @@ def test_bad_labels_exit_1(tmp_path, capsys, labels):
     assert code == 1 and "label" in out and out.startswith("error:"), out
 
 
+@pytest.mark.parametrize("tags, named", [
+    ({"S": 5}, "tag S"), ({"rainbow": [3]}, "tag rainbow"), ({"rainbow": 5}, "tag rainbow"),
+    ({"rainbow": [[0, 1, 5]]}, "tag rainbow"), ({"a": None}, "tag a"), ({"dist": 2.5}, "tag dist"),
+    ({"zz": 1}, "tag 'zz'"),
+], ids=["S", "rainbow vertex", "rainbow", "rainbow range", "a null", "dist float", "unknown"])
+def test_bad_tags_exit_1_naming_the_tag(tmp_path, capsys, tags, named):
+    path = tmp_path / "h.json"
+    path.write_text(json.dumps({"r": 3, "n": 3, "edges": [[0, 1, 2]], "tags": tags}))
+    code, out = run(capsys, "cliques", str(path), "-t", "3")
+    assert code == 1 and out.startswith("error:") and named in out, out
+
+
 def test_json_with_non_integer_fields_exits_1(tmp_path, capsys):
     path = tmp_path / "h.json"
     path.write_text('{"r": 3, "n": 3.9, "edges": [[0, 1.7, 2]]}')

@@ -2,6 +2,7 @@
 
 import gc
 import itertools
+import json
 import math
 import random
 import re
@@ -222,6 +223,13 @@ def test_bool_vertex_id_arguments_rejected(call):
     # each call read True as vertex 1 (False as 0), which canon_edge never does
     with pytest.raises(ValueError, match="bool vertex id"):
         call()
+
+
+def test_bool_vertex_id_message_names_one_id():
+    # the message held the whole id tuple: 4,922 characters here, 688,922 for 100,000 ids
+    with pytest.raises(ValueError, match="bool vertex id") as err:
+        induced(Hypergraph.complete(1000, 2), [True, *range(2, 1000)])
+    assert len(str(err.value)) < 200
 
 
 @pytest.mark.parametrize("tags", [{"a": 1.0}, {"apex": 2.0}, {"s_pair": (0, 1.0)}])
@@ -802,6 +810,20 @@ def test_json_tags_round_trip():
     assert back == h
     assert tags["e"] == (0, 1, 2) and tags["S"] == (0, 1)
     assert tags["a"] == 2 and tags["dist"] == 4
+
+
+def test_json_renumbers_every_tag_kind_on_sparse_ids():
+    h = Hypergraph.build(3, [(10, 20, 30), (10, 20, 40), (20, 40, 50)], vertices=[60])
+    g = TaggedGadget(h, e=(30, 20, 10), f=(10, 20, 40), rainbow=((20, 40, 50), (10, 20, 30)),
+                     s_pair=(20, 10), a=30, b=40, apex=60, dist=3)
+    doc = g.to_json_dict()
+    # ids 10..60 become 0..5, and the tags come in document order
+    assert list(json.loads(json.dumps(doc["tags"])).items()) == [
+        ("e", [0, 1, 2]), ("f", [0, 1, 3]), ("rainbow", [[1, 3, 4], [0, 1, 2]]), ("S", [0, 1]),
+        ("a", 2), ("b", 3), ("apex", 5), ("dist", 3)]
+    dense = Hypergraph.build(3, [(0, 1, 2), (0, 1, 3), (1, 3, 4)], vertices=[5])
+    assert TaggedGadget.from_json_dict(doc) == TaggedGadget(
+        dense, e=(0, 1, 2), f=(0, 1, 3), rainbow=((1, 3, 4), (0, 1, 2)), s_pair=(0, 1), a=2, b=3, apex=5, dist=3)
 
 
 def test_json_rejects_garbage():
