@@ -124,7 +124,7 @@ def _parse_ints(text: str, what: str) -> tuple[int, ...]:
     """Comma-separated ASCII decimal items; signs, spaces and "_" exit 1."""
     parts = text.split(",")
     if not all(part.isascii() and part.isdigit() for part in parts):
-        raise _UsageError(f"bad {what} {text!r}: items must be plain decimal integers")
+        raise _UsageError(f"bad {what} {hc.brief(text)}: items must be plain decimal integers")
     return tuple(map(int, parts))
 
 

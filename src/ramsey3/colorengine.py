@@ -29,14 +29,16 @@ and exercise every code path.
 from __future__ import annotations
 
 import itertools
+import operator
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import reduce
 from heapq import heapify, heappop, heappush
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
-from .hypercore import (Edge, Hypergraph, _bounded_cliques, _edges_well_formed, canon_edge, enumerate_cliques, json_int,
-                        vertex_ids)
+from .hypercore import (Edge, Hypergraph, _bounded_cliques, _edges_well_formed, brief, canon_edge, enumerate_cliques,
+                        json_int, vertex_ids)
 
 __all__ = [
     "BudgetExceeded",
@@ -83,7 +85,7 @@ def _normalized_coloring(k: int, assignment: Mapping[Iterable[int], int]) -> dic
     normalized = {}
     for e, c in assignment.items():
         if type(c) is not int or not 1 <= c <= k:
-            raise ValueError(f"color {c!r} of edge {e!r} is not an integer in 1..{k}")
+            raise ValueError(f"color {brief(c)} of edge {brief(e)} is not an integer in 1..{k}")
         normalized[canon_edge(e)] = c
     if len(normalized) != len(assignment):
         raise ValueError("assignment repeats an edge up to reordering")
@@ -151,7 +153,7 @@ class VertexColoring:
         vs = vertex_ids(self.assignment, "colored vertices")
         for v, c in self.assignment.items():
             if type(c) is not int or not 1 <= c <= self.k:
-                raise ValueError(f"color {c!r} of vertex {v} is not an integer in 1..{self.k}")
+                raise ValueError(f"color {brief(c)} of vertex {v} is not an integer in 1..{self.k}")
         object.__setattr__(self, "assignment", MappingProxyType(dict(zip(vs, self.assignment.values()))))
 
     def color(self, v: int) -> int:
@@ -194,7 +196,7 @@ class PatternSet:
     def __post_init__(self) -> None:
         for p in self.patterns:
             if len(p) != self.k or any(type(a) is not int or a < 0 for a in p) or sum(p) != self.ell:
-                raise ValueError(f"pattern {p!r} is not a composition of {self.ell} into {self.k} parts")
+                raise ValueError(f"pattern {brief(p)} is not a composition of {self.ell} into {self.k} parts")
 
 
 @dataclass(frozen=True)
@@ -340,7 +342,7 @@ class SearchCore:
         for mem, mask in constraints:
             if mem and (set(map(type, mem)) != {int} or min(mem) < 0 or max(mem) >= n):
                 bad = next(v for v in mem if type(v) is not int or not 0 <= v < n)
-                raise ValueError(f"constraint member {bad!r} is not an index in 0..{n - 1}")
+                raise ValueError(f"constraint member {brief(bad)} is not an index in 0..{n - 1}")
             mask &= full
             symmetric = symmetric and mask in (0, full)
             if mask:
@@ -374,20 +376,20 @@ class SearchCore:
         budget=0 stops at the first decision.
         """
         if budget is not None and (type(budget) is not int or budget < 0):
-            raise ValueError(f"node budget {budget!r} is not a nonnegative integer")
+            raise ValueError(f"node budget {brief(budget)} is not a nonnegative integer")
         k, full, n, occ = self.k, self.full, len(self.variables), self.occ
         k1 = k + 1
         pins = pins or {}
         for v, c in pins.items():
             if type(v) is not int or not 0 <= v < n:
-                raise ValueError(f"pinned index {v!r} out of range")
+                raise ValueError(f"pinned index {brief(v)} out of range")
             if type(c) is not int or not 1 <= c <= k:
-                raise ValueError(f"pinned color {c!r} is not an integer in 1..{k}")
+                raise ValueError(f"pinned color {brief(c)} is not an integer in 1..{k}")
         col = [0] * n  # color, 0 while open, -1 when off
         val = [0] * (n * k1)  # per atom: 1 holds, 2 ruled out, 0 open
         for v in off:
             if type(v) is not int or not 0 <= v < n or v in pins:
-                raise ValueError(f"off index {v!r} out of range or pinned")
+                raise ValueError(f"off index {brief(v)} out of range or pinned")
             col[v] = -1
             val[v * k1 + 1:v * k1 + k1] = [2] * k  # every clause through v is met
         clauses = list(map(list, self.clauses))  # watched atoms first
@@ -665,10 +667,12 @@ def _clique_core(h: Hypergraph, t: int, k: int, fixed: Mapping[Edge, int] = {}) 
     full = (1 << (k + 1)) - 2
 
     def constraints() -> Iterable[tuple[list[int], int]]:
+        # a sorted clique's edges come in sorted order, so its variables in increasing order;
+        # the negative fixed codes sort first, one per color
         for q in enumerate_cliques(h, t):
-            xs = [code[e] for e in itertools.combinations(q, h.r)]
-            vs = [x for x in xs if x >= 0] if fixed else xs
-            yield vs, full if len(vs) == len(xs) else reduce(int.__and__, [~x for x in xs if x < 0], full)
+            xs = sorted(set(map(code.__getitem__, itertools.combinations(q, h.r))))
+            i = bisect_left(xs, 0)
+            yield xs[i:], reduce(int.__and__, map(operator.invert, xs[:i]), full)
 
     return SearchCore(edges, k, constraints())
 
@@ -962,7 +966,7 @@ def solve_cnf(
         cl = tuple(cl)
         for x in cl:
             if type(x) is not int or x == 0:
-                raise ValueError(f"CNF literal must be a nonzero integer, got {x!r}")
+                raise ValueError(f"CNF literal must be a nonzero integer, got {brief(x)}")
         clauses.append(tuple(dict.fromkeys(cl)))
     if any(not cl for cl in clauses):
         return None

@@ -36,6 +36,7 @@ from .hypercore import (
     Hypergraph,
     _TAG_KINDS,
     _map_tags,
+    brief,
     canon_edge,
     codegree,
     distance_lower_bound,
@@ -106,14 +107,14 @@ class TaggedGadget:
         for tag, val in _map_tags(self.tags(), vertex_ids).items():
             object.__setattr__(self, _TAG_FIELDS[tag], val)
         if self.s_pair is not None and (len(self.s_pair) != 2 or self.s_pair[0] == self.s_pair[1]):
-            raise ValueError(f"s_pair must be two distinct vertices, got {self.s_pair!r}")
+            raise ValueError(f"s_pair must be two distinct vertices, got {brief(self.s_pair)}")
         for tag, val in (("e", self.e), ("f", self.f), *(("rainbow", e) for e in self.rainbow)):
             if val is not None and val not in self.h.edges:
-                raise ValueError(f"tag {tag}={val!r} is not an edge of the gadget")
+                raise ValueError(f"tag {tag}={brief(val)} is not an edge of the gadget")
         verts = self.h.vertices
         for tag, val in (("a", self.a), ("b", self.b), ("apex", self.apex), *(("S", v) for v in self.s_pair or ())):
             if val is not None and val not in verts:
-                raise ValueError(f"tag {tag}={val} is not a vertex of the gadget")
+                raise ValueError(f"tag {tag}={brief(val)} is not a vertex of the gadget")
         for blk in self.blocks:
             if not blk <= verts:
                 raise ValueError("block outside the vertex set")

@@ -22,6 +22,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import operator
+import reprlib
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from math import comb, inf
@@ -52,6 +53,10 @@ __all__ = [
 ]
 
 
+# an input value as an error shows it: repr(x) for a small x, else cut to 6 items of a container, 30 characters of a string
+brief: Callable[[object], str] = reprlib.Repr().repr
+
+
 def vertex_ids(xs: Iterable[object], what: str = "vertex set") -> tuple[int, ...]:
     """xs as int ids: a bool raises ValueError, a float or other non-integer TypeError."""
     xs = tuple(xs)
@@ -65,9 +70,9 @@ def canon_edge(verts: Iterable[int], r: Optional[int] = None) -> Edge:
     xs = tuple(verts)
     vs = tuple(sorted(vertex_ids(xs, "edge")))
     if len(set(vs)) != len(vs):
-        raise ValueError(f"edge {xs!r} has repeated vertices")
+        raise ValueError(f"edge {brief(xs)} has repeated vertices")
     if r is not None and len(vs) != r:
-        raise ValueError(f"expected a {r}-edge, got {vs!r}")
+        raise ValueError(f"expected a {r}-edge, got {brief(vs)}")
     if vs and vs[0] < 0:
         raise ValueError("vertex ids must be nonnegative")
     return vs
@@ -116,16 +121,16 @@ class Hypergraph:
         if self.r < 1:
             raise ValueError("uniformity must be at least 1")
         if not set(map(type, self.vertices)) <= {int}:
-            raise ValueError(f"vertex id {next(v for v in self.vertices if type(v) is not int)!r} is not an int")
+            raise ValueError(f"vertex id {brief(next(v for v in self.vertices if type(v) is not int))} is not an int")
         if min(self.vertices, default=0) < 0:
             raise ValueError("vertex ids must be nonnegative")
         if not _edges_well_formed(self.r, self.edges, self.vertices):
             # the bulk check's rule, edge by edge, only to name an edge that breaks it
             for e in self.edges:
                 if type(e) is not tuple or len(e) != self.r or set(map(type, e)) != {int} or e != tuple(sorted(set(e))):
-                    raise ValueError(f"malformed {self.r}-edge: {e!r}")
+                    raise ValueError(f"malformed {self.r}-edge: {brief(e)}")
                 if not self.vertices.issuperset(e):
-                    raise ValueError(f"edge {e!r} uses vertices outside the vertex set")
+                    raise ValueError(f"edge {brief(e)} uses vertices outside the vertex set")
         if any(v not in self.vertices for v in self.labels):
             raise ValueError("label on a vertex that is not in the hypergraph")
 
@@ -580,7 +585,7 @@ def glue(
             partner_ab = dict(gm.pairs)
             partner_ba = {y: x for x, y in gm.pairs}
             if not partner_ab.keys() <= a.vertices or not partner_ba.keys() <= b.vertices:
-                raise ValueError(f"glue pairs {gm.pairs} use unknown vertices")
+                raise ValueError(f"glue pairs {brief(gm.pairs)} use unknown vertices")
             if any(partner_ab[x] != y or partner_ba[y] != x for x, y in gm.pairs):
                 raise ValueError("non-injective glue")
             map_b = {}
@@ -628,7 +633,7 @@ def _map_tags(tags: Mapping[str, object], ids: Callable[[Any, str], Sequence[int
     for tag, val in tags.items():
         kind, what = _TAG_KINDS.get(tag), f"tag {tag}"
         if kind is None:
-            raise ValueError(f"unknown tag {tag!r}")
+            raise ValueError(f"unknown tag {brief(tag)}")
         if kind == "dist":
             out[tag] = json_int(val, what)
         elif kind == "vertex":
@@ -638,7 +643,7 @@ def _map_tags(tags: Mapping[str, object], ids: Callable[[Any, str], Sequence[int
         elif isinstance(val, (list, tuple)):
             out[tag] = tuple(tuple(sorted(ids(xs, what))) for xs in val)
         else:
-            raise ValueError(f"{what} must be a list of vertex sets, got {val!r}")
+            raise ValueError(f"{what} must be a list of vertex sets, got {brief(val)}")
     return out
 
 
@@ -668,7 +673,7 @@ _JSON_MAX_N = 1 << 20  # n costs memory before any edge is read; the t=10 BEL ca
 def json_int(x: object, what: str) -> int:
     """x when it is a JSON integer; bools, floats and strings raise ValueError."""
     if type(x) is not int:
-        raise ValueError(f"{what} must be an integer, got {x!r}")
+        raise ValueError(f"{what} must be an integer, got {brief(x)}")
     return x
 
 
@@ -689,13 +694,13 @@ def from_json_dict(doc: Mapping[str, object]) -> tuple[Hypergraph, dict]:
         edges = [tuple(sorted(e)) for e in doc.get("edges", [])]  # type: ignore[union-attr]
         for key in ("labels", "tags"):
             if not isinstance(doc.get(key, {}), Mapping):
-                raise ValueError(f"{key} must be a JSON object, got {doc[key]!r}")
+                raise ValueError(f"{key} must be a JSON object, got {brief(doc[key])}")
         labels = {}
         for key, lab in doc.get("labels", {}).items():  # type: ignore[union-attr]
             # the id as to_json_dict writes it: ASCII digits, no sign, space or leading zero
             plain = type(key) is str and key.isascii() and key.isdigit() and key == str(int(key))
             if not plain or type(lab) is not str:
-                raise ValueError(f"label {key!r}: {lab!r} is not a decimal vertex id mapped to a string")
+                raise ValueError(f"label {brief(key)}: {brief(lab)} is not a decimal vertex id mapped to a string")
             labels[int(key)] = lab
         h = Hypergraph(r, frozenset(range(n)), frozenset(edges), labels)
         if h.num_edges != len(edges):
@@ -703,7 +708,7 @@ def from_json_dict(doc: Mapping[str, object]) -> tuple[Hypergraph, dict]:
 
         def ids(xs: object, what: str) -> list[int]:  # the document id rule: exact JSON ints in 0..n-1
             if not isinstance(xs, (list, tuple)):
-                raise ValueError(f"{what} must be a list of vertices, got {xs!r}")
+                raise ValueError(f"{what} must be a list of vertices, got {brief(xs)}")
             vs = [json_int(x, what) for x in xs]
             for v in vs:
                 if not 0 <= v < n:

@@ -43,8 +43,6 @@ __all__ = [
     "count_supported_cliques",
     "count_bad_supported",
     "property_b_toy_check",
-    "RamseyEntry",
-    "RamseyTable",
     "FactBoundReport",
     "fact_count_bound",
     "QuantityCheck",
@@ -201,51 +199,8 @@ def property_b_toy_check(
     return not res.found
 
 
-@dataclass(frozen=True)
-class RamseyEntry:
-    value: int
-    note: str = ""
-
-
-class RamseyTable:
-    """Exact multicolor graph Ramsey numbers r_k(ell), plus a crude bound.
-
-    Ships with r_2(3) = 6.  exact() refuses to guess: a missing entry is
-    an error, while upper_bound() falls back to k^(k*ell - 2k + 1).
-    """
-
-    def __init__(self, entries: Optional[dict[tuple[int, int], RamseyEntry]] = None) -> None:
-        self._entries: dict[tuple[int, int], RamseyEntry] = {
-            (2, 3): RamseyEntry(6, "classical two-color triangle number")
-        }
-        if entries:
-            self._entries.update(entries)
-
-    def set(self, k: int, ell: int, entry: RamseyEntry) -> None:
-        self._entries[(k, ell)] = entry
-
-    def entry(self, k: int, ell: int) -> RamseyEntry:
-        try:
-            return self._entries[(k, ell)]
-        except KeyError:
-            raise ValueError(f"no exact Ramsey entry for k={k}, ell={ell}") from None
-
-    def exact(self, k: int, ell: int) -> int:
-        return self.entry(k, ell).value
-
-    @staticmethod
-    def generic_bound(k: int, ell: int) -> int:
-        if k < 2 or ell < 3:
-            raise ValueError("bound defined for k >= 2, ell >= 3")
-        return k ** (k * ell - 2 * k + 1)
-
-    def upper_bound(self, k: int, ell: int) -> int:
-        if (k, ell) in self._entries:
-            return self._entries[(k, ell)].value
-        return self.generic_bound(k, ell)
-
-
-_DEFAULT_TABLE = RamseyTable()
+# r_k(ell): R(3,3) = 6, and R(3,3,3) = 17 and R(4,4) = 18 (Greenwood & Gleason, Canad. J. Math. 7, 1955)
+_RAMSEY = {(2, 3): 6, (3, 3): 17, (2, 4): 18}
 
 
 @dataclass(frozen=True)
@@ -263,15 +218,14 @@ class FactBoundReport:
 
 
 def _count_cliques(later: list[int], ell: int) -> int:
-    """ell-cliques, ell >= 2, of the graph where bit v of later[u], u < v, marks an edge uv.
+    """ell-cliques, ell >= 3, of the graph where bit v of later[u], u < v, marks an edge uv.
 
-    A clique's first vertex u leaves the candidates later[u], all after u,
+    ell >= 3 because every exact entry of _RAMSEY has ell >= 3.  A
+    clique's first vertex u leaves the candidates later[u], all after u,
     and each further member v keeps those & later[v]; the last member's
-    choices are one bit_count().  Edges and triangles are counted here,
-    without a call, larger cliques by _count_within on later[u].
+    choices are one bit_count().  Triangles are counted here, without a
+    call, larger cliques by _count_within on later[u].
     """
-    if ell == 2:
-        return sum(map(int.bit_count, later))
     total = 0
     for cands in later:
         if ell > 3:
@@ -295,16 +249,16 @@ def _count_within(later: list[int], cands: int, need: int) -> int:
     return total
 
 
-def fact_count_bound(
-    psi: EdgeColoring, ell: int, table: Optional[RamseyTable] = None
-) -> FactBoundReport:
+def fact_count_bound(psi: EdgeColoring, ell: int) -> FactBoundReport:
     """Check one complete pair coloring against the counting bound.
 
     Any k-coloring of the pairs of an n-set must have some color with at
     least n^ell / (k * r^ell) monochromatic ell-cliques, r being the
     exact k-color Ramsey number of K_ell: each r-subset contributes a
-    monochromatic clique and no clique is counted too often.  psi must
-    color every pair of 0..n-1; n is derived from the keys.
+    monochromatic clique and no clique is counted too often.  r is read
+    from _RAMSEY, whose entries all have ell >= 3; any other (k, ell)
+    raises ValueError.  psi must color every pair of 0..n-1; n is derived
+    from the keys.
 
     The domain is checked in bulk.  psi's keys are canonical edges
     (sorted tuples of distinct ids >= 0), so when all of them are pairs,
@@ -330,7 +284,9 @@ def fact_count_bound(
     if not 2 <= ell <= n:
         raise ValueError("ell must lie in 2..n")
     k = psi.k
-    r = (table or _DEFAULT_TABLE).exact(k, ell)
+    r = _RAMSEY.get((k, ell))
+    if r is None:
+        raise ValueError(f"no exact Ramsey entry for k={k}, ell={ell}")
     if n < r:
         raise ValueError(f"bound needs n >= {r}: no {r}-subset exists below that")
     bound, need = _fact_bound(n, ell, k, r)

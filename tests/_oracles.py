@@ -311,3 +311,26 @@ def reference_core_index(variables, k, constraints):
         order = sorted(range(n), key=count.__getitem__, reverse=True)
     return {"clauses": clauses, "occ": occ, "watch0": watch0, "short": short, "symmetric": symmetric,
             "order": order}
+
+
+def reference_clique_constraints(h, t, k, fixed):
+    """colorengine._clique_core's constraints, one per t-clique, as three lists each.
+
+    The translation the core made before it sorted each clique's codes:
+    a variable is its rank among the sorted edges not in fixed, a fixed
+    edge of color c is ~(1 << c), and the mask is full narrowed to the
+    fixed edges' colors (0 when they carry two).
+    """
+    edges = sorted(set(h.edges).difference(fixed))
+    code = {e: ~(1 << c) for e, c in fixed.items()}
+    code.update((e, i) for i, e in enumerate(edges))
+    full = (1 << (k + 1)) - 2
+    out = []
+    for q in brute_cliques(h, t):
+        xs = [code[e] for e in itertools.combinations(q, h.r)]
+        vs = [x for x in xs if x >= 0]
+        mask = full
+        for x in [~x for x in xs if x < 0]:
+            mask &= x
+        out.append((vs, mask))
+    return edges, out

@@ -443,6 +443,19 @@ def test_lab_report_and_fact_bound(capsys):
     assert code == 0 and doc["ok"] is True
 
 
+@pytest.mark.parametrize("n, k, ell", [(17, 3, 3), (18, 2, 4)])
+def test_lab_fact_bound_at_the_ramsey_number(capsys, n, k, ell):
+    code, out = run(capsys, "lab", "fact-bound", "-n", str(n), "-k", str(k), "--ell", str(ell), "--seed", "1", "--json")
+    doc = json.loads(out)
+    assert code == 0 and doc["r"] == n and doc["ok"] is True
+
+
+@pytest.mark.parametrize("n, k, ell", [(16, 3, 3), (17, 2, 4)])
+def test_lab_fact_bound_below_the_ramsey_number(capsys, n, k, ell):
+    code, out = run(capsys, "lab", "fact-bound", "-n", str(n), "-k", str(k), "--ell", str(ell), "--seed", "1", "--json")
+    assert code == 1 and f"bound needs n >= {n + 1}" in out, out
+
+
 def test_lab_paper_params(capsys):
     code, out = run(capsys, "lab", "paper-params", "-k", "2", "-t", "4",
                     "--json")
@@ -574,6 +587,36 @@ def test_bad_tags_exit_1_naming_the_tag(tmp_path, capsys, tags, named):
     path.write_text(json.dumps({"r": 3, "n": 3, "edges": [[0, 1, 2]], "tags": tags}))
     code, out = run(capsys, "cliques", str(path), "-t", "3")
     assert code == 1 and out.startswith("error:") and named in out, out
+
+
+TRIANGLE = {"r": 3, "n": 4, "edges": [[0, 1, 2]]}
+
+
+@pytest.mark.parametrize("doc, coloring, named", [
+    ({**TRIANGLE, "tags": {"S": "x" * 1_000_000}}, None, "tag S"),
+    ({**TRIANGLE, "n": "1" * 1_000_000}, None, "n must be an integer"),
+    ({**TRIANGLE, "edges": [[0] * 300_003]}, None, "malformed 3-edge"),
+    ({**TRIANGLE, "labels": "x" * 300_000}, None, "labels must be a JSON object"),
+    ({**TRIANGLE, "tags": {"rainbow": "x" * 300_000}}, None, "tag rainbow"),
+    (to_json_dict(Hypergraph.complete(4, 3)), {"k": 2, "colors": [[[0, 1, 2], "x" * 500_000]]}, "of edge (0, 1, 2)"),
+], ids=["S", "n", "edge", "labels", "rainbow", "color"])
+def test_oversized_values_make_short_errors(tmp_path, capsys, doc, coloring, named):
+    # the offending value is shown cut short, so the error line stays small
+    path = tmp_path / "h.json"
+    path.write_text(json.dumps(doc))
+    argv = ["cliques", str(path), "-t", "3"]
+    if coloring is not None:
+        col_path = tmp_path / "col.json"
+        col_path.write_text(json.dumps(coloring))
+        argv = ["codegree", "extend", str(path), "--coloring", str(col_path), "-u", "0", "-v", "1", "-t", "4"]
+    code, out = run(capsys, *argv)
+    assert code == 1 and out.startswith("error:") and named in out and len(out.encode()) < 300, out[:300]
+
+
+def test_oversized_integer_list_makes_a_short_error(tmp_path, capsys):
+    path = write_graph(tmp_path, Hypergraph.build(3, [(0, 1, 2), (1, 2, 3)]))
+    code, out = run(capsys, "distance", path, "-e", "1," * 50_000 + "x", "-f", "1,2,3")
+    assert code == 1 and out.startswith("error: bad vertex list") and len(out.encode()) < 300, out[:300]
 
 
 def test_json_with_non_integer_fields_exits_1(tmp_path, capsys):

@@ -44,6 +44,7 @@ from _oracles import (
     brute_sat,
     brute_vertex_colorings,
     random_small_hypergraph,
+    reference_clique_constraints,
     reference_core_index,
 )
 
@@ -488,6 +489,16 @@ def test_clique_core_with_fixed_edges_matches_brute_force(inst):
     if res.found:
         assert set(res.coloring.assignment) == set(rest)
         assert not brute_mono_cliques(h, {**fixed, **res.coloring.assignment}, t)
+
+
+@settings(max_examples=150, deadline=None)
+@given(fixed_instances())
+# one 4-clique whose fixed edges carry both colors: mask 0, so no clause
+@example((Hypergraph.complete(4, 3), 4, 2, {(0, 1, 2): 1, (0, 1, 3): 2}))
+def test_clique_core_clauses_match_the_reference_translation(inst):
+    h, t, k, fixed = inst
+    edges, cons = reference_clique_constraints(h, t, k, fixed)
+    assert colorengine._clique_core(h, t, k, fixed).clauses == SearchCore(edges, k, cons).clauses
 
 
 def test_core_rejects_bad_off():

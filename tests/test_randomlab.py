@@ -10,8 +10,6 @@ import pytest
 
 from ramsey3 import BudgetExceeded, EdgeColoring, Hypergraph, enumerate_cliques
 from ramsey3.randomlab import (
-    RamseyEntry,
-    RamseyTable,
     compute_bad_edges,
     count_bad_supported,
     count_supported_cliques,
@@ -173,20 +171,7 @@ def test_property_b_toy():
         property_b_toy_check((k6, k6), 4, budget=10)
 
 
-# -- Ramsey table and the counting bound -------------------------------------
-
-def test_ramsey_table():
-    table = RamseyTable()
-    assert table.exact(2, 3) == 6
-    with pytest.raises(ValueError):
-        table.exact(3, 3)
-    assert RamseyTable.generic_bound(2, 3) == 8
-    assert table.upper_bound(2, 3) == 6
-    assert table.upper_bound(2, 4) == 2 ** 5
-    table.set(3, 3, RamseyEntry(17, note="classic"))
-    assert table.exact(3, 3) == 17
-    assert table.entry(3, 3).note == "classic"
-
+# -- the counting bound --------------------------------------------------------
 
 def all_one_coloring(n):
     return EdgeColoring(
@@ -213,22 +198,21 @@ def test_fact_bound_random_sample():
         assert fact_count_bound(psi, 3).ok
 
 
-@pytest.mark.parametrize("k", [2, 3])
-@pytest.mark.parametrize("ell", [2, 3, 4])
-def test_fact_bound_counts_match_brute_force(k, ell):
-    # a stand-in entry r = ell lets n start at ell; the counts do not depend on it
-    table = RamseyTable({(k, ell): RamseyEntry(ell, "stand-in")})
-    for i in range(24):
-        n = ell + i % 6
+@pytest.mark.parametrize("k, ell, r", [(2, 3, 6), (3, 3, 17), (2, 4, 18)], ids=["3-2", "3-3", "4-2"])
+def test_fact_bound_counts_match_brute_force(k, ell, r):
+    # every exact entry, at n = r..r+2; ids read ell-k
+    for i in range(9):
+        n = r + i % 3
         psi = random_complete_graph_coloring(n, k, derive_seed("fb-brute", k, ell, i))
         want = [0] * k
         for q in itertools.combinations(range(n), ell):
             cols = {psi.assignment[pq] for pq in itertools.combinations(q, 2)}
             if len(cols) == 1:
                 want[cols.pop() - 1] += 1
-        rep = fact_count_bound(psi, ell, table)
+        rep = fact_count_bound(psi, ell)
+        assert rep.r == r
         assert rep.counts == tuple(want) and rep.best == max(want)
-        assert rep.bound == Fraction(n**ell, k * ell**ell)
+        assert rep.bound == Fraction(n**ell, k * r**ell)
         assert rep.ok == (max(want) >= rep.bound)
 
 
@@ -258,8 +242,10 @@ K6 = list(itertools.combinations(range(6), 2))
     ([], "ell must lie in 2..n"),
     ([(0, 1), (0, 3), (1, 3)], "pair coloring must live on vertices 0..n-1"),  # n = 4 by the largest id
     ([(0, 1, 2)] + list(itertools.combinations(range(5), 2))[1:], "need all 10 pairs of 0..4 colored"),  # C(5, 2) keys, one a triple
-    # every pair of 0..5 in three colors passes the domain check; the default table stops it
-    (EdgeColoring(3, {p: 1 + i % 3 for i, p in enumerate(K6)}), "no exact Ramsey entry for k=3, ell=3"),
+    # every pair of 0..5 in three colors passes the domain check; r_3(3) = 17 stops it
+    (EdgeColoring(3, {p: 1 + i % 3 for i, p in enumerate(K6)}), "bound needs n >= 17: no 17-subset exists below that"),
+    # r_4(3) is not known exactly
+    (EdgeColoring(4, {p: 1 + i % 4 for i, p in enumerate(K6)}), "no exact Ramsey entry for k=4, ell=3"),
 ])
 def test_fact_bound_messages(keys, message):
     # a case may give its own coloring, to use more than two colors
