@@ -242,8 +242,10 @@ K6 = list(itertools.combinations(range(6), 2))
     ([], "ell must lie in 2..n"),
     ([(0, 1), (0, 3), (1, 3)], "pair coloring must live on vertices 0..n-1"),  # n = 4 by the largest id
     ([(0, 1, 2)] + list(itertools.combinations(range(5), 2))[1:], "need all 10 pairs of 0..4 colored"),  # C(5, 2) keys, one a triple
-    # every pair of 0..5 in three colors passes the domain check; r_3(3) = 17 stops it
-    (EdgeColoring(3, {p: 1 + i % 3 for i, p in enumerate(K6)}), "bound needs n >= 17: no 17-subset exists below that"),
+    # every pair of 0..5 in three colors passes the domain check; r_3(3) = 17 stops it.
+    # The id is the case's old name, from before r_3(3) had an exact entry.
+    pytest.param(EdgeColoring(3, {p: 1 + i % 3 for i, p in enumerate(K6)}), "bound needs n >= 17: no 17-subset exists below that",
+                 id="keys8-no exact Ramsey entry for k=3, ell=3"),
     # r_4(3) is not known exactly
     (EdgeColoring(4, {p: 1 + i % 4 for i, p in enumerate(K6)}), "no exact Ramsey entry for k=4, ell=3"),
 ])
