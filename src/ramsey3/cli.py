@@ -14,6 +14,10 @@ require an explicit --seed.  Integer lists given as text (vertex lists,
 
 Layers load on first use: importing this module runs none of them, and
 a command runs only the layers it touches.
+
+Each command is one row of _COMMANDS: its words, help, handler and
+arguments.  A process builds the parser from the rows on its command's
+path alone; a usage error is worded again by the full parser.
 """
 
 from __future__ import annotations
@@ -435,216 +439,113 @@ def _cmd_lab_paper_params(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------- parser
 
 
-def _add_tk(p: argparse.ArgumentParser, budget: bool = True) -> None:
-    p.add_argument("-t", type=int, required=True, help="clique size")
-    p.add_argument("-k", type=int, required=True, help="number of colors")
-    if budget:
-        p.add_argument("--budget", type=int, default=None, help="search node budget")
+def _arg(*flags: str, **kwargs: Any) -> tuple[tuple[str, ...], dict]:
+    """One add_argument call: its flags and keyword arguments."""
+    return flags, kwargs
 
 
-class _Unused:
-    """Stands in for a subparser the command being run does not need: every call does nothing."""
+def _int(flag: str, **kwargs: Any) -> tuple[tuple[str, ...], dict]:
+    return _arg(flag, type=int, required=True, **kwargs)
 
-    def __getattr__(self, name: str) -> object:
-        return lambda *args, **kwargs: self
+
+_INPUT = _arg("input")
+_OUTPUT = _arg("-o", "--output")
+_JSON = _arg("--json", action="store_true")
+_T = _int("-t", help="clique size")
+_K = _int("-k", help="number of colors")
+_BUDGET = _arg("--budget", type=int, default=None, help="search node budget")
+_SEED = _int("--seed")
+_M = _int("-m")
+_R = _arg("-r", type=int, default=3, choices=(2, 3))
+_SENDER = _arg("--sender", required=True, help="sender gadget file, or 'mock'")
+_COLORING = _arg("--coloring", required=True)
+
+_GROUPS = {"gadget": "gadget builders", "codegree": "partition host and extension checks",
+           "lab": "randomized experiments"}
+
+# one row per command, in listing order: its words, help, handler, and arguments in usage order
+_COMMANDS = (
+    ("arrow", "decide arrowing", _cmd_arrow, (_INPUT, _T, _K, _BUDGET, _JSON)),
+    ("minimalize", "greedy edge-minimal arrowing subhypergraph", _cmd_minimalize,
+     (_INPUT, _T, _K, _BUDGET, _OUTPUT)),
+    ("free-coloring", "find a coloring without monochromatic cliques", _cmd_free_coloring,
+     (_INPUT, _T, _K, _BUDGET, _OUTPUT)),
+    ("cnf", "export the free-coloring question as DIMACS", _cmd_cnf,
+     (_INPUT, _T, _K, _arg("--solve", action="store_true", help="solve with the built-in DPLL instead"), _OUTPUT)),
+    ("distance", "interval distance between two edges", _cmd_distance,
+     (_INPUT, _arg("-e", required=True, help="first edge, e.g. 0,1,2"), _arg("-f", required=True, help="second edge"),
+      _JSON)),
+    ("cliques", "enumerate complete t-sets", _cmd_cliques, (_INPUT, _int("-t"), _JSON)),
+    ("gadget fprime", "complete hypergraph minus one pair bundle", _cmd_gadget_fprime, (_M, _R, _OUTPUT)),
+    ("gadget fell", "fprime with ell special edges restored", _cmd_gadget_fell, (_M, _int("--ell"), _R, _OUTPUT)),
+    ("gadget hstar", "separating auxiliary hypergraph", _cmd_gadget_hstar,
+     (_INPUT, _arg("--patterns", required=True, help="pattern set, e.g. 1,1;2,0; its part count is k"), _OUTPUT)),
+    ("gadget sender", "signal sender from an hstar document; ell is H*'s uniformity", _cmd_gadget_sender,
+     (_INPUT, _M, _OUTPUT)),
+    ("gadget rainbow", "star forced to use every color once", _cmd_gadget_rainbow, (_int("-k"), _SENDER, _OUTPUT)),
+    ("gadget equalizer", "positive sender from two rainbow copies", _cmd_gadget_equalizer,
+     (_int("-k"), _SENDER, _OUTPUT)),
+    ("gadget amplify", "chain an equalizer to a target tag distance", _cmd_gadget_amplify,
+     (_INPUT, _int("-s", help="target distance"),
+      _arg("--from-equalizer", action="store_true",
+           help="build the distance-5 seed from two copies of the input first"),
+      _arg("--verify", choices=("auto", "on", "off"), default="auto",
+           help="on also checks every step's bound by the exact A* search on its table; auto and off rely on the bound"),
+      _OUTPUT)),
+    ("gadget bel", "pin a host coloring with rainbow plus far equalizers", _cmd_gadget_bel,
+     (_arg("input", help="host hypergraph"), _COLORING, _T, _K,
+      _arg("--far", default=None, help="far equalizer gadget file (default: built from mocks)"),
+      _arg("--rainbow", default=None, help="rainbow gadget file (default: built from mocks)"), _OUTPUT)),
+    ("gadget apex", "join a new vertex to every pair of a base set", _cmd_gadget_apex,
+     (_INPUT, _arg("--base", required=True, help="base vertices, e.g. 0,1,2"), _OUTPUT)),
+    ("codegree host", "build the partition host and its coloring", _cmd_codegree_host, (_int("-t"), _OUTPUT)),
+    ("codegree force-check", "is a monochromatic clique forced", _cmd_codegree_force_check,
+     (_int("-t"), _arg("--drop", default=None, help="apex bundle indices to delete, e.g. 0,3"), _BUDGET, _JSON)),
+    ("codegree extend", "extend a free coloring over one pair's edges", _cmd_codegree_extend,
+     (_INPUT, _COLORING, _int("-u"), _int("-v"), _int("-t"), _OUTPUT)),
+    ("codegree expectation", "expected monochromatic cliques, exact", _cmd_codegree_expectation,
+     (_int("-t"), _arg("--until", type=int, default=None), _JSON)),
+    ("lab sample", "sample a random 3-graph or family", _cmd_lab_sample,
+     (_int("-n"), _arg("-p", type=float, required=True), _arg("-k", type=int, default=1), _SEED, _OUTPUT)),
+    ("lab prune", "drop clique and shared edges from a family", _cmd_lab_prune,
+     (_arg("input", nargs="?", default=None), _int("-t"), _arg("-n", type=int, default=None),
+      _arg("-p", type=float, default=None),
+      _arg("-k", type=int, default=None, help="family size when sampling (default 2)"),
+      _arg("--seed", type=int, default=None), _OUTPUT)),
+    ("lab report", "Monte Carlo first-moment checks", _cmd_lab_report,
+     (_int("-n"), _arg("-p", type=float, required=True), _int("-t"), _int("-k"), _int("--trials"), _SEED, _JSON)),
+    ("lab fact-bound", "counting bound on a random pair coloring", _cmd_lab_fact_bound,
+     (_int("-n"), _int("-k"), _int("--ell"), _SEED, _JSON)),
+    ("lab paper-params", "construction exponents at true scale", _cmd_lab_paper_params,
+     (_int("-k"), _int("-t"), _JSON)),
+)
 
 
 def _build_parser(argv: Sequence[str] = ()) -> _Parser:
-    """The ramsey3 parser, holding only the subparsers that argv can run.
+    """The ramsey3 parser, holding only the _COMMANDS rows that argv can run.
 
     argv's words before its first option, at most two (a group and its
-    command), select them; with none, all are built.  A subparser is
-    built the same either way, so it parses alike, but a usage error may
-    list the commands, and only the full parser lists them all.
+    command), select the rows; with none, all are built.  A group's
+    subparser is added with the first of its rows built.  A row is built
+    the same either way, so it parses alike, but a usage error may list
+    the commands, and only the full parser lists them all.
     """
     path = tuple(itertools.takewhile(lambda word: not word.startswith("-"), argv[:2]))
-    root = _Parser(prog="ramsey3", description=__doc__)
-    sub = root.add_subparsers(dest="command", required=True)
-
-    def add(parent: Any, *names: str, **kwargs: Any) -> Any:
-        wanted = path[: len(names)] == names[: len(path)]
-        return parent.add_parser(names[-1], **kwargs) if wanted else _Unused()
-
-    p = add(sub, "arrow", help="decide arrowing")
-    p.add_argument("input")
-    _add_tk(p)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_arrow)
-
-    p = add(sub, "minimalize", help="greedy edge-minimal arrowing subhypergraph")
-    p.add_argument("input")
-    _add_tk(p)
-    p.add_argument("-o", "--output")
-    p.set_defaults(func=_cmd_minimalize)
-
-    p = add(sub, "free-coloring", help="find a coloring without monochromatic cliques")
-    p.add_argument("input")
-    _add_tk(p)
-    p.add_argument("-o", "--output")
-    p.set_defaults(func=_cmd_free_coloring)
-
-    p = add(sub, "cnf", help="export the free-coloring question as DIMACS")
-    p.add_argument("input")
-    _add_tk(p, budget=False)
-    p.add_argument("--solve", action="store_true", help="solve with the built-in DPLL instead")
-    p.add_argument("-o", "--output")
-    p.set_defaults(func=_cmd_cnf)
-
-    p = add(sub, "distance", help="interval distance between two edges")
-    p.add_argument("input")
-    p.add_argument("-e", required=True, help="first edge, e.g. 0,1,2")
-    p.add_argument("-f", required=True, help="second edge")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_distance)
-
-    p = add(sub, "cliques", help="enumerate complete t-sets")
-    p.add_argument("input")
-    p.add_argument("-t", type=int, required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_cliques)
-
-    g = add(sub, "gadget", help="gadget builders").add_subparsers(
-        dest="gadget", required=True
-    )
-
-    p = add(g, "gadget", "fprime", help="complete hypergraph minus one pair bundle")
-    p.add_argument("-m", type=int, required=True)
-    p.add_argument("-r", type=int, default=3, choices=(2, 3))
-    p.add_argument("-o", "--output")
-    p.set_defaults(func=_cmd_gadget_fprime)
-
-    p = add(g, "gadget", "fell", help="fprime with ell special edges restored")
-    p.add_argument("-m", type=int, required=True)
-    p.add_argument("--ell", type=int, required=True)
-    p.add_argument("-r", type=int, default=3, choices=(2, 3))
-    p.add_argument("-o", "--output")
-    p.set_defaults(func=_cmd_gadget_fell)
-
-    p = add(g, "gadget", "hstar", help="separating auxiliary hypergraph")
-    p.add_argument("input")
-    p.add_argument("--patterns", required=True, help="pattern set, e.g. 1,1;2,0; its part count is k")
-    p.add_argument("-o", "--output")
-    p.set_defaults(func=_cmd_gadget_hstar)
-
-    p = add(g, "gadget", "sender", help="signal sender from an hstar document; ell is H*'s uniformity")
-    p.add_argument("input")
-    p.add_argument("-m", type=int, required=True)
-    p.add_argument("-o", "--output")
-    p.set_defaults(func=_cmd_gadget_sender)
-
-    p = add(g, "gadget", "rainbow", help="star forced to use every color once")
-    p.add_argument("-k", type=int, required=True)
-    p.add_argument("--sender", required=True, help="sender gadget file, or 'mock'")
-    p.add_argument("-o", "--output")
-    p.set_defaults(func=_cmd_gadget_rainbow)
-
-    p = add(g, "gadget", "equalizer", help="positive sender from two rainbow copies")
-    p.add_argument("-k", type=int, required=True)
-    p.add_argument("--sender", required=True, help="sender gadget file, or 'mock'")
-    p.add_argument("-o", "--output")
-    p.set_defaults(func=_cmd_gadget_equalizer)
-
-    p = add(g, "gadget", "amplify", help="chain an equalizer to a target tag distance")
-    p.add_argument("input")
-    p.add_argument("-s", type=int, required=True, help="target distance")
-    p.add_argument("--from-equalizer", action="store_true", help="build the distance-5 seed from two copies of the input first")
-    p.add_argument("--verify", choices=("auto", "on", "off"), default="auto",
-                   help="on also checks every step's bound by the exact A* search on its table; auto and off rely on the bound")
-    p.add_argument("-o", "--output")
-    p.set_defaults(func=_cmd_gadget_amplify)
-
-    p = add(g, "gadget", "bel", help="pin a host coloring with rainbow plus far equalizers")
-    p.add_argument("input", help="host hypergraph")
-    p.add_argument("--coloring", required=True)
-    _add_tk(p, budget=False)
-    p.add_argument("--far", default=None, help="far equalizer gadget file (default: built from mocks)")
-    p.add_argument("--rainbow", default=None, help="rainbow gadget file (default: built from mocks)")
-    p.add_argument("-o", "--output")
-    p.set_defaults(func=_cmd_gadget_bel)
-
-    p = add(g, "gadget", "apex", help="join a new vertex to every pair of a base set")
-    p.add_argument("input")
-    p.add_argument("--base", required=True, help="base vertices, e.g. 0,1,2")
-    p.add_argument("-o", "--output")
-    p.set_defaults(func=_cmd_gadget_apex)
-
-    c = add(sub, "codegree", help="partition host and extension checks").add_subparsers(
-        dest="codegree", required=True
-    )
-
-    p = add(c, "codegree", "host", help="build the partition host and its coloring")
-    p.add_argument("-t", type=int, required=True)
-    p.add_argument("-o", "--output")
-    p.set_defaults(func=_cmd_codegree_host)
-
-    p = add(c, "codegree", "force-check", help="is a monochromatic clique forced")
-    p.add_argument("-t", type=int, required=True)
-    p.add_argument("--drop", default=None, help="apex bundle indices to delete, e.g. 0,3")
-    p.add_argument("--budget", type=int, default=None, help="search node budget")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_codegree_force_check)
-
-    p = add(c, "codegree", "extend", help="extend a free coloring over one pair's edges")
-    p.add_argument("input")
-    p.add_argument("--coloring", required=True)
-    p.add_argument("-u", type=int, required=True)
-    p.add_argument("-v", type=int, required=True)
-    p.add_argument("-t", type=int, required=True)
-    p.add_argument("-o", "--output")
-    p.set_defaults(func=_cmd_codegree_extend)
-
-    p = add(c, "codegree", "expectation", help="expected monochromatic cliques, exact")
-    p.add_argument("-t", type=int, required=True)
-    p.add_argument("--until", type=int, default=None)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_codegree_expectation)
-
-    lab = add(sub, "lab", help="randomized experiments").add_subparsers(
-        dest="lab", required=True
-    )
-
-    p = add(lab, "lab", "sample", help="sample a random 3-graph or family")
-    p.add_argument("-n", type=int, required=True)
-    p.add_argument("-p", type=float, required=True)
-    p.add_argument("-k", type=int, default=1)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("-o", "--output")
-    p.set_defaults(func=_cmd_lab_sample)
-
-    p = add(lab, "lab", "prune", help="drop clique and shared edges from a family")
-    p.add_argument("input", nargs="?", default=None)
-    p.add_argument("-t", type=int, required=True)
-    p.add_argument("-n", type=int, default=None)
-    p.add_argument("-p", type=float, default=None)
-    p.add_argument("-k", type=int, default=None, help="family size when sampling (default 2)")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("-o", "--output")
-    p.set_defaults(func=_cmd_lab_prune)
-
-    p = add(lab, "lab", "report", help="Monte Carlo first-moment checks")
-    p.add_argument("-n", type=int, required=True)
-    p.add_argument("-p", type=float, required=True)
-    p.add_argument("-t", type=int, required=True)
-    p.add_argument("-k", type=int, required=True)
-    p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_lab_report)
-
-    p = add(lab, "lab", "fact-bound", help="counting bound on a random pair coloring")
-    p.add_argument("-n", type=int, required=True)
-    p.add_argument("-k", type=int, required=True)
-    p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_lab_fact_bound)
-
-    p = add(lab, "lab", "paper-params", help="construction exponents at true scale")
-    p.add_argument("-k", type=int, required=True)
-    p.add_argument("-t", type=int, required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_lab_paper_params)
-
+    # the docstring's last paragraph is about this code, not for --help; -OO strips the docstring
+    root = _Parser(prog="ramsey3", description=__doc__ and __doc__.rsplit("\n\n", 1)[0])
+    subs = {(): root.add_subparsers(dest="command", required=True)}
+    for name, text, func, specs in _COMMANDS:
+        words = tuple(name.split())
+        if path[: len(words)] != words[: len(path)]:
+            continue
+        group = words[:-1]
+        if group not in subs:
+            (word,) = group
+            subs[group] = subs[()].add_parser(word, help=_GROUPS[word]).add_subparsers(dest=word, required=True)
+        p = subs[group].add_parser(words[-1], help=text)
+        for flags, kwargs in specs:
+            p.add_argument(*flags, **kwargs)
+        p.set_defaults(func=func)
     return root
 
 

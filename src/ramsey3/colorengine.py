@@ -785,8 +785,6 @@ def admissible_patterns(
     remaining = budget
     reps = (p for p in itertools.combinations_with_replacement(range(ell, -1, -1), k) if sum(p) == ell)
     for rep in sorted(reps, reverse=True):
-        if rep in patterns:
-            continue
         multiset: list[int] = []
         for color, cnt in enumerate(rep, start=1):
             multiset.extend([color] * cnt)

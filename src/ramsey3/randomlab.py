@@ -281,8 +281,6 @@ def fact_count_bound(psi: EdgeColoring, ell: int) -> FactBoundReport:
         want = comb(n, 2)
         if len(a) != want or any(len(e) != 2 for e in a):
             raise ValueError(f"need all {want} pairs of 0..{n - 1} colored")
-    if not 2 <= ell <= n:
-        raise ValueError("ell must lie in 2..n")
     k = psi.k
     r = _RAMSEY.get((k, ell))
     if r is None:

@@ -189,6 +189,12 @@ def test_gadget_fprime_fell(tmp_path, capsys):
     assert code == 0 and len(json.loads(out)["edges"]) == 18
 
 
+def test_cnf_solve_unsatisfiable(tmp_path, capsys):
+    path = write_graph(tmp_path, Hypergraph.complete(6, 2), "K6.json")
+    code, out = run(capsys, "cnf", path, "-t", "3", "-k", "2", "--solve")
+    assert (code, out) == (0, '{"satisfiable": false, "coloring": null}\n')
+
+
 def test_gadget_pipeline_hstar_sender(tmp_path, capsys):
     c5 = Hypergraph.build(2, [(i, (i + 1) % 5) for i in range(5)])
     path = write_graph(tmp_path, c5)
@@ -236,6 +242,28 @@ def test_gadget_bel_and_apex(tmp_path, capsys):
     code, out = run(capsys, "gadget", "apex", small, "--base", "0,1,2")
     doc = json.loads(out)
     assert code == 0 and doc["tags"]["apex"] == 3 and len(doc["edges"]) == 4
+
+
+def test_gadget_bel_reads_a_rainbow_file(tmp_path, capsys):
+    # the mock rainbow written by gadget rainbow gives the same carrier as bel's built-in default
+    host, rb = str(tmp_path / "host.json"), str(tmp_path / "rb.json")
+    assert run(capsys, "codegree", "host", "-t", "4", "-o", host)[0] == 0
+    assert run(capsys, "gadget", "rainbow", "-k", "2", "--sender", "mock", "-o", rb)[0] == 0
+    bel = ["gadget", "bel", host, "--coloring", host, "-t", "4", "-k", "2", "-o"]
+    assert run(capsys, *bel, str(tmp_path / "default.json"))[0] == 0
+    assert run(capsys, *bel, str(tmp_path / "given.json"), "--rainbow", rb)[0] == 0
+    assert (tmp_path / "given.json").read_bytes() == (tmp_path / "default.json").read_bytes()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["codegree", "force-check", "-t", "4", "--drop", "99"], "drop index 99 outside"),
+    (["codegree", "expectation", "-t", "6", "--until", "5"], "--until must not be below -t"),
+    (["gadget", "sender", None, "-m", "5"], "input needs tags a and b"),
+])
+def test_unusable_arguments_exit_1(tmp_path, capsys, argv, message):
+    c5 = write_graph(tmp_path, Hypergraph.build(2, [(i, (i + 1) % 5) for i in range(5)]))
+    code, out = run(capsys, *[c5 if word is None else word for word in argv])
+    assert code == 1 and out.startswith("error: ") and message in out, out
 
 
 def test_gadget_bel_rejects_more_colors_than_k(tmp_path, capsys):
@@ -286,6 +314,9 @@ PARSE_CASES = [
     ["gadget", "-x", "bel"], ["gadget", "bel", "--help"], ["gadget", "amplify", "x", "-s", "3", "--verify", "maybe"],
     ["codegree", "host", "-t", "x"], ["lab", "--help"], ["lab", "prune", "-h"], ["free-coloring", "--h"],
 ]
+# every command's words with --help, and alone
+PARSE_CASES += [argv for name, *_ in cli._COMMANDS for argv in ([*name.split(), "--help"], name.split())
+                if argv not in PARSE_CASES]
 
 
 @pytest.mark.parametrize("argv", PARSE_CASES, ids=lambda argv: " ".join(argv) or "no arguments")

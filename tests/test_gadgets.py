@@ -173,6 +173,14 @@ def test_hstar_c5_exact():
     assert (x, y) not in hs.edges
 
 
+def test_hstar_drops_edges_outside_a_minimal_witness():
+    # two disjoint C_5's: the greedy pass deletes the first cycle, so H* is the one-cycle result shifted by 5
+    two = Hypergraph.build(2, list(C5.edges) + [(u + 5, v + 5) for u, v in C5.edges])
+    hs, x, y = build_Hstar(two, P11, 2)
+    assert sorted(hs.edges) == [(5, 9), (6, 7), (6, 10), (7, 8), (8, 9)]
+    assert (x, y) == (5, 10)
+
+
 def test_hstar_c5_all_colorings_separate():
     hs, x, y = build_Hstar(C5, P11, 2)
     found = admissible_vertex_coloring(hs, P11, mode="enumerate")

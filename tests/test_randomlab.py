@@ -239,7 +239,8 @@ K6 = list(itertools.combinations(range(6), 2))
     (list(itertools.combinations(range(1, 7), 2)), "pair coloring must live on vertices 0..n-1"),
     (list(itertools.combinations(range(5), 3)), "need all 10 pairs of 0..4 colored"),  # C(5, 3) == C(5, 2)
     (K6 + [(0, 1, 2)], "need all 15 pairs of 0..5 colored"),
-    ([], "ell must lie in 2..n"),
+    # no pair at all: n = 0, below r_2(3) = 6.  The id is the case's old name, from before the ell range check went.
+    pytest.param([], "bound needs n >= 6: no 6-subset exists below that", id="keys5-ell must lie in 2..n"),
     ([(0, 1), (0, 3), (1, 3)], "pair coloring must live on vertices 0..n-1"),  # n = 4 by the largest id
     ([(0, 1, 2)] + list(itertools.combinations(range(5), 2))[1:], "need all 10 pairs of 0..4 colored"),  # C(5, 2) keys, one a triple
     # every pair of 0..5 in three colors passes the domain check; r_3(3) = 17 stops it.
