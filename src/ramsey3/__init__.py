@@ -25,9 +25,9 @@ _EXPORTS = {
         "minimalize", "solve_cnf",
     ),
     "hypercore": (
-        "Edge", "GlueMap", "GlueResult", "Hypergraph", "degree", "disjoint_union",
-        "enumerate_cliques", "fano_plane", "from_json_dict", "glue", "induced", "is_linear",
-        "link", "min_ell_degree", "min_positive_codegree", "path_distance", "to_json_dict",
+        "Edge", "GlueResult", "Hypergraph", "degree", "enumerate_cliques", "fano_plane",
+        "from_json_dict", "glue", "induced", "is_linear", "link", "min_ell_degree",
+        "min_positive_codegree", "path_distance", "to_json_dict",
     ),
 }
 

@@ -124,6 +124,16 @@ def _emit(args: argparse.Namespace, doc: object, human: Optional[str] = None) ->
         _write(args, json.dumps(doc))
 
 
+def _check_printable(bits: int, flags: str) -> None:
+    """Raise, before a value holding 2^bits is built, when it would print past Python's int digit limit.
+
+    The limit (4300 digits by default) guards against quadratic conversion, so it is kept, not raised.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit, as before Python 3.10.7
+    if limit and bits >= (10**limit).bit_length():  # 2^bits >= 10^limit: more than limit digits
+        raise ValueError(f"{flags}: the exact value holds 2^{bits}, past Python's {limit}-digit int printing limit")
+
+
 def _parse_ints(text: str, what: str) -> tuple[int, ...]:
     """Comma-separated ASCII decimal items; signs, spaces and "_" exit 1."""
     parts = text.split(",")
@@ -340,6 +350,7 @@ def _cmd_codegree_expectation(args: argparse.Namespace) -> int:
     until = args.until if args.until is not None else args.t
     if until < args.t:
         raise ValueError("--until must not be below -t")
+    _check_printable(cd.expectation_denominator_log2(until), f"{'-t' if args.until is None else '--until'} {until}")
     rows = []
     lines = []
     for t in range(args.t, until + 1):
@@ -421,6 +432,7 @@ def _cmd_lab_fact_bound(args: argparse.Namespace) -> int:
 
 
 def _cmd_lab_paper_params(args: argparse.Namespace) -> int:
+    _check_printable(args.k * args.t**2, f"-k {args.k} -t {args.t}")
     params = rl.paper_scale_params(args.k, args.t)
     human = "\n".join(
         [

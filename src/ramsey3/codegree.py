@@ -27,7 +27,7 @@ from fractions import Fraction
 from math import comb
 from typing import TYPE_CHECKING, Iterable, Optional
 
-from .colorengine import ArrowVerdict, BudgetExceeded, EdgeColoring, _clique_core, arrows, check_free
+from .colorengine import BudgetExceeded, EdgeColoring, _clique_core, check_free
 from .hypercore import Edge, Hypergraph, canon_edge, codegree, enumerate_cliques
 
 if TYPE_CHECKING:
@@ -47,7 +47,7 @@ __all__ = [
     "extend_coloring_lower_bound",
     "CliqueExpectation",
     "random_coloring_expectation",
-    "verify_s22_zero_step",
+    "expectation_denominator_log2",
 ]
 
 BLUE = 1
@@ -274,10 +274,14 @@ def random_coloring_expectation(t: int) -> CliqueExpectation:
     return CliqueExpectation(t, value, value < 1)
 
 
-def verify_s22_zero_step(host: PartitionHost, budget: Optional[int] = None) -> ArrowVerdict:
-    """Confirm the unaugmented host does not arrow: codegree zero forces nothing.
+def expectation_denominator_log2(t: int) -> int:
+    """log2 of random_coloring_expectation(t)'s reduced denominator, found without building it.
 
-    The reserved pair has no edges yet, the host has no K_t at all, and
-    the engine returns a verified free coloring as witness.
+    With m = t-2 the clique count is m(1 + m^(m-1)).  For odd m the second
+    factor is an odd square plus one, 2 mod 8, so the count has one factor
+    2; for even m it is odd, so the count has the factors 2 of m.
     """
-    return arrows(host.h, host.t, 2, budget=budget)
+    if t < 4:
+        raise ValueError("formula defined for t >= 4")
+    m = t - 2
+    return comb(t, 3) - 1 - (1 if m % 2 else (m & -m).bit_length() - 1)

@@ -32,7 +32,6 @@ from typing import Iterable, Mapping, Optional
 from .colorengine import EdgeColoring, PatternSet, _clique_core, admissible_vertex_coloring, check_free
 from .hypercore import (
     Edge,
-    GlueMap,
     Hypergraph,
     _TAG_KINDS,
     _map_tags,
@@ -304,7 +303,7 @@ def assemble_signal_sender(hstar: Hypergraph, x: int, y: int, m: int) -> TaggedG
     bsize = m - 2 - ell
     block = build_F_ell(m, ell).h
     gs = sorted(hstar.edges)
-    maps = [GlueMap([(p1, m - 2), (p2, m - 1)] + [(pos[u], i) for i, u in enumerate(g)]) for g in gs]
+    maps = [[(p1, m - 2), (p2, m - 1)] + [(pos[u], i) for i, u in enumerate(g)] for g in gs]
     h = glue(Hypergraph.build(3, [], vertices=range(nv + 2)), block, maps).h
     start = nv + 2
     blocks = [
@@ -366,7 +365,7 @@ def build_rainbow(k: int, sender: TaggedGadget) -> TaggedGadget:
     c1, c2, u_e, u_f = _sender_parts(sender)
     star = [(i, k, k + 1) for i in range(k)]
     copies = [[(k, c1), (k + 1, c2), (i, u_e), (j, u_f)] for i, j in itertools.combinations(range(k), 2)]
-    acc = glue(Hypergraph.build(3, star), sender.h, [GlueMap(p) for p in copies]).h
+    acc = glue(Hypergraph.build(3, star), sender.h, copies).h
     rb = tuple(canon_edge(e) for e in star)
     union = set().union(*map(set, rb))
     if len(union) != k + 2:
@@ -395,7 +394,7 @@ def build_equalizer(rb: TaggedGadget) -> TaggedGadget:
         (tip,) = set(e) - s
         tips.append(tip)
     pairs = [(v, v) for v in sorted(s)] + [(tips[i], tips[i]) for i in range(1, k)]
-    res = glue(rb.h, rb.h, GlueMap(pairs))
+    res = glue(rb.h, rb.h, [pairs])
     e = rb.rainbow[0]
     f = tuple(sorted(res.map_b[v] for v in rb.rainbow[0]))
     if res.h.num_vertices != 2 * rb.h.num_vertices - (k + 1):
@@ -416,7 +415,7 @@ def build_far_seed(eq1: TaggedGadget, eq2: TaggedGadget) -> TaggedGadget:
     whose tags share a pair, hence "seed".
     """
     (a1, b1, _, y1), (a2, b2, _, y2) = _sender_parts(eq1), _sender_parts(eq2)
-    res = glue(eq1.h, eq2.h, GlueMap([(y1, b2), (b1, a2), (a1, y2)]))
+    res = glue(eq1.h, eq2.h, [[(y1, b2), (b1, a2), (a1, y2)]])
     e = eq1.e
     f = tuple(sorted(res.map_b[v] for v in eq2.e))
     if len(set(e) | set(f)) != 5:
@@ -454,7 +453,7 @@ def _chain_step(cur: TaggedGadget, verify: bool) -> TaggedGadget:
             break
     if pairs is None:
         raise ValueError("chain step needs two edges at distance at least 5")
-    res = glue(cur.h, cur.h, GlueMap(pairs))
+    res = glue(cur.h, cur.h, [pairs])
     e = cur.e
     f = tuple(sorted(res.map_b[v] for v in cur.f))
     d = _certified_distance(res.h, e, f, verify)
@@ -532,7 +531,7 @@ def build_BEL(
     base = glue(h, rainbow_g.h)
     eprime = [tuple(sorted(base.map_b[v] for v in e)) for e in rainbow_g.rainbow]
     fe, ff = sorted(far.e), sorted(far.f)
-    copies = (GlueMap([*zip(g, fe), *zip(eprime[coloring.color(g) - 1], ff)]) for g in sorted(h.edges))
+    copies = ([*zip(g, fe), *zip(eprime[coloring.color(g) - 1], ff)] for g in sorted(h.edges))
     acc = glue(base.h, far.h, copies).h
 
     expected = n_h + rainbow_g.h.num_vertices + h.num_edges * (far.h.num_vertices - 6)

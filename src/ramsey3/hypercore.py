@@ -8,8 +8,8 @@ functions read one relaxed table, searched backwards from the target edge;
 the exact distance is an A* search on it, exponential in the worst case.
 There are two clique searches that share no code: the kernel of
 enumerate_cliques, and _bounded_cliques, pruned by a coloring bound, which
-colorengine.check_free runs on each color class.  glue reads its maps
-once, so a builder can stream its copies in.
+colorengine.check_free runs on each color class.  glue reads its copies
+once, so a builder can stream them in.
 
 All values are immutable after construction and every operation is a
 pure function, so objects may be shared freely.  A Hypergraph stores no
@@ -26,14 +26,13 @@ import reprlib
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from math import comb, inf
-from typing import Any, Callable, Collection, Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Any, Callable, Collection, Iterable, Iterator, Mapping, Optional, Sequence
 
 Edge = tuple[int, ...]
 
 __all__ = [
     "Edge",
     "Hypergraph",
-    "GlueMap",
     "GlueResult",
     "fano_plane",
     "link",
@@ -45,7 +44,6 @@ __all__ = [
     "path_distance",
     "distance_lower_bound",
     "glue",
-    "disjoint_union",
     "induced",
     "is_linear",
     "to_json_dict",
@@ -534,16 +532,6 @@ def distance_lower_bound(h: Hypergraph, e: Iterable[int], f: Iterable[int]) -> i
     return 3 + min((togo[fr] for fr in itertools.permutations(ce) if fr in togo), default=inf)
 
 
-@dataclass(frozen=True)
-class GlueMap:
-    """Cross-side identification list: pairs (vertex of A, vertex of B), ids checked by vertex_ids."""
-
-    pairs: tuple[tuple[int, int], ...] = ()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "pairs", tuple(vertex_ids((x, y), "glue pair") for x, y in self.pairs))
-
-
 @dataclass
 class GlueResult:
     h: Hypergraph
@@ -551,61 +539,51 @@ class GlueResult:
     map_b: dict[int, int]
 
 
-def glue(
-    a: Hypergraph,
-    b: Hypergraph,
-    m: Union[GlueMap, Iterable[GlueMap]] = GlueMap(),
-) -> GlueResult:
+def glue(a: Hypergraph, b: Hypergraph, copies: Iterable[Iterable[tuple[int, int]]] = ((),)) -> GlueResult:
     """Disjoint union of a and copies of b, followed by the identifications.
 
-    m is one GlueMap or any iterable of them, read once, one copy of b per
-    map, each a partial injection from a to its copy.  Output ids are
-    dense: a's ids (kept verbatim when already 0..n-1, which the gadget
+    copies is any iterable, read once, with one copy of b per item: the
+    pairs (vertex of a, vertex of b) that copy identifies, a partial
+    injection from a to it, ids checked by vertex_ids.  The default is one
+    copy with no pairs, so glue(a, b) is the disjoint union.  Output ids
+    are dense: a's ids (kept verbatim when already 0..n-1, which the gadget
     builders rely on), then each copy's new vertices, so one call equals
     the fold of single-copy calls.  map_b is the vertex map of the last
     copy.  The edges go straight into the result's one edge set, a copy
-    at a time, so a generator of maps is never held whole.
+    at a time, so a generator of copies is never held whole.
 
     Raises:
-        ValueError: on uniformity mismatch, unknown vertices, or a
-            non-injective identification.
+        ValueError: on uniformity mismatch, a bool id, unknown vertices,
+            or a non-injective identification.
+        TypeError: on a float or other non-integer id.
     """
     if a.r != b.r:
         raise ValueError("cannot glue hypergraphs of different uniformity")
-    copies = [m] if isinstance(m, GlueMap) else m
     map_a = {v: i for i, v in enumerate(sorted(a.vertices))}
     labels: dict[int, str] = {map_a[v]: lab for v, lab in a.labels.items()}
-    next_id = len(map_a)
+    fresh = itertools.count(len(map_a))  # the ids of the copies' new vertices, in turn
     map_b: dict[int, int] = {}
 
     def edges() -> Iterator[Edge]:
-        nonlocal map_b, next_id
+        nonlocal map_b
         yield from (tuple(sorted(map(map_a.__getitem__, e))) for e in a.edges)
-        for gm in copies:
-            partner_ab = dict(gm.pairs)
-            partner_ba = {y: x for x, y in gm.pairs}
-            if not partner_ab.keys() <= a.vertices or not partner_ba.keys() <= b.vertices:
-                raise ValueError(f"glue pairs {brief(gm.pairs)} use unknown vertices")
-            if any(partner_ab[x] != y or partner_ba[y] != x for x, y in gm.pairs):
-                raise ValueError("non-injective glue")
-            map_b = {}
-            for v in sorted(b.vertices):
-                if v in partner_ba:
-                    map_b[v] = map_a[partner_ba[v]]
-                else:
-                    map_b[v] = next_id
-                    next_id += 1
+        for pairs in copies:
+            partner_ba: dict[int, int] = {}
+            partner_ab: dict[int, int] = {}
+            for pair in pairs:
+                x, y = vertex_ids(pair, "glue pair")
+                if x not in a.vertices or y not in b.vertices:
+                    raise ValueError(f"glue pair {brief((x, y))} uses an unknown vertex")
+                if partner_ab.setdefault(x, y) != y or partner_ba.setdefault(y, x) != x:
+                    raise ValueError("non-injective glue")
+            map_b = {v: map_a[partner_ba[v]] if v in partner_ba else next(fresh) for v in sorted(b.vertices)}
             yield from (tuple(sorted(map(map_b.__getitem__, e))) for e in b.edges)
             for v, lab in sorted(b.labels.items()):
                 nv = map_b[v]
                 labels[nv] = f"{labels[nv]}|{lab}" if nv in labels else lab
 
     es = frozenset(edges())
-    return GlueResult(Hypergraph(a.r, frozenset(range(next_id)), es, labels), map_a, map_b)
-
-
-def disjoint_union(a: Hypergraph, b: Hypergraph) -> GlueResult:
-    return glue(a, b, GlueMap())
+    return GlueResult(Hypergraph(a.r, frozenset(range(next(fresh))), es, labels), map_a, map_b)
 
 
 def induced(h: Hypergraph, s: Iterable[int]) -> Hypergraph:

@@ -19,11 +19,11 @@ from hypothesis import strategies as st
 import ramsey3.cli as cli
 from ramsey3 import Hypergraph, check_free, from_json_dict, minimalize, to_json_dict
 from ramsey3.cli import main
-from ramsey3.codegree import build_partition_host
+from ramsey3.codegree import build_partition_host, random_coloring_expectation
 from ramsey3.colorengine import EdgeColoring, export_cnf
 from ramsey3.gadgets import TaggedGadget, amplify_distance, build_BEL, build_far_seed, build_rainbow, mock_sender
 from ramsey3.hypercore import codegree
-from ramsey3.randomlab import sample_h3
+from ramsey3.randomlab import paper_scale_params, sample_h3
 
 
 def write_graph(tmp_path, h, name="h.json", tags=None):
@@ -492,6 +492,56 @@ def test_lab_paper_params(capsys):
                     "--json")
     doc = json.loads(out)
     assert code == 0 and doc["log2_n"] == "5120" and doc["log2_p"] == "-5070"
+
+
+@pytest.mark.parametrize("argv, flag", [
+    ("codegree expectation -t 45", None),
+    ("codegree expectation -t 46", "-t 46"),
+    ("codegree expectation -t 46 --json", "-t 46"),
+    ("codegree expectation -t 4 --until 46", "--until 46"),
+    ("lab paper-params -k 2 -t 84", None),
+    ("lab paper-params -k 2 -t 85", "-k 2 -t 85"),
+    ("lab paper-params -k 2 -t 85 --json", "-k 2 -t 85"),
+    ("lab paper-params -k 3 -t 69", None),
+    ("lab paper-params -k 3 -t 70", "-k 3 -t 70"),
+])
+def test_exact_values_past_the_int_digit_limit_exit_1(capsys, argv, flag):
+    # these built the whole value, then failed in str() with a message that named no flag
+    code, out = run(capsys, *argv.split())
+    if flag is None:
+        assert code == 0 and not out.startswith("error:"), out[:300]
+    else:
+        assert code == 1 and out.startswith(f"error: {flag}: ") and len(out) < 300, out[:300]
+
+
+@pytest.mark.parametrize("limit", [640, 1000, 4300])
+def test_int_digit_limit_check_is_exact(capsys, limit):
+    # a command exits 1 exactly when printing its value would pass the limit
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        for argv, value in [*((f"codegree expectation -t {t}", lambda t=t: random_coloring_expectation(t).value)
+                              for t in range(4, 50)),
+                            *((f"lab paper-params -k {k} -t {t}", lambda k=k, t=t: paper_scale_params(k, t).f)
+                              for k in (2, 3) for t in range(4, 90))]:
+            code, out = run(capsys, *argv.split())
+            try:
+                str(value())
+            except ValueError:
+                assert code == 1 and out.startswith("error:"), argv
+            else:
+                assert code == 0, (argv, out[:300])
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def test_huge_t_exits_1_before_building_the_value(tmp_path):
+    # C(10^6, 3) bits for the denominator alone: the value is never built
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "ramsey3", "codegree", "expectation", "-t", "1000000"],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=20)
+    assert proc.returncode == 1 and proc.stderr.startswith("error: -t 1000000: ") and len(proc.stderr) < 300
 
 
 @pytest.mark.parametrize("argv, exit_code, digest", [

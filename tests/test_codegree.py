@@ -10,7 +10,7 @@ from math import comb
 
 import pytest
 
-from ramsey3 import BudgetExceeded, EdgeColoring, Hypergraph, check_free
+from ramsey3 import BudgetExceeded, EdgeColoring, Hypergraph, arrows, check_free
 from ramsey3.codegree import (
     BLUE,
     RED,
@@ -19,10 +19,10 @@ from ramsey3.codegree import (
     build_partition_host,
     clique_count_formula,
     count_host_cliques,
+    expectation_denominator_log2,
     extend_coloring_lower_bound,
     forced_pattern_check,
     random_coloring_expectation,
-    verify_s22_zero_step,
 )
 from ramsey3.hypercore import codegree, induced
 import ramsey3.colorengine as colorengine
@@ -422,7 +422,14 @@ def test_expectation_matches_enumeration():
         assert random_coloring_expectation(t).value == want
 
 
+def test_expectation_denominator_log2_is_the_reduced_denominator():
+    for t in range(4, 60):
+        den = random_coloring_expectation(t).value.denominator
+        assert den == 1 << expectation_denominator_log2(t), t
+
+
 def test_host_alone_does_not_arrow():
-    v = verify_s22_zero_step(build_partition_host(4))
+    host = build_partition_host(4)
+    v = arrows(host.h, host.t, 2)
     assert v.arrows is False
     assert v.status == "complete"

@@ -16,6 +16,7 @@ import ramsey3.colorengine as colorengine
 import ramsey3.hypercore as hypercore
 from ramsey3 import (
     ArrowVerdict,
+    BudgetExceeded,
     EdgeColoring,
     Hypergraph,
     PatternSet,
@@ -775,6 +776,24 @@ def test_is_minimal_ramsey():
     assert is_minimal_ramsey(K6P, 3, 2) is True
     assert is_minimal_ramsey(Hypergraph.complete(7, 2), 3, 2) is False
     assert is_minimal_ramsey(Hypergraph.complete(5, 2), 3, 2) is False
+
+
+# a minimal Ramsey graph for K_3, from minimalize on a seeded G(11, 0.8): its full
+# refutation takes 36 nodes, and one single-edge deletion 38 to find a free coloring
+MIN27 = [(0, 2), (0, 5), (0, 6), (0, 8), (0, 9), (0, 10), (2, 3), (2, 5), (2, 6), (2, 7), (2, 8), (2, 9), (2, 10),
+         (3, 5), (3, 7), (3, 8), (3, 10), (5, 6), (5, 7), (5, 8), (5, 9), (5, 10), (6, 7), (6, 9), (7, 9), (7, 10), (8, 10)]
+
+
+def test_is_minimal_ramsey_unknown_when_a_deletion_runs_out():
+    h = Hypergraph.build(2, MIN27)
+    assert is_minimal_ramsey(h, 3, 2) is True
+    assert arrows(h, 3, 2, budget=36).arrows is True  # the full solve is decided within the budget
+    assert is_minimal_ramsey(h, 3, 2, budget=36) is None
+
+
+def test_minimalize_budget_runs_out():
+    with pytest.raises(BudgetExceeded, match="budget too small"):
+        minimalize(Hypergraph.complete(6, 2), 3, 2, budget=0)
 
 
 def test_minimalize_k7():

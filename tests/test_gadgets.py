@@ -362,9 +362,9 @@ def _bel_with_extra_edges(monkeypatch, h, coloring, extra):
     """build_BEL on h with the edges extra(carrier) added to the glued carrier."""
     far, rb = far_mock(), build_rainbow(2, mock_sender())
 
-    def glue_more(a, b, m=gadgets.GlueMap()):
-        res = hypercore.glue(a, b, m)
-        if isinstance(m, gadgets.GlueMap):  # the rainbow, not the far copies
+    def glue_more(a, b, *copies):
+        res = hypercore.glue(a, b, *copies)
+        if not copies:  # the rainbow, glued on with no pairs, not the far copies
             return res
         return dataclasses.replace(res, h=res.h.plus_edges(extra(res.h)))
 

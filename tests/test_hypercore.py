@@ -15,10 +15,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ramsey3 import (
-    GlueMap,
     Hypergraph,
     degree,
-    disjoint_union,
     enumerate_cliques,
     fano_plane,
     from_json_dict,
@@ -119,10 +117,10 @@ def test_canon_edge():
     lambda: Hypergraph.build(3, [], vertices=[0.5, 2.9]),
     lambda: induced(Hypergraph.complete(5, 3), [0, 1.5, 2]),
     lambda: degree(Hypergraph.complete(5, 3), [0, 1.5]),
-    lambda: GlueMap([(0.7, 1.2)]),
+    lambda: glue(Hypergraph.complete(4, 3), Hypergraph.complete(4, 3), [[(0.7, 1.2)]]),
     lambda: attach_apex(TaggedGadget(Hypergraph.complete(4, 3)), [0, 1.5, 2]),
     lambda: VertexColoring(2, {0: 1, 1.0: 2}),
-], ids=["build", "induced", "degree", "GlueMap", "attach_apex", "VertexColoring"])
+], ids=["build", "induced", "degree", "GlueMap", "attach_apex", "VertexColoring"])  # GlueMap: the pair type glue once took
 def test_float_vertex_ids_rejected(call):
     # a float id is an error, as in canon_edge, never truncated to an int
     with pytest.raises(TypeError):
@@ -209,8 +207,8 @@ def test_bool_vertex_ids_rejected(call):
     lambda: Hypergraph.build(3, [], vertices=[True, 2]),
     lambda: induced(Hypergraph.complete(5, 3), [True, 2, 3]),
     lambda: degree(Hypergraph.complete(5, 3), [True, 2]),
-    lambda: GlueMap([(True, 0)]),
-    lambda: GlueMap(((0, True),)),
+    lambda: glue(Hypergraph.complete(4, 3), Hypergraph.complete(4, 3), [[(True, 0)]]),
+    lambda: glue(Hypergraph.complete(4, 3), Hypergraph.complete(4, 3), [((0, True),)]),
     lambda: attach_apex(TaggedGadget(Hypergraph.complete(4, 3)), [True, 2]),
     lambda: TaggedGadget(Hypergraph.complete(4, 3), a=True),
     lambda: TaggedGadget(Hypergraph.complete(4, 3), b=False),
@@ -218,7 +216,7 @@ def test_bool_vertex_ids_rejected(call):
     lambda: TaggedGadget(Hypergraph.complete(4, 3), s_pair=(True, 2)),
     lambda: VertexColoring(2, {True: 1, 0: 2}),
 ], ids=["build", "induced", "degree", "GlueMap", "GlueMap b side", "attach_apex", "tag a", "tag b", "tag apex",
-        "tag S", "VertexColoring"])
+        "tag S", "VertexColoring"])  # GlueMap: the pair type glue once took
 def test_bool_vertex_id_arguments_rejected(call):
     # each call read True as vertex 1 (False as 0), which canon_edge never does
     with pytest.raises(ValueError, match="bool vertex id"):
@@ -664,7 +662,7 @@ def test_glue_empty_map_is_disjoint_union():
     res = glue(a, b)
     assert res.h.num_vertices == 7
     assert res.h.num_edges == 5
-    assert res.h == disjoint_union(a, b).h
+    assert res.h == glue(a, b, [[]]).h == glue(a, b, [()]).h
     # A-side ids survive untouched when A is already dense on 0..n-1
     assert all(res.map_a[v] == v for v in a.vertices)
 
@@ -672,7 +670,7 @@ def test_glue_empty_map_is_disjoint_union():
 def test_glue_identifies_pairs():
     a = Hypergraph.build(3, [(0, 1, 2)])
     b = Hypergraph.build(3, [(0, 1, 3)])
-    res = glue(a, b, GlueMap([(0, 0), (1, 1)]))
+    res = glue(a, b, [[(0, 0), (1, 1)]])
     assert res.h.num_vertices == 4
     assert res.h.num_edges == 2
     assert codegree(res.h, res.map_a[0], res.map_a[1]) == 2
@@ -680,20 +678,42 @@ def test_glue_identifies_pairs():
 
 def test_glue_can_merge_edges():
     a = Hypergraph.build(3, [(0, 1, 2)])
-    res = glue(a, a, GlueMap([(0, 0), (1, 1), (2, 2)]))
+    res = glue(a, a, [[(0, 0), (1, 1), (2, 2)]])
     assert res.h.num_edges == 1 and res.h.num_vertices == 3
 
 
 def test_glue_rejects_non_injective():
     a = Hypergraph.build(3, [(0, 1, 2)])
     with pytest.raises(ValueError, match="non-injective"):
-        glue(a, a, GlueMap([(0, 0), (1, 0)]))
+        glue(a, a, [[(0, 0), (1, 0)]])
+    with pytest.raises(ValueError, match="non-injective"):
+        glue(a, a, [[(0, 0), (0, 1)]])
+
+
+def test_glue_rejects_mixed_uniformity():
+    # without the check, the 2-edges of b reach the 3-uniform result's constructor
+    with pytest.raises(ValueError, match="different uniformity"):
+        glue(Hypergraph.complete(4, 3), Hypergraph.complete(4, 2))
+
+
+@pytest.mark.parametrize("pair", [(9, 0), (0, 9)], ids=["a side", "b side"])
+def test_glue_rejects_unknown_vertices(pair):
+    # an unknown b vertex was dropped in silence; an unknown a vertex made a KeyError
+    a = Hypergraph.build(3, [(0, 1, 2)])
+    with pytest.raises(ValueError, match=f"^glue pair {re.escape(repr(pair))} uses an unknown vertex$"):
+        glue(a, a, [[(1, 1), pair]])
+
+
+def test_glue_reads_each_copy_once():
+    a = Hypergraph.build(3, [(0, 1, 2)])
+    copies = (((x, x) for x in range(j)) for j in (3, 2))
+    assert glue(a, a, copies).h == glue(a, a, [[(0, 0), (1, 1), (2, 2)], [(0, 0), (1, 1)]]).h
 
 
 def test_glue_merges_labels():
     a = Hypergraph.build(3, [(0, 1, 2)], labels={0: "x"})
     b = Hypergraph.build(3, [(0, 1, 2)], labels={0: "y"})
-    res = glue(a, b, GlueMap([(0, 0)]))
+    res = glue(a, b, [[(0, 0)]])
     merged = res.h.labels[res.map_a[0]]
     assert "x" in merged and "y" in merged
 
@@ -707,7 +727,7 @@ def test_glue_vertex_count(seed, npairs):
         seed += 1
         b = random_small_hypergraph(seed + 1)
     pairs = list(zip(sorted(a.vertices), sorted(b.vertices)))[:npairs]
-    res = glue(a, b, GlueMap(pairs))
+    res = glue(a, b, [pairs])
     assert res.h.num_vertices == a.num_vertices + b.num_vertices - len(pairs)
     # every A edge and every B edge lands in the result
     for e in a.edges:
@@ -728,12 +748,11 @@ def test_glue_many_copies_equals_fold(seed, copies):
     maps = []
     for _ in range(copies):
         j = rng.randrange(0, min(len(a.vertices), len(b.vertices)) + 1)
-        maps.append(GlueMap(tuple(zip(rng.sample(sorted(a.vertices), j),
-                                      rng.sample(sorted(b.vertices), j)))))
+        maps.append(list(zip(rng.sample(sorted(a.vertices), j), rng.sample(sorted(b.vertices), j))))
     once = glue(a, b, maps)
     acc, last = a, None
     for m in maps:
-        last = glue(acc, b, m)
+        last = glue(acc, b, [m])
         acc = last.h
     assert once.h == acc and once.h.labels == acc.labels
     assert once.map_b == (last.map_b if last else {})

@@ -111,7 +111,7 @@ def test_failing_hypercore_command_runs_only_hypercore(inputs, argv):
 
 
 def test_public_names_are_their_layers_objects():
-    assert len(ramsey3.__all__) == len(set(ramsey3.__all__)) == 33
+    assert len(ramsey3.__all__) == len(set(ramsey3.__all__)) == 31
     for name in ramsey3.__all__:
         layer = importlib.import_module(f"ramsey3.{ramsey3._LAYER_OF[name]}")
         assert getattr(ramsey3, name) is getattr(layer, name)
