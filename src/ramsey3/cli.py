@@ -389,16 +389,7 @@ def _load_family(path: str) -> tuple[hc.Hypergraph, ...]:
 
 
 def _cmd_lab_prune(args: argparse.Namespace) -> int:
-    sampling = (("-n", args.n), ("-p", args.p), ("-k", args.k), ("--seed", args.seed))
-    given = [flag for flag, val in sampling if val is not None]
-    if args.input is not None:
-        if given:
-            raise _UsageError(f"lab prune: {', '.join(given)} apply only when sampling, not to an input file")
-        family = _load_family(args.input)
-    else:
-        if args.n is None or args.p is None or args.seed is None:
-            raise _UsageError("lab prune: need an input file or -n, -p and --seed")
-        family = rl.sample_family(args.n, args.p, 2 if args.k is None else args.k, args.seed)
+    family = _load_family(args.input)
     pruned = rl.prune(family, args.t)
     doc = {
         "members": [hc.to_json_dict(h) for h in pruned],
@@ -520,10 +511,7 @@ _COMMANDS = (
     ("lab sample", "sample a random 3-graph or family", _cmd_lab_sample,
      (_int("-n"), _arg("-p", type=float, required=True), _arg("-k", type=int, default=1), _SEED, _OUTPUT)),
     ("lab prune", "drop clique and shared edges from a family", _cmd_lab_prune,
-     (_arg("input", nargs="?", default=None), _int("-t"), _arg("-n", type=int, default=None),
-      _arg("-p", type=float, default=None),
-      _arg("-k", type=int, default=None, help="family size when sampling (default 2)"),
-      _arg("--seed", type=int, default=None), _OUTPUT)),
+     (_arg("input", help="family or hypergraph file; - reads stdin"), _int("-t"), _OUTPUT)),
     ("lab report", "Monte Carlo first-moment checks", _cmd_lab_report,
      (_int("-n"), _arg("-p", type=float, required=True), _int("-t"), _int("-k"), _int("--trials"), _SEED, _JSON)),
     ("lab fact-bound", "counting bound on a random pair coloring", _cmd_lab_fact_bound,

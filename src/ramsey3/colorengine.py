@@ -132,7 +132,16 @@ class EdgeColoring:
         try:
             k = json_int(doc["k"], "k")
             colors = doc["colors"]
-            assignment = {tuple(e): c for e, c in colors}  # type: ignore[union-attr]
+            try:
+                assignment = {tuple(e): c for e, c in colors}  # type: ignore[union-attr]
+            except (TypeError, ValueError):  # name the first entry that is not an [edge, color] pair
+                for entry in colors:  # type: ignore[union-attr]
+                    try:
+                        e, c = entry
+                        hash(tuple(e))
+                    except (TypeError, ValueError):
+                        raise ValueError(f"coloring entry {brief(entry)} is not an [edge, color] pair") from None
+                raise
             if len(assignment) != len(colors):  # type: ignore[arg-type]
                 raise ValueError("coloring document repeats an edge")
             return cls(k, assignment)
@@ -158,23 +167,6 @@ class VertexColoring:
 
     def color(self, v: int) -> int:
         return self.assignment[v]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "colors": [[v, c] for v, c in sorted(self.assignment.items())],
-        }
-
-    @classmethod
-    def from_json_dict(cls, doc: Mapping[str, object]) -> "VertexColoring":
-        try:
-            k = json_int(doc["k"], "k")
-            pairs = [(json_int(v, "vertex"), json_int(c, "color")) for v, c in doc["colors"]]  # type: ignore[union-attr]
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"malformed coloring document: {exc}") from exc
-        if len(dict(pairs)) != len(pairs):
-            raise ValueError("coloring document repeats a vertex")
-        return cls(k, dict(pairs))
 
 
 @dataclass(frozen=True)
@@ -748,8 +740,7 @@ def minimalize(h: Hypergraph, t: int, k: int, budget: Optional[int] = None) -> H
         if free_without_off():
             off.discard(i)  # h minus off does not arrow: keep this edge
     edges = frozenset(e for i, e in enumerate(core.variables) if i not in off)
-    support = {v for e in edges for v in e}
-    return Hypergraph(h.r, frozenset(support), edges, {v: lab for v, lab in h.labels.items() if v in support})
+    return Hypergraph(h.r, frozenset(v for e in edges for v in e), edges)
 
 
 def admissible_patterns(

@@ -24,7 +24,7 @@ import itertools
 import operator
 import reprlib
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb, inf
 from typing import Any, Callable, Collection, Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -104,16 +104,11 @@ def _edges_well_formed(r: int, edges: Collection[Edge], vertices: Optional[froze
 
 @dataclass(frozen=True)
 class Hypergraph:
-    """An r-uniform hypergraph on integer vertices.
-
-    Edges are stored as sorted tuples.  Labels are free-form provenance
-    strings and never affect equality or hashing.
-    """
+    """An r-uniform hypergraph on integer vertices; edges are stored as sorted tuples."""
 
     r: int
     vertices: frozenset[int]
     edges: frozenset[Edge]
-    labels: Mapping[int, str] = field(default_factory=dict, compare=False)
 
     def __post_init__(self) -> None:
         if self.r < 1:
@@ -129,20 +124,12 @@ class Hypergraph:
                     raise ValueError(f"malformed {self.r}-edge: {brief(e)}")
                 if not self.vertices.issuperset(e):
                     raise ValueError(f"edge {brief(e)} uses vertices outside the vertex set")
-        if any(v not in self.vertices for v in self.labels):
-            raise ValueError("label on a vertex that is not in the hypergraph")
 
     @classmethod
-    def build(
-        cls,
-        r: int,
-        edges: Iterable[Iterable[int]],
-        vertices: Iterable[int] = (),
-        labels: Optional[Mapping[int, str]] = None,
-    ) -> "Hypergraph":
+    def build(cls, r: int, edges: Iterable[Iterable[int]], vertices: Iterable[int] = ()) -> "Hypergraph":
         es = frozenset(canon_edge(e, r) for e in edges)
         vs = frozenset(vertex_ids(vertices)) | {v for e in es for v in e}
-        return cls(r, vs, es, dict(labels or {}))
+        return cls(r, vs, es)
 
     @classmethod
     def complete(cls, n: int, r: int = 3) -> "Hypergraph":
@@ -167,9 +154,9 @@ class Hypergraph:
         return self.spanning_subgraph(self.edges - {ce})
 
     def spanning_subgraph(self, edges: Iterable[Edge]) -> "Hypergraph":
-        """The hypergraph with these edges of self, and self's r, vertices and labels.
+        """The hypergraph with these edges of self, and self's r and vertices.
 
-        It equals Hypergraph(r, vertices, edges, labels), but its one check
+        It equals Hypergraph(r, vertices, edges), but its one check
         is a subset test against self.edges, which passed every check when
         self was built; a frozenset keeps the hash of each member, so the
         test rehashes nothing.
@@ -178,13 +165,13 @@ class Hypergraph:
         if not es <= self.edges:
             raise ValueError(f"{next(iter(es - self.edges))!r} is not an edge of the hypergraph")
         sub = object.__new__(Hypergraph)
-        vars(sub).update(r=self.r, vertices=self.vertices, edges=es, labels=self.labels)
+        vars(sub).update(r=self.r, vertices=self.vertices, edges=es)
         return sub
 
     def plus_edges(self, extra: Iterable[Iterable[int]]) -> "Hypergraph":
         es = frozenset(canon_edge(e, self.r) for e in extra)
         vs = self.vertices | {v for e in es for v in e}
-        return Hypergraph(self.r, vs, self.edges | es, self.labels)
+        return Hypergraph(self.r, vs, self.edges | es)
 
 
 def fano_plane() -> Hypergraph:
@@ -553,14 +540,13 @@ def glue(a: Hypergraph, b: Hypergraph, copies: Iterable[Iterable[tuple[int, int]
     at a time, so a generator of copies is never held whole.
 
     Raises:
-        ValueError: on uniformity mismatch, a bool id, unknown vertices,
-            or a non-injective identification.
+        ValueError: on uniformity mismatch, a pair that is not two ids, a
+            bool id, unknown vertices, or a non-injective identification.
         TypeError: on a float or other non-integer id.
     """
     if a.r != b.r:
         raise ValueError("cannot glue hypergraphs of different uniformity")
     map_a = {v: i for i, v in enumerate(sorted(a.vertices))}
-    labels: dict[int, str] = {map_a[v]: lab for v, lab in a.labels.items()}
     fresh = itertools.count(len(map_a))  # the ids of the copies' new vertices, in turn
     map_b: dict[int, int] = {}
 
@@ -571,19 +557,20 @@ def glue(a: Hypergraph, b: Hypergraph, copies: Iterable[Iterable[tuple[int, int]
             partner_ba: dict[int, int] = {}
             partner_ab: dict[int, int] = {}
             for pair in pairs:
-                x, y = vertex_ids(pair, "glue pair")
+                try:
+                    x, y = pair
+                except (TypeError, ValueError):  # a bare id (copies given as one flat pair list) or a wrong length
+                    raise ValueError(f"glue pair {brief(pair)} is not a (vertex of a, vertex of b) pair") from None
+                x, y = vertex_ids((x, y), "glue pair")
                 if x not in a.vertices or y not in b.vertices:
                     raise ValueError(f"glue pair {brief((x, y))} uses an unknown vertex")
                 if partner_ab.setdefault(x, y) != y or partner_ba.setdefault(y, x) != x:
                     raise ValueError("non-injective glue")
             map_b = {v: map_a[partner_ba[v]] if v in partner_ba else next(fresh) for v in sorted(b.vertices)}
             yield from (tuple(sorted(map(map_b.__getitem__, e))) for e in b.edges)
-            for v, lab in sorted(b.labels.items()):
-                nv = map_b[v]
-                labels[nv] = f"{labels[nv]}|{lab}" if nv in labels else lab
 
     es = frozenset(edges())
-    return GlueResult(Hypergraph(a.r, frozenset(range(next(fresh))), es, labels), map_a, map_b)
+    return GlueResult(Hypergraph(a.r, frozenset(range(next(fresh))), es), map_a, map_b)
 
 
 def induced(h: Hypergraph, s: Iterable[int]) -> Hypergraph:
@@ -592,7 +579,7 @@ def induced(h: Hypergraph, s: Iterable[int]) -> Hypergraph:
     if not ss <= h.vertices:
         raise ValueError("vertex not in hypergraph")
     es = frozenset(e for e in h.edges if set(e) <= ss)
-    return Hypergraph(h.r, ss, es, {v: lab for v, lab in h.labels.items() if v in ss})
+    return Hypergraph(h.r, ss, es)
 
 
 def is_linear(h: Hypergraph) -> bool:
@@ -626,7 +613,7 @@ def _map_tags(tags: Mapping[str, object], ids: Callable[[Any, str], Sequence[int
 
 
 def to_json_dict(h: Hypergraph, tags: Optional[Mapping[str, object]] = None) -> dict:
-    """JSON document for a hypergraph: r, n, sorted edges, labels, tags.
+    """JSON document for a hypergraph: r, n, sorted edges, tags.
 
     Vertices are renumbered to 0..n-1 in sorted order; for the dense
     hypergraphs produced by the builders this is the identity, so emitted
@@ -637,8 +624,6 @@ def to_json_dict(h: Hypergraph, tags: Optional[Mapping[str, object]] = None) -> 
     # pos keeps the order of ids and stored edges are sorted, so sorting the edges sorts their images
     edges = [[pos[x] for x in e] for e in sorted(h.edges)]
     doc: dict[str, object] = {"r": h.r, "n": len(verts), "edges": edges}
-    if h.labels:
-        doc["labels"] = {str(pos[v]): h.labels[v] for v in sorted(h.labels)}
     tags = {tag: val for tag, val in (tags or {}).items() if val is not None}
     if tags:
         doc["tags"] = _map_tags(tags, lambda xs, what: [pos[x] for x in xs])
@@ -661,26 +646,28 @@ def from_json_dict(doc: Mapping[str, object]) -> tuple[Hypergraph, dict]:
     r, n and every vertex id must be JSON integers, and every vertex,
     in edges and in tags alike, must lie in 0..n-1.  The Hypergraph
     constructor alone checks the edges, each read as its sorted ids; none
-    may be listed twice.  labels and tags, when present, are JSON objects;
-    label keys are decimal vertex ids and label values are strings.
+    may be listed twice.  tags, when present, is a JSON object.  A labels
+    member, which to_json_dict never writes, is refused.
     """
     try:
         r = json_int(doc["r"], "r")
         n = json_int(doc["n"], "n")
         if not 0 <= n <= _JSON_MAX_N:
             raise ValueError(f"vertex count must lie in 0..{_JSON_MAX_N}, got {n}")
-        edges = [tuple(sorted(e)) for e in doc.get("edges", [])]  # type: ignore[union-attr]
-        for key in ("labels", "tags"):
-            if not isinstance(doc.get(key, {}), Mapping):
-                raise ValueError(f"{key} must be a JSON object, got {brief(doc[key])}")
-        labels = {}
-        for key, lab in doc.get("labels", {}).items():  # type: ignore[union-attr]
-            # the id as to_json_dict writes it: ASCII digits, no sign, space or leading zero
-            plain = type(key) is str and key.isascii() and key.isdigit() and key == str(int(key))
-            if not plain or type(lab) is not str:
-                raise ValueError(f"label {brief(key)}: {brief(lab)} is not a decimal vertex id mapped to a string")
-            labels[int(key)] = lab
-        h = Hypergraph(r, frozenset(range(n)), frozenset(edges), labels)
+        if "labels" in doc:
+            raise ValueError("labels are not read: a hypergraph document holds r, n, edges and tags")
+        try:
+            edges = [tuple(sorted(e)) for e in doc.get("edges", [])]  # type: ignore[union-attr]
+        except TypeError:  # name the first edge that is no list or whose ids do not sort (a string among ints)
+            for e in doc["edges"]:  # type: ignore[union-attr]
+                try:
+                    sorted(e)
+                except TypeError:
+                    raise ValueError(f"malformed {r}-edge: {brief(e)}") from None
+            raise
+        if not isinstance(doc.get("tags", {}), Mapping):
+            raise ValueError(f"tags must be a JSON object, got {brief(doc['tags'])}")
+        h = Hypergraph(r, frozenset(range(n)), frozenset(edges))
         if h.num_edges != len(edges):
             raise ValueError("hypergraph document repeats an edge")
 

@@ -54,7 +54,7 @@ __all__ = [
 
 
 def derive_seed(*parts: Union[str, int]) -> int:
-    """Stable 64-bit substream seed from labelled parts.
+    """Stable 64-bit substream seed from named parts.
 
     Hash-based so it is independent of PYTHONHASHSEED and identical
     across runs and platforms.

@@ -443,10 +443,6 @@ def test_lab_sample_and_prune(tmp_path, capsys):
     code, out = run(capsys, "lab", "prune", str(fam_path), "-t", "4")
     doc = json.loads(out)
     assert code == 0 and len(doc["members"]) == 2
-    # sampling route, no input file
-    code, out = run(capsys, "lab", "prune", "-t", "4", "-n", "12", "-p", "0.25",
-                    "--seed", "9")
-    assert code == 0 and "members" in json.loads(out)
 
 
 def test_lab_prune_needs_source(capsys):
@@ -596,10 +592,11 @@ def test_written_documents_are_json_dumps_bytes(tmp_path, t):
 _SPREAD = [tuple(7 * x + 300 for x in e) for e in itertools.combinations(range(26), 3)]  # 2,600 edges, three slices
 
 
+# the first id still names labels, which a hypergraph no longer holds
 @pytest.mark.parametrize("h, tags", [
-    (Hypergraph.build(3, _SPREAD, labels={300: "p", 475: "q|r"}), {"e": _SPREAD[0], "f": _SPREAD[-1], "a": 307}),
+    (Hypergraph.build(3, _SPREAD), {"e": _SPREAD[0], "f": _SPREAD[-1], "a": 307}),
     (Hypergraph.complete(27, 3), {"S": (0, 1)}),
-    (Hypergraph(3, frozenset({0, 4, 9}), frozenset(), {4: "z"}), {"a": 9}),
+    (Hypergraph(3, frozenset({0, 4, 9}), frozenset()), {"a": 9}),
     (Hypergraph(2, frozenset(), frozenset()), None),
 ], ids=["sparse ids, labels and tags", "three slices", "no edges", "empty"])
 def test_document_writer_matches_json_dumps(tmp_path, capsys, h, tags):
@@ -677,7 +674,7 @@ TRIANGLE = {"r": 3, "n": 4, "edges": [[0, 1, 2]]}
     ({**TRIANGLE, "tags": {"S": "x" * 1_000_000}}, None, "tag S"),
     ({**TRIANGLE, "n": "1" * 1_000_000}, None, "n must be an integer"),
     ({**TRIANGLE, "edges": [[0] * 300_003]}, None, "malformed 3-edge"),
-    ({**TRIANGLE, "labels": "x" * 300_000}, None, "labels must be a JSON object"),
+    ({**TRIANGLE, "labels": "x" * 300_000}, None, "labels are not read"),
     ({**TRIANGLE, "tags": {"rainbow": "x" * 300_000}}, None, "tag rainbow"),
     (to_json_dict(Hypergraph.complete(4, 3)), {"k": 2, "colors": [[[0, 1, 2], "x" * 500_000]]}, "of edge (0, 1, 2)"),
 ], ids=["S", "n", "edge", "labels", "rainbow", "color"])
@@ -698,6 +695,60 @@ def test_oversized_integer_list_makes_a_short_error(tmp_path, capsys):
     path = write_graph(tmp_path, Hypergraph.build(3, [(0, 1, 2), (1, 2, 3)]))
     code, out = run(capsys, "distance", path, "-e", "1," * 50_000 + "x", "-f", "1,2,3")
     assert code == 1 and out.startswith("error: bad vertex list") and len(out.encode()) < 300, out[:300]
+
+
+@pytest.mark.parametrize("edge", [[0, 1, "2"], [0, None, 2], [0, 1, [2]], 5], ids=["string", "null", "list", "bare id"])
+def test_edge_ids_that_do_not_sort_name_the_edge(tmp_path, capsys, edge):
+    # these were "malformed hypergraph document: '<' not supported between instances of 'str' and 'int'"
+    path = tmp_path / "h.json"
+    path.write_text(json.dumps({"r": 3, "n": 3, "edges": [[0, 1, 2], edge]}))
+    code, out = run(capsys, "cliques", str(path), "-t", "3")
+    assert code == 1 and out.startswith(f"error: malformed 3-edge: {edge!r}") and "Traceback" not in out, out
+
+
+@pytest.mark.parametrize("colors, entry", [
+    ([[[0, 1, 2], 1, 5]], [[0, 1, 2], 1, 5]), ([[[0, 1, 2]]], [[0, 1, 2]]), ({"a": 1}, "a"), ([[5, 1]], [5, 1]),
+], ids=["three items", "one item", "object", "bare id"])
+def test_coloring_entries_that_are_not_pairs_are_named(tmp_path, capsys, colors, entry):
+    # these were "too many values to unpack (expected 2)" or "not enough values to unpack"
+    host = write_graph(tmp_path, Hypergraph.complete(4, 3))
+    col_path = tmp_path / "col.json"
+    col_path.write_text(json.dumps({"k": 2, "colors": colors}))
+    code, out = run(capsys, "codegree", "extend", host, "--coloring", str(col_path), "-u", "0", "-v", "1", "-t", "4")
+    assert code == 1 and out.startswith(f"error: coloring entry {entry!r} is not an [edge, color] pair"), out
+
+
+@pytest.fixture(scope="module")
+def gadget_inputs(tmp_path_factory):
+    """The t=4 host, a k=3 rainbow, an untagged K_4^(3), C_5 and an edgeless 2-graph, as files."""
+    work = tmp_path_factory.mktemp("gadget_inputs")
+    assert main(["codegree", "host", "-t", "4", "-o", str(work / "host4.json")]) == 0
+    assert main(["gadget", "rainbow", "-k", "3", "--sender", "mock", "-o", str(work / "rb3.json")]) == 0
+    write_graph(work, Hypergraph.complete(4, 3), "k4.json")
+    write_graph(work, Hypergraph.build(2, [(i, (i + 1) % 5) for i in range(5)]), "c5.json")
+    write_graph(work, Hypergraph(2, frozenset(range(3)), frozenset()), "empty2.json")
+    return work
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("gadget fell -m 5 --ell 9", "ell must lie in 0..3"),
+    ("gadget rainbow -k 1 --sender mock", "rainbow needs at least two colors"),
+    ("gadget hstar c5.json --patterns 1,2", "patterns describe 3-edges, hypergraph is 2-uniform"),
+    ("gadget hstar empty2.json --patterns 1,1", "input has no edges"),
+    ("gadget amplify k4.json -s 8", "tagged edges e and f required"),
+    ("gadget bel host4.json --coloring host4.json -t 4 -k 2 --rainbow rb3.json", "rainbow gadget carries 3 edges, need 2"),
+    ("gadget bel host4.json --coloring host4.json -t 4 -k 2 --far k4.json", "far gadget must carry e and f tags"),
+    ("lab sample -n -1 -p 0.5 --seed 1", "need a nonnegative vertex count"),
+    ("lab sample -n 5 -p 1.5 --seed 1", "edge probability must lie in [0, 1]"),
+    ("lab fact-bound -n 1 -k 2 --ell 3 --seed 1", "need at least two vertices"),
+    ("lab fact-bound -n 6 -k 0 --ell 3 --seed 1", "need at least one color"),
+    ("lab report -n 10 -p 0.3 -t 2 -k 2 --trials 40 --seed 1", "clique size must be at least 3"),
+    ("codegree extend host4.json --coloring host4.json -u 0 -v 0 -t 4", "need two distinct vertices of the hypergraph"),
+])
+def test_argument_checks_exit_1_with_their_message(gadget_inputs, capsys, monkeypatch, argv, message):
+    monkeypatch.chdir(gadget_inputs)
+    code, out = run(capsys, *argv.split())
+    assert code == 1 and out == f"error: {message}\n", out
 
 
 def test_json_with_non_integer_fields_exits_1(tmp_path, capsys):

@@ -131,11 +131,6 @@ def test_edge_coloring_document_ids_checked_by_the_constructor(colors):
         EdgeColoring.from_json_dict({"k": 2, "colors": colors})
 
 
-def test_vertex_coloring_round_trip():
-    c = VertexColoring(2, {0: 1, 3: 2})
-    assert VertexColoring.from_json_dict(c.to_json_dict()) == c
-
-
 def test_vertex_coloring_assignment_is_read_only():
     # a writable assignment let v.color(0) read 7 although k = 2
     colors = {0: 1, 1: 2}
@@ -169,17 +164,16 @@ def _loose_colorings(draw):
 
 @st.composite
 def _subgraph_cases(draw):
-    """A hypergraph with labels, a subset of its edges, and an edge it lacks."""
+    """A hypergraph, a subset of its edges, and an edge it lacks."""
     r = draw(st.integers(1, 3))
     vertices = frozenset(draw(st.sets(st.integers(0, 9), min_size=r, max_size=8)))
     edges = frozenset(draw(st.sets(st.sampled_from(list(itertools.combinations(sorted(vertices), r))))))
-    labels = {v: f"v{v}" for v in draw(st.sets(st.sampled_from(sorted(vertices))))}
     keep = draw(st.sets(st.sampled_from(sorted(edges)))) if edges else set()
     lacking = draw(st.sampled_from([e for e in itertools.combinations(range(12), r) if e not in edges]))
-    return Hypergraph(r, vertices, edges, labels), keep, lacking
+    return Hypergraph(r, vertices, edges), keep, lacking
 
 
-_PATH = (Hypergraph(2, frozenset({0, 1, 2}), frozenset({(0, 1), (1, 2)}), {1: "x"}), {(1, 2)}, (0, 2))
+_PATH = (Hypergraph(2, frozenset({0, 1, 2}), frozenset({(0, 1), (1, 2)})), {(1, 2)}, (0, 2))
 
 
 @settings(max_examples=300, deadline=None)
@@ -200,8 +194,8 @@ def test_bulk_checks_agree_with_the_per_entry_paths(coloring, subgraph):
     # a sub-hypergraph checked by one subset test equals the fully checked one
     h, keep, lacking = subgraph
     sub = h.spanning_subgraph(keep)
-    assert sub == Hypergraph(h.r, h.vertices, frozenset(keep), h.labels)
-    assert (sub.r, sub.vertices, sub.edges, sub.labels) == (h.r, h.vertices, keep, h.labels)
+    assert sub == Hypergraph(h.r, h.vertices, frozenset(keep))
+    assert (sub.r, sub.vertices, sub.edges) == (h.r, h.vertices, keep)
     with pytest.raises(ValueError, match="is not an edge of the hypergraph"):
         h.spanning_subgraph(keep | {lacking})
 
@@ -990,6 +984,11 @@ def test_cnf_decode_rejects_partial():
     prob = export_cnf(Hypergraph.build(3, [(0, 1, 2)]), 4, 2)
     with pytest.raises(ValueError):
         prob.decode([])
+
+
+def test_solve_cnf_contradicting_unit_clauses():
+    assert solve_cnf([[1], [-1]]) is None
+    assert solve_cnf([[-2], [1, 2], [2]]) is None
 
 
 def test_solve_cnf_raw_clauses():

@@ -53,6 +53,7 @@ def inputs(tmp_path_factory):
     c5 = ramsey3.to_json_dict(ramsey3.Hypergraph.build(2, [(i, (i + 1) % 5) for i in range(5)]))
     (work / "c5.json").write_text(json.dumps(c5))
     assert main(["gadget", "hstar", str(work / "c5.json"), "--patterns", "1,1", "-o", str(work / "hs.json")]) == 0
+    assert main(["lab", "sample", "-n", "8", "-p", "0.5", "-k", "2", "--seed", "1", "-o", str(work / "fam.json")]) == 0
     return work
 
 
@@ -74,7 +75,7 @@ CASES = [
     # the lab commands below load randomlab, which derives substream seeds by blake2b
     ("ramsey3.cli", ["lab", "sample", "-n", "6", "-p", "0.5", "--seed", "1"], BASE + ["randomlab"]),
     ("ramsey3.cli", ["lab", "sample", "-n", "6", "-p", "0.5", "-k", "2", "--seed", "1"], BASE + ["randomlab"]),
-    ("ramsey3.cli", ["lab", "prune", "-t", "4", "-n", "8", "-p", "0.5", "--seed", "1"], BASE + ["randomlab"]),
+    ("ramsey3.cli", ["lab", "prune", "fam.json", "-t", "4"], BASE + ["randomlab"]),
     ("ramsey3.cli", ["lab", "report", "-n", "8", "-p", "0.3", "-t", "4", "-k", "2", "--trials", "30",
                      "--seed", "1"], BASE + ["randomlab"]),
 ]

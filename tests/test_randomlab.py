@@ -58,7 +58,7 @@ def test_sample_h3_equals_build_form():
                 edges = [e for e in itertools.combinations(range(n), 3) if rng.random() < p]
                 h = sample_h3(n, p, seed)
                 assert h == Hypergraph.build(3, edges, vertices=range(n))
-                assert h.labels == {}
+                assert vars(h).keys() == {"r", "vertices", "edges"}
 
 
 def test_sample_h3_deterministic():
