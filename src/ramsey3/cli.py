@@ -55,10 +55,8 @@ def _read_text(path: str) -> str:
 
 def _load_doc(path: str, key: Optional[str] = None) -> dict:
     """The JSON object in path, or its member key when it has one (as a codegree host document does)."""
-    doc = json.loads(_read_text(path))
-    if not isinstance(doc, dict):
-        raise ValueError(f"{path}: expected a JSON object, got {type(doc).__name__}")
-    return doc[key] if key in doc else doc
+    doc = hc.json_value(json.loads(_read_text(path)), dict, f"{path}: document")
+    return hc.json_value(doc[key], dict, f"{path}: {key}") if key in doc else doc
 
 
 def _load_hypergraph(path: str) -> hc.Hypergraph:
@@ -226,12 +224,6 @@ def _cmd_cliques(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_gadget_fprime(args: argparse.Namespace) -> int:
-    g = gd.build_F_prime(args.m, r=args.r)
-    _write_gadget(args, g)
-    return 0
-
-
 def _cmd_gadget_fell(args: argparse.Namespace) -> int:
     g = gd.build_F_ell(args.m, args.ell, r=args.r)
     _write_gadget(args, g)
@@ -380,12 +372,17 @@ def _cmd_lab_sample(args: argparse.Namespace) -> int:
 
 
 def _load_family(path: str) -> tuple[hc.Hypergraph, ...]:
-    doc = _load_doc(path)
-    if "members" in doc:
-        if not isinstance(doc["members"], list):
-            raise ValueError(f"{path}: members must be a list of hypergraphs")
-        return tuple(hc.from_json_dict(m)[0] for m in doc["members"])
-    return (hc.from_json_dict(doc)[0],)
+    """The members of a family document, or a lone hypergraph (a codegree host document's host) as one member."""
+    doc = _load_doc(path, "host")
+    if "members" not in doc:
+        return (hc.from_json_dict(doc)[0],)
+    family = []
+    for i, member in enumerate(hc.json_value(doc["members"], list, f"{path}: members")):
+        try:
+            family.append(hc.from_json_dict(member)[0])
+        except ValueError as err:
+            raise ValueError(f"{path}: member {i}: {err}") from None
+    return tuple(family)
 
 
 def _cmd_lab_prune(args: argparse.Namespace) -> int:
@@ -479,8 +476,8 @@ _COMMANDS = (
      (_INPUT, _arg("-e", required=True, help="first edge, e.g. 0,1,2"), _arg("-f", required=True, help="second edge"),
       _JSON)),
     ("cliques", "enumerate complete t-sets", _cmd_cliques, (_INPUT, _int("-t"), _JSON)),
-    ("gadget fprime", "complete hypergraph minus one pair bundle", _cmd_gadget_fprime, (_M, _R, _OUTPUT)),
-    ("gadget fell", "fprime with ell special edges restored", _cmd_gadget_fell, (_M, _int("--ell"), _R, _OUTPUT)),
+    ("gadget fell", "complete hypergraph minus one pair bundle, ell of its edges put back; --ell 0 is F'",
+     _cmd_gadget_fell, (_M, _int("--ell"), _R, _OUTPUT)),
     ("gadget hstar", "separating auxiliary hypergraph", _cmd_gadget_hstar,
      (_INPUT, _arg("--patterns", required=True, help="pattern set, e.g. 1,1;2,0; its part count is k"), _OUTPUT)),
     ("gadget sender", "signal sender from an hstar document; ell is H*'s uniformity", _cmd_gadget_sender,
@@ -492,8 +489,8 @@ _COMMANDS = (
      (_INPUT, _int("-s", help="target distance"),
       _arg("--from-equalizer", action="store_true",
            help="build the distance-5 seed from two copies of the input first"),
-      _arg("--verify", choices=("auto", "on", "off"), default="auto",
-           help="on also checks every step's bound by the exact A* search on its table; auto and off rely on the bound"),
+      _arg("--verify", choices=("on", "off"), default="off",
+           help="on also checks every step's bound by the exact A* search on its table; off relies on the bound"),
       _OUTPUT)),
     ("gadget bel", "pin a host coloring with rainbow plus far equalizers", _cmd_gadget_bel,
      (_arg("input", help="host hypergraph"), _COLORING, _T, _K,

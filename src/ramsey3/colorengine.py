@@ -38,7 +38,7 @@ from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .hypercore import (Edge, Hypergraph, _bounded_cliques, _edges_well_formed, brief, canon_edge, enumerate_cliques,
-                        json_int, vertex_ids)
+                        json_value, vertex_ids)
 
 __all__ = [
     "BudgetExceeded",
@@ -128,25 +128,28 @@ class EdgeColoring:
 
     @classmethod
     def from_json_dict(cls, doc: Mapping[str, object]) -> "EdgeColoring":
-        """The coloring of a document; its ids and colors are checked once, by the constructor."""
-        try:
-            k = json_int(doc["k"], "k")
-            colors = doc["colors"]
+        """The coloring of a document, read member by member; its ids and colors are checked by the constructor.
+
+        An entry that is not an [edge, color] pair, or whose edge holds an
+        id that is not an int, is named here.
+        """
+        doc = json_value(doc, dict, "coloring document")
+        k = json_value(doc.get("k"), int, "k")
+        colors = json_value(doc.get("colors"), list, "colors")
+        assignment = {}
+        int_ids = {int}.issuperset
+        for entry in colors:
             try:
-                assignment = {tuple(e): c for e, c in colors}  # type: ignore[union-attr]
-            except (TypeError, ValueError):  # name the first entry that is not an [edge, color] pair
-                for entry in colors:  # type: ignore[union-attr]
-                    try:
-                        e, c = entry
-                        hash(tuple(e))
-                    except (TypeError, ValueError):
-                        raise ValueError(f"coloring entry {brief(entry)} is not an [edge, color] pair") from None
-                raise
-            if len(assignment) != len(colors):  # type: ignore[arg-type]
-                raise ValueError("coloring document repeats an edge")
-            return cls(k, assignment)
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"malformed coloring document: {exc}") from exc
+                e, c = entry
+                e = tuple(e)
+            except (TypeError, ValueError):
+                raise ValueError(f"coloring entry {brief(entry)} is not an [edge, color] pair") from None
+            if not int_ids(map(type, e)):
+                raise ValueError(f"coloring entry {brief(entry)} holds a vertex id that is not an integer")
+            assignment[e] = c
+        if len(assignment) != len(colors):
+            raise ValueError("coloring document repeats an edge")
+        return cls(k, assignment)
 
 
 @dataclass(frozen=True)

@@ -600,15 +600,13 @@ def _map_tags(tags: Mapping[str, object], ids: Callable[[Any, str], Sequence[int
         if kind is None:
             raise ValueError(f"unknown tag {brief(tag)}")
         if kind == "dist":
-            out[tag] = json_int(val, what)
+            out[tag] = json_value(val, int, what)
         elif kind == "vertex":
             out[tag] = ids([val], what)[0]
         elif kind == "set":
             out[tag] = tuple(sorted(ids(val, what)))
-        elif isinstance(val, (list, tuple)):
-            out[tag] = tuple(tuple(sorted(ids(xs, what))) for xs in val)
         else:
-            raise ValueError(f"{what} must be a list of vertex sets, got {brief(val)}")
+            out[tag] = tuple(tuple(sorted(ids(xs, what))) for xs in json_value(val, list, what))
     return out
 
 
@@ -633,54 +631,52 @@ def to_json_dict(h: Hypergraph, tags: Optional[Mapping[str, object]] = None) -> 
 _JSON_MAX_N = 1 << 20  # n costs memory before any edge is read; the t=10 BEL carrier, the largest built, has 165,830
 
 
-def json_int(x: object, what: str) -> int:
-    """x when it is a JSON integer; bools, floats and strings raise ValueError."""
-    if type(x) is not int:
-        raise ValueError(f"{what} must be an integer, got {brief(x)}")
+def json_value(x: Any, kind: type, what: str) -> Any:
+    """x when it is of kind: int (an exact int, no bool), list (a tuple too) or dict (any mapping).
+
+    Anything else raises ValueError naming what.
+    """
+    if not (type(x) is int if kind is int else isinstance(x, (list, tuple) if kind is list else Mapping)):
+        name = {int: "an integer", list: "a list", dict: "a JSON object"}[kind]
+        raise ValueError(f"{what} must be {name}, got {brief(x)}")
     return x
 
 
 def from_json_dict(doc: Mapping[str, object]) -> tuple[Hypergraph, dict]:
     """Parse a hypergraph document; returns the hypergraph and its tags.
 
-    r, n and every vertex id must be JSON integers, and every vertex,
-    in edges and in tags alike, must lie in 0..n-1.  The Hypergraph
-    constructor alone checks the edges, each read as its sorted ids; none
-    may be listed twice.  tags, when present, is a JSON object.  A labels
-    member, which to_json_dict never writes, is refused.
+    Each member is read once, by name, and an error names it.  r, n and
+    every vertex id must be JSON integers, and every vertex, in edges and
+    in tags alike, must lie in 0..n-1.  The Hypergraph constructor alone
+    checks the edges, each read as its sorted ids; none may be listed
+    twice.  tags, when present, is a JSON object.  A labels member, which
+    to_json_dict never writes, is refused.
     """
-    try:
-        r = json_int(doc["r"], "r")
-        n = json_int(doc["n"], "n")
-        if not 0 <= n <= _JSON_MAX_N:
-            raise ValueError(f"vertex count must lie in 0..{_JSON_MAX_N}, got {n}")
-        if "labels" in doc:
-            raise ValueError("labels are not read: a hypergraph document holds r, n, edges and tags")
+    doc = json_value(doc, dict, "hypergraph document")
+    r = json_value(doc.get("r"), int, "r")
+    n = json_value(doc.get("n"), int, "n")
+    if not 0 <= n <= _JSON_MAX_N:
+        raise ValueError(f"vertex count must lie in 0..{_JSON_MAX_N}, got {n}")
+    if "labels" in doc:
+        raise ValueError("labels are not read: a hypergraph document holds r, n, edges and tags")
+    edges: list[Edge] = []
+    for e in json_value(doc.get("edges", []), list, "edges"):
         try:
-            edges = [tuple(sorted(e)) for e in doc.get("edges", [])]  # type: ignore[union-attr]
-        except TypeError:  # name the first edge that is no list or whose ids do not sort (a string among ints)
-            for e in doc["edges"]:  # type: ignore[union-attr]
-                try:
-                    sorted(e)
-                except TypeError:
-                    raise ValueError(f"malformed {r}-edge: {brief(e)}") from None
-            raise
-        if not isinstance(doc.get("tags", {}), Mapping):
-            raise ValueError(f"tags must be a JSON object, got {brief(doc['tags'])}")
-        h = Hypergraph(r, frozenset(range(n)), frozenset(edges))
-        if h.num_edges != len(edges):
-            raise ValueError("hypergraph document repeats an edge")
+            edge = tuple(sorted(e))
+            hash(edge)  # the frozenset below hashes it too, but could not name it
+        except TypeError:  # no list, or ids that do not sort (a string among ints) or do not hash (lists)
+            raise ValueError(f"malformed {r}-edge: {brief(e)}") from None
+        edges.append(edge)
+    tags = json_value(doc.get("tags", {}), dict, "tags")
+    h = Hypergraph(r, frozenset(range(n)), frozenset(edges))
+    if h.num_edges != len(edges):
+        raise ValueError("hypergraph document repeats an edge")
 
-        def ids(xs: object, what: str) -> list[int]:  # the document id rule: exact JSON ints in 0..n-1
-            if not isinstance(xs, (list, tuple)):
-                raise ValueError(f"{what} must be a list of vertices, got {brief(xs)}")
-            vs = [json_int(x, what) for x in xs]
-            for v in vs:
-                if not 0 <= v < n:
-                    raise ValueError(f"{what} vertex {v} outside vertex range 0..{n - 1}")
-            return vs
+    def ids(xs: object, what: str) -> list[int]:  # the document id rule: exact JSON ints in 0..n-1
+        vs = [json_value(x, int, what) for x in json_value(xs, list, what)]
+        for v in vs:
+            if not 0 <= v < n:
+                raise ValueError(f"{what} vertex {v} outside vertex range 0..{n - 1}")
+        return vs
 
-        tags = _map_tags(doc.get("tags", {}), ids)  # type: ignore[arg-type]
-    except (KeyError, TypeError, AttributeError) as exc:
-        raise ValueError(f"malformed hypergraph document: {exc}") from exc
-    return h, tags
+    return h, _map_tags(tags, ids)

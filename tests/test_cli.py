@@ -21,7 +21,8 @@ from ramsey3 import Hypergraph, check_free, from_json_dict, minimalize, to_json_
 from ramsey3.cli import main
 from ramsey3.codegree import build_partition_host, random_coloring_expectation
 from ramsey3.colorengine import EdgeColoring, export_cnf
-from ramsey3.gadgets import TaggedGadget, amplify_distance, build_BEL, build_far_seed, build_rainbow, mock_sender
+from ramsey3.gadgets import (TaggedGadget, amplify_distance, build_BEL, build_F_prime, build_far_seed, build_rainbow,
+                             mock_sender)
 from ramsey3.hypercore import codegree
 from ramsey3.randomlab import paper_scale_params, sample_h3
 
@@ -182,9 +183,11 @@ def test_cliques_output(tmp_path, capsys):
 
 
 def test_gadget_fprime_fell(tmp_path, capsys):
-    code, out = run(capsys, "gadget", "fprime", "-m", "6")
+    # F' is F_ell with no special edge put back
+    code, out = run(capsys, "gadget", "fell", "-m", "6", "--ell", "0")
+    assert code == 0 and out == json.dumps(build_F_prime(6).to_json_dict()) + "\n"
     doc = json.loads(out)
-    assert code == 0 and len(doc["edges"]) == 16 and doc["tags"]["S"] == [4, 5]
+    assert len(doc["edges"]) == 16 and doc["tags"]["S"] == [4, 5]
     code, out = run(capsys, "gadget", "fell", "-m", "6", "--ell", "2")
     assert code == 0 and len(json.loads(out)["edges"]) == 18
 
@@ -336,11 +339,11 @@ def test_parser_per_command_words_every_message_alike(monkeypatch, capsys, argv)
 
 
 @pytest.mark.parametrize("argv, built", [
-    ([], 28), (["-h"], 28), (["arrow", "k6.json", "-t", "3"], 2), (["gadget", "bel", "h.json"], 3),
-    (["lab", "prune", "-t", "4"], 3), (["gadget", "-h"], 11), (["nosuch"], 1),
-])
+    ([], 27), (["-h"], 27), (["arrow", "k6.json", "-t", "3"], 2), (["gadget", "bel", "h.json"], 3),
+    (["lab", "prune", "-t", "4"], 3), (["gadget", "-h"], 10), (["nosuch"], 1),
+], ids=["argv0-28", "argv1-28", "argv2-2", "argv3-3", "argv4-3", "argv5-11", "argv6-1"])  # the ids of the 28-parser CLI
 def test_parser_builds_only_the_command_run(monkeypatch, argv, built):
-    # the full parser is the root and 27 subparsers; a group's help needs the group and all its commands
+    # the full parser is the root and 26 subparsers; a group's help needs the group and all its commands
     made = []
     init = cli._Parser.__init__
     monkeypatch.setattr(cli._Parser, "__init__", lambda self, *a, **kw: made.append(init(self, *a, **kw)))
@@ -706,16 +709,60 @@ def test_edge_ids_that_do_not_sort_name_the_edge(tmp_path, capsys, edge):
     assert code == 1 and out.startswith(f"error: malformed 3-edge: {edge!r}") and "Traceback" not in out, out
 
 
-@pytest.mark.parametrize("colors, entry", [
-    ([[[0, 1, 2], 1, 5]], [[0, 1, 2], 1, 5]), ([[[0, 1, 2]]], [[0, 1, 2]]), ({"a": 1}, "a"), ([[5, 1]], [5, 1]),
+@pytest.mark.parametrize("colors, message", [
+    ([[[0, 1, 2], 1, 5]], "coloring entry [[0, 1, 2], 1, 5] is not an [edge, color] pair"),
+    ([[[0, 1, 2]]], "coloring entry [[0, 1, 2]] is not an [edge, color] pair"),
+    ({"a": 1}, "colors must be a list"),
+    ([[5, 1]], "coloring entry [5, 1] is not an [edge, color] pair"),
 ], ids=["three items", "one item", "object", "bare id"])
-def test_coloring_entries_that_are_not_pairs_are_named(tmp_path, capsys, colors, entry):
+def test_coloring_entries_that_are_not_pairs_are_named(tmp_path, capsys, colors, message):
     # these were "too many values to unpack (expected 2)" or "not enough values to unpack"
     host = write_graph(tmp_path, Hypergraph.complete(4, 3))
     col_path = tmp_path / "col.json"
     col_path.write_text(json.dumps({"k": 2, "colors": colors}))
     code, out = run(capsys, "codegree", "extend", host, "--coloring", str(col_path), "-u", "0", "-v", "1", "-t", "4")
-    assert code == 1 and out.startswith(f"error: coloring entry {entry!r} is not an [edge, color] pair"), out
+    assert code == 1 and out.startswith(f"error: {message}"), out
+
+
+@pytest.mark.parametrize("command, doc, named", [
+    ("cliques", {"r": 3, "n": 3, "edges": 5}, "edges must be a list, got 5"),
+    ("cliques", {"host": 5}, "host must be a JSON object, got 5"),
+    ("cliques", {"r": 3, "edges": []}, "n must be an integer"),
+    ("cliques", {"r": 3, "n": 3, "edges": [[[0], [1], [2]]]}, "malformed 3-edge: [[0], [1], [2]]"),
+    ("lab prune", {"members": [[1, 2]]}, "member 0: hypergraph document must be a JSON object, got [1, 2]"),
+    ("lab prune", {"members": [TRIANGLE, 7]}, "member 1: hypergraph document must be a JSON object, got 7"),
+    ("codegree extend", {"k": 2, "colors": 5}, "colors must be a list, got 5"),
+    ("codegree extend", {"colors": []}, "k must be an integer"),
+    ("gadget bel", {"k": 2, "colors": [[[0, 1, 2], 1], [[0, 1, 2.5], 2]]}, "coloring entry [[0, 1, 2.5], 2]"),
+    ("lab prune", "host", None),
+], ids=["edges", "host", "n", "edge", "member", "member index", "colors", "k", "entry", "host document"])
+def test_malformed_members_are_named(tmp_path, capsys, monkeypatch, command, doc, named):
+    # each of these once exited 1 with Python's own words, such as "'int' object is not iterable" or "'n'";
+    # a codegree host document, once refused by lab prune, is read as a one-member family
+    k4 = write_graph(tmp_path, Hypergraph.complete(4, 3), "k4.json")
+    path = tmp_path / "d.json"
+    if doc == "host":
+        assert main(["codegree", "host", "-t", "4", "-o", str(path)]) == 0
+    else:
+        path.write_text(json.dumps(doc))
+    monkeypatch.setattr(sys, "stdin", io.StringIO(path.read_text()))
+    argv = {
+        "cliques": ["cliques", str(path), "-t", "3"],
+        "lab prune": ["lab", "prune", "-", "-t", "4"],
+        "codegree extend": ["codegree", "extend", k4, "--coloring", str(path), "-u", "0", "-v", "1", "-t", "4"],
+        "gadget bel": ["gadget", "bel", k4, "--coloring", str(path), "-t", "4", "-k", "2"],
+    }[command]
+    code, out = run(capsys, *argv)
+    if named is None:
+        assert code == 0 and len(json.loads(out)["members"]) == 1, out
+    else:
+        assert code == 1 and out.startswith("error:") and named in out and out.count("\n") == 1, out
+        assert "Traceback" not in out
+
+
+def test_verify_is_on_or_off(capsys):
+    code, out = run(capsys, "gadget", "amplify", "eq.json", "-s", "8", "--verify", "auto")
+    assert code == 1 and out.startswith("error:") and "invalid choice: 'auto'" in out, out
 
 
 @pytest.fixture(scope="module")
@@ -801,7 +848,7 @@ def test_non_object_documents_exit_1(tmp_path, capsys, command, docs):
 
 _scalars = st.one_of(st.none(), st.booleans(), st.integers(-2, 7),
                      st.floats(-2, 7, allow_nan=False), st.text(max_size=3))
-_vertex = st.one_of(st.integers(-1, 6), _scalars)
+_vertex = st.one_of(st.integers(-1, 6), _scalars, st.lists(st.integers(0, 3), max_size=2))
 _edges = st.lists(st.one_of(st.lists(st.integers(-1, 6), min_size=2, max_size=4),
                             st.lists(_vertex, max_size=4), _scalars), max_size=8)
 _json_values = st.recursive(_scalars, lambda inner: st.one_of(
@@ -814,19 +861,29 @@ _tags = st.dictionaries(st.sampled_from(["a", "b", "e", "f", "S", "dist", "rainb
                                   _edges, _scalars), max_size=3)
 _graph_fields = {"r": st.one_of(st.sampled_from([2, 3]), st.integers(-1, 5), _scalars),
                  "n": st.one_of(st.integers(-1, 7), _scalars),
-                 "edges": st.one_of(_edges, _scalars)}
-_graphs = st.fixed_dictionaries(_graph_fields, optional={"tags": st.one_of(_tags, _scalars), "labels": _json_values})
+                 "edges": st.one_of(_edges, _scalars, _json_values)}
+
+
+def _dropping(docs, keys):
+    """docs, and docs with one of keys left out."""
+    return st.one_of(docs, st.tuples(docs, st.sampled_from(keys)).map(
+        lambda dk: {k: v for k, v in dk[0].items() if k != dk[1]}))
+
+
+_graphs = _dropping(st.fixed_dictionaries(_graph_fields, optional={"tags": st.one_of(_tags, _scalars),
+                                                                   "labels": _json_values}), ["r", "n"])
 _tagged = st.fixed_dictionaries({**_graph_fields, "tags": _tags}, optional={"labels": _json_values})
-_colorings = st.fixed_dictionaries(
+_colorings = _dropping(st.fixed_dictionaries(
     {"k": st.one_of(st.integers(-1, 3), _scalars),
      "colors": st.one_of(st.lists(st.tuples(st.lists(_vertex, max_size=4), st.one_of(st.integers(-1, 3), _scalars)),
-                                  max_size=8), _scalars)})
+                                  max_size=8), _scalars, _json_values)}), ["k", "colors"])
 _families = st.fixed_dictionaries({"members": st.one_of(st.lists(st.one_of(_graphs, _json_values), max_size=3),
                                                         _json_values)})
 _NOT_JSON = object()
 _documents = st.one_of(
     _json_values, _graphs, _colorings, _families,
-    st.fixed_dictionaries({"host": _graphs}), st.fixed_dictionaries({"coloring": _colorings}),
+    st.fixed_dictionaries({"host": st.one_of(_graphs, _scalars)}),
+    st.fixed_dictionaries({"coloring": st.one_of(_colorings, _scalars)}),
     st.just(_NOT_JSON))
 
 
@@ -845,6 +902,9 @@ def _well_formed(draw):
         bad = draw(st.one_of(st.floats(0, n - 1, allow_nan=False), st.text(max_size=2), st.none(), st.booleans(),
                              st.lists(st.integers(0, n - 1), max_size=2)))
         entry[0] = [*entry[0][:-1], bad]
+    elif draw(st.booleans()):
+        # or, half the time, a coloring document of any shape behind a valid hypergraph
+        coloring = draw(_colorings)
     vertex, tag_edge = st.integers(0, n - 1), st.one_of(edge, *([st.sampled_from(edges)] if edges else []))
     tags = draw(st.fixed_dictionaries({}, optional={"e": tag_edge, "f": tag_edge, "a": vertex, "b": vertex,
                                                     "dist": st.integers(4, 7)}))
@@ -877,6 +937,13 @@ _BAD_ID_DOCS = (_BAD_ID_GRAPH, {"members": [_BAD_ID_GRAPH] * 2}, {"k": 2, "color
 # the two commands that read a coloring, each given one whose edge holds a float id
 @example(command="gadget bel", docs=_BAD_ID_DOCS, t=3, k=2)
 @example(command="codegree extend", docs=_BAD_ID_DOCS, t=4, k=2)
+# members of the wrong kind, or missing, behind documents that are otherwise whole
+@example(command="codegree extend", docs=(_BAD_ID_GRAPH, {}, {"k": 2, "colors": 5}, {}), t=4, k=2)
+@example(command="gadget bel", docs=(_BAD_ID_GRAPH, {}, {"colors": [[[0, 1, [2]], 1]]}, {}), t=4, k=2)
+@example(command="cliques", docs=({"host": 5}, {}, {}, {}), t=3, k=2)
+@example(command="arrow", docs=({"r": 3, "n": 3, "edges": [[[0], [1], [2]]]}, {}, {}, {}), t=3, k=2)
+@example(command="distance", docs=({"r": 3, "n": 4, "edges": 5}, {}, {}, {}), t=3, k=2)
+@example(command="lab prune", docs=({}, {"members": [_BAD_ID_GRAPH, 7]}, {}, {}), t=4, k=2)
 def test_fuzzed_documents_never_traceback(command, docs, t, k):
     # every document the CLI can be given ends in a documented exit code
     # with a one-line message, never in an uncaught exception
