@@ -17,7 +17,13 @@ a command runs only the layers it touches.
 
 Each command is one row of _COMMANDS: its words, help, handler and
 arguments.  A process builds the parser from the rows on its command's
-path alone; a usage error is worded again by the full parser.
+path alone; a usage error is worded again by the full parser.  A handler
+returns its result and writes nothing; main writes it by the one output
+rule and maps it to an exit code.  Document pieces (_document's, or
+cnf's DIMACS blocks) are written as they are, an (informational result,
+human summary) pair as its summary unless --json is given, and any other
+result as json.dumps(result, default=_record).  A record whose verdict
+is None (arrow's, free-coloring's) exits 2.
 """
 
 from __future__ import annotations
@@ -53,10 +59,14 @@ def _read_text(path: str) -> str:
     return Path(path).read_text()
 
 
+def _member(path: str, doc: dict, key: Optional[str]) -> dict:
+    """doc's member key, taken out of doc, when it has one (as a codegree host document does), else doc itself."""
+    return hc.json_value(doc.pop(key), dict, f"{path}: {key}") if key in doc else doc
+
+
 def _load_doc(path: str, key: Optional[str] = None) -> dict:
-    """The JSON object in path, or its member key when it has one (as a codegree host document does)."""
-    doc = hc.json_value(json.loads(_read_text(path)), dict, f"{path}: document")
-    return hc.json_value(doc[key], dict, f"{path}: {key}") if key in doc else doc
+    """The JSON object in path, or its member key when it has one."""
+    return _member(path, hc.json_value(json.loads(_read_text(path)), dict, f"{path}: document"), key)
 
 
 def _load_hypergraph(path: str) -> hc.Hypergraph:
@@ -70,10 +80,10 @@ def _load_gadget(path: str) -> gd.TaggedGadget:
 def _load_host_and_coloring(args: argparse.Namespace) -> tuple[hc.Hypergraph, ce.EdgeColoring]:
     """args.input's hypergraph and args.coloring's coloring; one path named by both, "-" too, is parsed once."""
     doc = _load_doc(args.input)
-    h = hc.from_json_dict(doc.pop("host", doc))[0]  # a host member is dropped once read
+    h = hc.from_json_dict(_member(args.input, doc, "host"))[0]  # a host member is dropped once read
     if args.coloring != args.input:
         doc = _load_doc(args.coloring)
-    return h, ce.EdgeColoring.from_json_dict(doc.get("coloring", doc))
+    return h, ce.EdgeColoring.from_json_dict(_member(args.coloring, doc, "coloring"))
 
 
 def _write(args: argparse.Namespace, text: Union[str, Iterable[str]]) -> None:
@@ -111,15 +121,8 @@ def _document(h: hc.Hypergraph, tags: Optional[dict] = None,
     yield "]" + tail
 
 
-def _write_gadget(args: argparse.Namespace, g: gd.TaggedGadget) -> None:
-    _write(args, _document(g.h, g.tags()))
-
-
-def _emit(args: argparse.Namespace, doc: object, human: Optional[str] = None) -> None:
-    if human is not None and not getattr(args, "json", False):
-        _write(args, human)
-    else:
-        _write(args, json.dumps(doc))
+def _gadget(g: gd.TaggedGadget) -> Iterator[str]:
+    return _document(g.h, g.tags())
 
 
 def _check_printable(bits: int, flags: str) -> None:
@@ -148,103 +151,69 @@ def _parse_patterns(text: str) -> ce.PatternSet:
 
 
 def _record(x: object) -> object:
-    """A result record as JSON data: dataclass fields in field order."""
+    """json.dumps's default: a result record's fields in field order, an EdgeColoring's document, a Fraction's text."""
     if isinstance(x, ce.EdgeColoring):
         return x.to_json_dict()
-    if dataclasses.is_dataclass(x):
-        return {f.name: _record(getattr(x, f.name)) for f in dataclasses.fields(x)}
     if isinstance(x, Fraction):
         return str(x)
-    if isinstance(x, tuple):
-        return [_record(v) for v in x]
-    return x
+    return {f.name: getattr(x, f.name) for f in dataclasses.fields(x)}  # anything else: TypeError, as json's own
 
 
 # ---------------------------------------------------------------- commands
 
 
-def _cmd_arrow(args: argparse.Namespace) -> int:
-    h = _load_hypergraph(args.input)
-    verdict = ce.arrows(h, args.t, args.k, budget=args.budget)
-    doc = _record(verdict)
+def _cmd_arrow(args: argparse.Namespace) -> object:
+    verdict = ce.arrows(_load_hypergraph(args.input), args.t, args.k, budget=args.budget)
     if verdict.arrows is None:
-        _emit(args, doc, f"unknown after {verdict.nodes} nodes")
-        return 2
-    word = "yes" if verdict.arrows else "no"
-    _emit(args, doc, f"arrows: {word} (nodes={verdict.nodes})")
-    return 0
+        return verdict, f"unknown after {verdict.nodes} nodes"
+    return verdict, f"arrows: {'yes' if verdict.arrows else 'no'} (nodes={verdict.nodes})"
 
 
-def _cmd_minimalize(args: argparse.Namespace) -> int:
-    h = _load_hypergraph(args.input)
-    result = ce.minimalize(h, args.t, args.k, budget=args.budget)
-    _write(args, _document(result))
-    return 0
+def _cmd_minimalize(args: argparse.Namespace) -> object:
+    return _document(ce.minimalize(_load_hypergraph(args.input), args.t, args.k, budget=args.budget))
 
 
-def _cmd_free_coloring(args: argparse.Namespace) -> int:
-    h = _load_hypergraph(args.input)
-    res = ce.find_free_coloring(h, args.t, args.k, budget=args.budget)
-    _write(args, json.dumps(_record(res)))
-    return 2 if res.found is None else 0
+def _cmd_free_coloring(args: argparse.Namespace) -> object:
+    return ce.find_free_coloring(_load_hypergraph(args.input), args.t, args.k, budget=args.budget)
 
 
-def _cmd_cnf(args: argparse.Namespace) -> int:
-    h = _load_hypergraph(args.input)
-    doc = ce.export_cnf(h, args.t, args.k)
+def _cmd_cnf(args: argparse.Namespace) -> object:
+    doc = ce.export_cnf(_load_hypergraph(args.input), args.t, args.k)
     if args.solve:
         model = ce.solve_cnf(doc)
-        if model is None:
-            _write(args, json.dumps({"satisfiable": False, "coloring": None}))
-        else:
-            coloring = doc.decode(model)
-            _write(args, json.dumps({"satisfiable": True, "coloring": coloring.to_json_dict()}))
-        return 0
+        return {"satisfiable": model is not None, "coloring": None if model is None else doc.decode(model)}
     lines = doc.lines()
     blocks = iter(lambda: "\n".join(itertools.islice(lines, _ROWS)), "")  # no line is empty
-    _write(args, (("\n" if i else "") + block for i, block in enumerate(blocks)))
-    return 0
+    return (("\n" if i else "") + block for i, block in enumerate(blocks))
 
 
-def _cmd_distance(args: argparse.Namespace) -> int:
+def _cmd_distance(args: argparse.Namespace) -> object:
     h = _load_hypergraph(args.input)
     dist = hc.path_distance(h, _parse_ints(args.e, "vertex list"), _parse_ints(args.f, "vertex list"))
-    unreachable = dist == float("inf")
-    doc = {"distance": None if unreachable else int(dist)}
-    _emit(args, doc, "distance: unreachable" if unreachable else f"distance: {int(dist)}")
-    return 0
+    d = None if dist == float("inf") else int(dist)
+    return {"distance": d}, f"distance: {'unreachable' if d is None else d}"
 
 
-def _cmd_cliques(args: argparse.Namespace) -> int:
-    h = _load_hypergraph(args.input)
-    qs = hc.enumerate_cliques(h, args.t)
-    doc = {"count": len(qs), "cliques": [list(q) for q in qs]}
-    human = "\n".join([f"count: {len(qs)}"] + [" ".join(map(str, q)) for q in qs])
-    _emit(args, doc, human)
-    return 0
+def _cmd_cliques(args: argparse.Namespace) -> object:
+    qs = hc.enumerate_cliques(_load_hypergraph(args.input), args.t)
+    return {"count": len(qs), "cliques": qs}, "\n".join([f"count: {len(qs)}"] + [" ".join(map(str, q)) for q in qs])
 
 
-def _cmd_gadget_fell(args: argparse.Namespace) -> int:
-    g = gd.build_F_ell(args.m, args.ell, r=args.r)
-    _write_gadget(args, g)
-    return 0
+def _cmd_gadget_fell(args: argparse.Namespace) -> object:
+    return _gadget(gd.build_F_ell(args.m, args.ell, r=args.r))
 
 
-def _cmd_gadget_hstar(args: argparse.Namespace) -> int:
-    h = _load_hypergraph(args.input)
+def _cmd_gadget_hstar(args: argparse.Namespace) -> object:
     ps = _parse_patterns(args.patterns)
-    hstar, x, y = gd.build_Hstar(h, ps, ps.k)
-    _write_gadget(args, gd.TaggedGadget(h=hstar, a=x, b=y))
-    return 0
+    hstar, x, y = gd.build_Hstar(_load_hypergraph(args.input), ps, ps.k)
+    return _gadget(gd.TaggedGadget(h=hstar, a=x, b=y))
 
 
-def _cmd_gadget_sender(args: argparse.Namespace) -> int:
+def _cmd_gadget_sender(args: argparse.Namespace) -> object:
     hs = _load_gadget(args.input)
     if hs.a is None or hs.b is None:
         raise ValueError("input needs tags a and b marking the separated pair")
-    g = gd.assemble_signal_sender(hs.h, hs.a, hs.b, args.m)
-    _write_gadget(args, g)
-    return 0
+    return _gadget(gd.assemble_signal_sender(hs.h, hs.a, hs.b, args.m))
 
 
 def _sender_from_flag(value: str) -> gd.TaggedGadget:
@@ -253,26 +222,19 @@ def _sender_from_flag(value: str) -> gd.TaggedGadget:
     return _load_gadget(value)
 
 
-def _cmd_gadget_rainbow(args: argparse.Namespace) -> int:
-    g = gd.build_rainbow(args.k, _sender_from_flag(args.sender))
-    _write_gadget(args, g)
-    return 0
+def _cmd_gadget_rainbow(args: argparse.Namespace) -> object:
+    return _gadget(gd.build_rainbow(args.k, _sender_from_flag(args.sender)))
 
 
-def _cmd_gadget_equalizer(args: argparse.Namespace) -> int:
-    rb = gd.build_rainbow(args.k, _sender_from_flag(args.sender))
-    g = gd.build_equalizer(rb)
-    _write_gadget(args, g)
-    return 0
+def _cmd_gadget_equalizer(args: argparse.Namespace) -> object:
+    return _gadget(gd.build_equalizer(gd.build_rainbow(args.k, _sender_from_flag(args.sender))))
 
 
-def _cmd_gadget_amplify(args: argparse.Namespace) -> int:
+def _cmd_gadget_amplify(args: argparse.Namespace) -> object:
     g = _load_gadget(args.input)
     if args.from_equalizer:
         g = gd.build_far_seed(g, g)
-    g = gd.amplify_distance(g, args.s, verify=args.verify == "on")
-    _write_gadget(args, g)
-    return 0
+    return _gadget(gd.amplify_distance(g, args.s, verify=args.verify == "on"))
 
 
 def _mock_far(k: int) -> gd.TaggedGadget:
@@ -280,7 +242,7 @@ def _mock_far(k: int) -> gd.TaggedGadget:
     return gd.amplify_distance(gd.build_far_seed(eq, eq), 7)
 
 
-def _cmd_gadget_bel(args: argparse.Namespace) -> int:
+def _cmd_gadget_bel(args: argparse.Namespace) -> object:
     h, coloring = _load_host_and_coloring(args)
     far = _mock_far(args.k) if args.far is None else _load_gadget(args.far)
     rainbow = (
@@ -288,30 +250,24 @@ def _cmd_gadget_bel(args: argparse.Namespace) -> int:
         if args.rainbow is None
         else _load_gadget(args.rainbow)
     )
-    g = gd.build_BEL(h, coloring, args.k, args.t, far, rainbow)
-    _write_gadget(args, g)
-    return 0
+    return _gadget(gd.build_BEL(h, coloring, args.k, args.t, far, rainbow))
 
 
-def _cmd_gadget_apex(args: argparse.Namespace) -> int:
-    g = _load_gadget(args.input)
-    g = gd.attach_apex(g, _parse_ints(args.base, "vertex list"))
-    _write_gadget(args, g)
-    return 0
+def _cmd_gadget_apex(args: argparse.Namespace) -> object:
+    return _gadget(gd.attach_apex(_load_gadget(args.input), _parse_ints(args.base, "vertex list")))
 
 
-def _cmd_codegree_host(args: argparse.Namespace) -> int:
+def _cmd_codegree_host(args: argparse.Namespace) -> object:
     host = cd.build_partition_host(args.t)
-    _write(args, _document(host.h, {"a": host.a, "b": host.b}, lambda doc: {
+    return _document(host.h, {"a": host.a, "b": host.b}, lambda doc: {
         "t": host.t,
         "host": doc,
         "coloring": host.coloring.to_json_dict(),
         "parts": [sorted(p) for p in host.parts],
-    }))
-    return 0
+    })
 
 
-def _cmd_codegree_force_check(args: argparse.Namespace) -> int:
+def _cmd_codegree_force_check(args: argparse.Namespace) -> object:
     host = cd.build_partition_host(args.t)
     bundle = list(cd.apex_bundle(host))
     if args.drop:
@@ -321,24 +277,16 @@ def _cmd_codegree_force_check(args: argparse.Namespace) -> int:
             del bundle[i]
     forced = cd.forced_pattern_check(host, bundle, budget=args.budget)
     doc = {"t": args.t, "apex_edges": len(bundle), "forced": forced}
-    _emit(args, doc, f"forced: {'yes' if forced else 'no'} ({len(bundle)} apex edges)")
-    return 0
+    return doc, f"forced: {'yes' if forced else 'no'} ({len(bundle)} apex edges)"
 
 
-def _cmd_codegree_extend(args: argparse.Namespace) -> int:
+def _cmd_codegree_extend(args: argparse.Namespace) -> object:
     h, coloring = _load_host_and_coloring(args)
     cert = cd.extend_coloring_lower_bound(h, args.u, args.v, coloring, args.t)
-    doc = {
-        "u": cert.u,
-        "v": cert.v,
-        "b_sets": [sorted(bs) for bs in cert.b_sets],
-        "coloring": cert.extended.to_json_dict(),
-    }
-    _write(args, json.dumps(doc))
-    return 0
+    return {"u": cert.u, "v": cert.v, "b_sets": [sorted(bs) for bs in cert.b_sets], "coloring": cert.extended}
 
 
-def _cmd_codegree_expectation(args: argparse.Namespace) -> int:
+def _cmd_codegree_expectation(args: argparse.Namespace) -> object:
     until = args.until if args.until is not None else args.t
     if until < args.t:
         raise ValueError("--until must not be below -t")
@@ -357,18 +305,13 @@ def _cmd_codegree_expectation(args: argparse.Namespace) -> int:
         )
         marker = "< 1" if exp.lt_one else ">= 1"
         lines.append(f"t={t}: {exp.value} {marker}")
-    _emit(args, {"expectations": rows}, "\n".join(lines))
-    return 0
+    return {"expectations": rows}, "\n".join(lines)
 
 
-def _cmd_lab_sample(args: argparse.Namespace) -> int:
+def _cmd_lab_sample(args: argparse.Namespace) -> object:
     if args.k == 1:
-        h = rl.sample_h3(args.n, args.p, args.seed)
-        _write(args, _document(h))
-    else:
-        fam = rl.sample_family(args.n, args.p, args.k, args.seed)
-        _write(args, json.dumps({"members": [hc.to_json_dict(h) for h in fam]}))
-    return 0
+        return _document(rl.sample_h3(args.n, args.p, args.seed))
+    return {"members": [hc.to_json_dict(h) for h in rl.sample_family(args.n, args.p, args.k, args.seed)]}
 
 
 def _load_family(path: str) -> tuple[hc.Hypergraph, ...]:
@@ -385,18 +328,16 @@ def _load_family(path: str) -> tuple[hc.Hypergraph, ...]:
     return tuple(family)
 
 
-def _cmd_lab_prune(args: argparse.Namespace) -> int:
+def _cmd_lab_prune(args: argparse.Namespace) -> object:
     family = _load_family(args.input)
     pruned = rl.prune(family, args.t)
-    doc = {
+    return {
         "members": [hc.to_json_dict(h) for h in pruned],
         "removed": [f.num_edges - p.num_edges for f, p in zip(family, pruned)],
     }
-    _write(args, json.dumps(doc))
-    return 0
 
 
-def _cmd_lab_report(args: argparse.Namespace) -> int:
+def _cmd_lab_report(args: argparse.Namespace) -> object:
     rep = rl.expectation_report(args.n, args.p, args.t, args.k, args.trials, args.seed)
     lines = [
         f"{c.name}: observed {c.observed:.4f}, expected {c.expected:.4f}, "
@@ -404,25 +345,19 @@ def _cmd_lab_report(args: argparse.Namespace) -> int:
         for c in rep.checks
     ]
     lines.append(f"overall: {'ok' if rep.ok else 'FAILED'} ({rep.trials} trials)")
-    _emit(args, _record(rep), "\n".join(lines))
-    return 0
+    return rep, "\n".join(lines)
 
 
-def _cmd_lab_fact_bound(args: argparse.Namespace) -> int:
-    psi = rl.random_complete_graph_coloring(args.n, args.k, args.seed)
-    rep = rl.fact_count_bound(psi, args.ell)
-    human = (
-        f"bound {rep.bound} with r={rep.r}; counts {list(rep.counts)}; "
-        f"best {rep.best}; {'ok' if rep.ok else 'VIOLATED'}"
-    )
-    _emit(args, _record(rep), human)
-    return 0
+def _cmd_lab_fact_bound(args: argparse.Namespace) -> object:
+    rep = rl.fact_count_bound(rl.random_complete_graph_coloring(args.n, args.k, args.seed), args.ell)
+    return rep, (f"bound {rep.bound} with r={rep.r}; counts {list(rep.counts)}; "
+                 f"best {rep.best}; {'ok' if rep.ok else 'VIOLATED'}")
 
 
-def _cmd_lab_paper_params(args: argparse.Namespace) -> int:
+def _cmd_lab_paper_params(args: argparse.Namespace) -> object:
     _check_printable(args.k * args.t**2, f"-k {args.k} -t {args.t}")
     params = rl.paper_scale_params(args.k, args.t)
-    human = "\n".join(
+    return params, "\n".join(
         [
             f"log2 n = {params.log2_n}",
             f"log2 C = {params.log2_C}",
@@ -432,8 +367,6 @@ def _cmd_lab_paper_params(args: argparse.Namespace) -> int:
             "n, p, C exceed machine range and stay symbolic",
         ]
     )
-    _emit(args, _record(params), human)
-    return 0
 
 
 # ----------------------------------------------------------------- parser
@@ -557,7 +490,14 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 1
     try:
-        return args.func(args)
+        result = args.func(args)
+        value, human = result if isinstance(result, tuple) else (result, None)
+        if human is not None and not getattr(args, "json", False):
+            _write(args, human)
+        else:
+            _write(args, value if isinstance(value, Iterator) else json.dumps(value, default=_record))
+        # arrow's and free-coloring's records hold no verdict when it is None
+        return 2 if any(getattr(value, field, False) is None for field in ("arrows", "found")) else 0
     except _UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

@@ -38,7 +38,7 @@ from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .hypercore import (Edge, Hypergraph, _bounded_cliques, _edges_well_formed, brief, canon_edge, enumerate_cliques,
-                        json_value, vertex_ids)
+                        json_member, json_value, vertex_ids)
 
 __all__ = [
     "BudgetExceeded",
@@ -134,8 +134,8 @@ class EdgeColoring:
         id that is not an int, is named here.
         """
         doc = json_value(doc, dict, "coloring document")
-        k = json_value(doc.get("k"), int, "k")
-        colors = json_value(doc.get("colors"), list, "colors")
+        k = json_member(doc, "k", int)
+        colors = json_member(doc, "colors", list)
         assignment = {}
         int_ids = {int}.issuperset
         for entry in colors:

@@ -631,15 +631,24 @@ def to_json_dict(h: Hypergraph, tags: Optional[Mapping[str, object]] = None) -> 
 _JSON_MAX_N = 1 << 20  # n costs memory before any edge is read; the t=10 BEL carrier, the largest built, has 165,830
 
 
+_KINDS = {int: "an integer", list: "a list", dict: "a JSON object"}
+
+
 def json_value(x: Any, kind: type, what: str) -> Any:
     """x when it is of kind: int (an exact int, no bool), list (a tuple too) or dict (any mapping).
 
     Anything else raises ValueError naming what.
     """
     if not (type(x) is int if kind is int else isinstance(x, (list, tuple) if kind is list else Mapping)):
-        name = {int: "an integer", list: "a list", dict: "a JSON object"}[kind]
-        raise ValueError(f"{what} must be {name}, got {brief(x)}")
+        raise ValueError(f"{what} must be {_KINDS[kind]}, got {brief(x)}")
     return x
+
+
+def json_member(doc: Mapping[str, object], key: str, kind: type) -> Any:
+    """doc's member key, read by json_value; an absent member is named as absent, not as null."""
+    if key not in doc:
+        raise ValueError(f"{key} must be {_KINDS[kind]}, but the document has no {key} member")
+    return json_value(doc[key], kind, key)
 
 
 def from_json_dict(doc: Mapping[str, object]) -> tuple[Hypergraph, dict]:
@@ -653,8 +662,8 @@ def from_json_dict(doc: Mapping[str, object]) -> tuple[Hypergraph, dict]:
     to_json_dict never writes, is refused.
     """
     doc = json_value(doc, dict, "hypergraph document")
-    r = json_value(doc.get("r"), int, "r")
-    n = json_value(doc.get("n"), int, "n")
+    r = json_member(doc, "r", int)
+    n = json_member(doc, "n", int)
     if not 0 <= n <= _JSON_MAX_N:
         raise ValueError(f"vertex count must lie in 0..{_JSON_MAX_N}, got {n}")
     if "labels" in doc:

@@ -765,6 +765,73 @@ def test_verify_is_on_or_off(capsys):
     assert code == 1 and out.startswith("error:") and "invalid choice: 'auto'" in out, out
 
 
+@pytest.mark.parametrize("shared", [True, False], ids=["one file", "two files"])
+@pytest.mark.parametrize("member", ["host", "coloring"])
+@pytest.mark.parametrize("command", ["gadget bel", "codegree extend"])
+def test_host_and_coloring_members_name_the_file(tmp_path, capsys, monkeypatch, command, member, shared):
+    # these once named neither, as "hypergraph document must be a JSON object, got 5"
+    monkeypatch.chdir(tmp_path)
+    write_graph(tmp_path, Hypergraph.complete(4, 3), "k4.json")
+    doc = {"host": TRIANGLE, "coloring": {"k": 2, "colors": [[[0, 1, 2], 1]]}} if shared else {}
+    Path("d.json").write_text(json.dumps({**doc, member: 5}))
+    src, coloring = ("d.json", "d.json") if shared else {"host": ("d.json", "k4.json"),
+                                                         "coloring": ("k4.json", "d.json")}[member]
+    rest = {"gadget bel": ["-t", "4", "-k", "2"], "codegree extend": ["-u", "0", "-v", "1", "-t", "4"]}[command]
+    code, out = run(capsys, *command.split(), src, "--coloring", coloring, *rest)
+    assert code == 1 and out == f"error: d.json: {member} must be a JSON object, got 5\n", out
+
+
+@pytest.mark.parametrize("member, kind", [("r", "an integer"), ("n", "an integer"), ("k", "an integer"),
+                                          ("colors", "a list")])
+def test_absent_member_is_named_as_absent(tmp_path, capsys, member, kind):
+    # an absent member once read as null: "n must be an integer, got None"
+    full = {"k": 2, "colors": []} if member in ("k", "colors") else {"r": 3, "n": 3, "edges": []}
+    k4 = write_graph(tmp_path, Hypergraph.complete(4, 3), "k4.json")
+    path = tmp_path / "d.json"
+    argv = (["codegree", "extend", k4, "--coloring", str(path), "-u", "0", "-v", "1", "-t", "4"]
+            if member in ("k", "colors") else ["cliques", str(path), "-t", "3"])
+    for doc, named in [({key: v for key, v in full.items() if key != member},
+                        f"but the document has no {member} member"), ({**full, member: None}, "got None")]:
+        path.write_text(json.dumps(doc))
+        code, out = run(capsys, *argv)
+        assert code == 1 and out == f"error: {member} must be {kind}, {named}\n", out
+
+
+# each result form: a gadget document, an informational pair without and with --json, a result record, DIMACS text;
+# the second argv of each fails in its handler
+@pytest.mark.parametrize("argv, fails", [
+    ("gadget rainbow -k 2 --sender mock -o OUT", False),
+    ("gadget sender K4 -m 5 -o OUT", True),
+    ("cliques K4 -t 3", False),
+    ("cliques K4 -t 2", True),
+    ("cliques K4 -t 3 --json", False),
+    ("cliques K4 -t 2 --json", True),
+    ("free-coloring K5 -t 3 -k 2 -o OUT", False),
+    ("free-coloring K5 -t 3 -k 0 -o OUT", True),
+    ("cnf K5 -t 3 -k 2 -o OUT", False),
+    ("cnf K5 -t 1 -k 2 -o OUT", True),
+])
+def test_each_run_writes_once(tmp_path, capsys, monkeypatch, argv, fails):
+    graphs = {"K4": write_graph(tmp_path, Hypergraph.complete(4, 3), "K4.json"),
+              "K5": write_graph(tmp_path, Hypergraph.complete(5, 2), "K5.json"), "OUT": str(tmp_path / "out")}
+    writes = []
+    write = cli._write
+    monkeypatch.setattr(cli, "_write", lambda args, text: writes.append(text) or write(args, text))
+    code, out = run(capsys, *[graphs.get(a, a) for a in argv.split()])
+    if fails:
+        assert code == 1 and out.startswith("error:") and out.count("\n") == 1, out
+        assert writes == [] and not (tmp_path / "out").exists()
+    else:
+        assert code == 0 and len(writes) == 1, out
+        assert (tmp_path / "out").exists() == ("-o" in argv)
+
+
+def test_free_coloring_exits_2_without_a_verdict(tmp_path, capsys):
+    path = write_graph(tmp_path, Hypergraph.complete(6, 2))
+    code, out = run(capsys, "free-coloring", path, "-t", "3", "-k", "2", "--budget", "0")
+    assert code == 2 and json.loads(out)["found"] is None, out
+
+
 @pytest.fixture(scope="module")
 def gadget_inputs(tmp_path_factory):
     """The t=4 host, a k=3 rainbow, an untagged K_4^(3), C_5 and an edgeless 2-graph, as files."""
