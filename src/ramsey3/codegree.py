@@ -28,7 +28,7 @@ from math import comb
 from typing import TYPE_CHECKING, Iterable, Optional
 
 from .colorengine import BudgetExceeded, EdgeColoring, _clique_core, check_free
-from .hypercore import Edge, Hypergraph, canon_edge, codegree, enumerate_cliques
+from .hypercore import Edge, Hypergraph, canon_edge, enumerate_cliques
 
 if TYPE_CHECKING:
     from .colorengine import SearchCore
@@ -110,8 +110,6 @@ def build_partition_host(t: int) -> PartitionHost:
             colors[tri] = RED
     h = Hypergraph(3, frozenset(range(n + 2)), frozenset(colors))
     coloring = EdgeColoring(2, colors)
-    if codegree(h, a, b) != 0:
-        raise AssertionError("reserved pair must start at codegree zero")
     if check_free(h, coloring, t):
         raise AssertionError("prescribed host coloring is not free")
     return PartitionHost(t, h, parts, a, b, coloring)

@@ -746,6 +746,15 @@ def minimalize(h: Hypergraph, t: int, k: int, budget: Optional[int] = None) -> H
     return Hypergraph(h.r, frozenset(v for e in edges for v in e), edges)
 
 
+def _arrangements(counts: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """Each sequence with counts[i] entries of color i + 1, once, in lexicographic order."""
+    if not any(counts):
+        yield ()
+    for i, cnt in enumerate(counts):
+        if cnt:
+            yield from ((i + 1, *tail) for tail in _arrangements(counts[:i] + (cnt - 1,) + counts[i + 1 :]))
+
+
 def admissible_patterns(
     h: Hypergraph,
     u: int,
@@ -760,8 +769,10 @@ def admissible_patterns(
     pattern (a_1, ..., a_k) belongs to the result iff some k-coloring of
     E(h) without monochromatic t-cliques puts exactly a_i special edges
     in color i.  The set is closed under color permutation, so only one
-    representative per orbit is searched.  A shared node budget can cut
-    the scan short; the result is then marked incomplete.
+    representative per orbit is searched, visiting each coloring of the
+    special edges with its counts once, in lexicographic order, until one
+    extends.  A shared node budget can cut the scan short; the result is
+    then marked incomplete.
     """
     if u not in h.vertices or v not in h.vertices:
         raise ValueError("vertex not in hypergraph")
@@ -779,10 +790,7 @@ def admissible_patterns(
     remaining = budget
     reps = (p for p in itertools.combinations_with_replacement(range(ell, -1, -1), k) if sum(p) == ell)
     for rep in sorted(reps, reverse=True):
-        multiset: list[int] = []
-        for color, cnt in enumerate(rep, start=1):
-            multiset.extend([color] * cnt)
-        for assign in sorted(set(itertools.permutations(multiset))):
+        for assign in _arrangements(rep):
             res = core.solve(remaining, pins=dict(zip(special_idx, assign)))
             if remaining is not None:
                 remaining = max(0, remaining - res.nodes)

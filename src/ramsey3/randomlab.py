@@ -345,7 +345,8 @@ def expectation_report(
     count of member 0, shared edge count of members 0 and 1, and
     t-clique count of member 0 are averaged over all trials and must
     land within four standard errors of C(n,3)p, C(n,3)p^2 and
-    C(n,t)p^C(t,3) respectively.
+    C(n,t)p^C(t,3) respectively.  Each member has its own seed stream,
+    so only the two members read are drawn.
     """
     if k < 2:
         raise ValueError("need at least two members to observe sharing")
@@ -357,7 +358,7 @@ def expectation_report(
     shared: list[float] = []
     cliques: list[float] = []
     for j in range(trials):
-        fam = sample_family(n, p, k, derive_seed(seed, "trial", j))
+        fam = sample_family(n, p, 2, derive_seed(seed, "trial", j))
         edges.append(float(fam[0].num_edges))
         shared.append(float(len(fam[0].edges & fam[1].edges)))
         cliques.append(float(len(enumerate_cliques(fam[0], t))))

@@ -21,8 +21,7 @@ from ramsey3 import Hypergraph, check_free, from_json_dict, minimalize, to_json_
 from ramsey3.cli import main
 from ramsey3.codegree import build_partition_host, random_coloring_expectation
 from ramsey3.colorengine import EdgeColoring, export_cnf
-from ramsey3.gadgets import (TaggedGadget, amplify_distance, build_BEL, build_F_prime, build_far_seed, build_rainbow,
-                             mock_sender)
+from ramsey3.gadgets import TaggedGadget, amplify_distance, build_BEL, build_far_seed, build_rainbow, mock_sender
 from ramsey3.hypercore import codegree
 from ramsey3.randomlab import paper_scale_params, sample_h3
 
@@ -183,9 +182,13 @@ def test_cliques_output(tmp_path, capsys):
 
 
 def test_gadget_fprime_fell(tmp_path, capsys):
-    # F' is F_ell with no special edge put back
+    # F' is F_ell with no special edge put back; the digests pin its bytes for r = 3 and r = 2
     code, out = run(capsys, "gadget", "fell", "-m", "6", "--ell", "0")
-    assert code == 0 and out == json.dumps(build_F_prime(6).to_json_dict()) + "\n"
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == "59e0469f6a3ec3d58a45b8b2b515a9e5873103cca51435e16803c692bcdccdfa"
+    code, out2 = run(capsys, "gadget", "fell", "-m", "5", "--ell", "0", "-r", "2")
+    assert code == 0
+    assert hashlib.sha256(out2.encode()).hexdigest() == "85e1c6b9a934b23487818dd91a78ebae8b60aa3f55b33f129ad4bf12f17f24b4"
     doc = json.loads(out)
     assert len(doc["edges"]) == 16 and doc["tags"]["S"] == [4, 5]
     code, out = run(capsys, "gadget", "fell", "-m", "6", "--ell", "2")

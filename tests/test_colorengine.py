@@ -6,6 +6,7 @@ import itertools
 import json
 import random
 import re
+import time
 import tracemalloc
 
 import pytest
@@ -728,6 +729,59 @@ def test_pinned_search_trees_unchanged(recorded_solves):
         (True, 25, 44, 5, 5, 0), (True, 26, 43, 5, 5, 0), (True, 29, 34, 4, 4, 0), (True, 26, 36, 4, 4, 0)]
     assert [_color_digest(res.coloring) for res in recorded_solves] == [
         "dca65a0106c0", "d5404e2e4e75", "b9a25b8cc10b", "ece33c3d44ba"]
+
+
+@pytest.fixture
+def recorded_pins(monkeypatch):
+    """(budget, pinned variables, pinned colors) of every SearchCore.solve made by colorengine."""
+    got = []
+
+    class Recording(SearchCore):
+        def solve(self, budget=None, pins=None, off=()):
+            got.append((budget, tuple(pins or {}), tuple((pins or {}).values())))
+            return super().solve(budget, pins, off)
+
+    monkeypatch.setattr(colorengine, "SearchCore", Recording)
+    return got
+
+
+# The pattern scan's solves, pinned: each coloring of the special edges with a
+# representative's counts is tried once, in lexicographic order, and a shared
+# budget is handed on as what the earlier solves left.
+K9_SPECIAL = (27, 48, 63, 73, 79, 82, 83)
+
+
+def test_pattern_scan_solves_unchanged(recorded_pins):
+    ps = admissible_patterns(Hypergraph.complete(9, 3), 7, 8, 4, 3)
+    assert ps.complete and len(ps.patterns) == 36
+    assert recorded_pins == [(None, K9_SPECIAL, colors) for colors in [
+        (1, 1, 1, 1, 1, 1, 1), (1, 1, 1, 1, 1, 1, 2), (1, 1, 1, 1, 1, 2, 2), (1, 1, 1, 1, 1, 2, 3),
+        (1, 1, 1, 1, 2, 2, 2), (1, 1, 1, 1, 2, 2, 3), (1, 1, 1, 2, 2, 2, 3), (1, 1, 1, 2, 2, 3, 3)]]
+
+
+@pytest.mark.parametrize("budget, complete, solves", [
+    (5, False, [(5, (0, 1, 2), (1, 1, 1)), (0, (0, 1, 2), (1, 1, 2))]),
+    (30, True, [(30, (0, 1, 2), (1, 1, 1)), (25, (0, 1, 2), (1, 1, 2))]),
+])
+def test_budget_cut_pattern_scan_solves_unchanged(recorded_pins, budget, complete, solves):
+    ps = admissible_patterns(K5, 0, 1, 4, 2, budget=budget)
+    assert ps.complete is complete
+    assert recorded_pins == solves
+
+
+def test_arrangements_visit_each_coloring_once_in_order():
+    for counts in [(3, 2, 1), (2, 2, 2), (4, 0, 1), (0, 0), (1, 1, 1, 1), (5,), (2, 0, 3, 1)]:
+        colors = [c for c, cnt in enumerate(counts, start=1) for _ in range(cnt)]
+        assert list(colorengine._arrangements(counts)) == sorted(set(itertools.permutations(colors)))
+
+
+def test_pattern_scan_at_ell_11_is_quick():
+    # a pattern's 11 special edges have at most 462 colorings but 11! orderings: the scan walks the colorings
+    start = time.perf_counter()
+    ps = admissible_patterns(Hypergraph.complete(13, 3), 11, 12, 5, 2, budget=20000)
+    elapsed = time.perf_counter() - start
+    assert ps.complete and len(ps.patterns) == 12
+    assert elapsed < 2, f"K_13^(3) pattern scan took {elapsed:.1f} s"
 
 
 # -- arrowing -----------------------------------------------------------

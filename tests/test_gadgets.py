@@ -21,7 +21,6 @@ from ramsey3.gadgets import (
     build_BEL,
     build_equalizer,
     build_F_ell,
-    build_F_prime,
     build_far_seed,
     build_Hstar,
     build_rainbow,
@@ -107,22 +106,32 @@ def test_mock_sender_shape():
 
 def test_f_prime_counts():
     # [DERIVED] K_6^(3) has 20 triples, 4 of them through the tagged pair
-    g = build_F_prime(6)
+    g = build_F_ell(6, 0)
     assert g.h.num_edges == 16
     assert g.s_pair == (4, 5)
     assert codegree(g.h, 4, 5) == 0
     # [DERIVED] pair case: only the pair edge itself is dropped
-    g2 = build_F_prime(6, r=2)
+    g2 = build_F_ell(6, 0, r=2)
     assert g2.h.num_edges == 14
     assert g2.s_pair not in g2.h.edges
 
 
 def test_f_ell_restores_prefix():
-    base = build_F_prime(6).h.num_edges
+    base = build_F_ell(6, 0).h.num_edges
     for ell in (1, 2, 3):
         g = build_F_ell(6, ell)
         assert g.h.num_edges == base + ell
         assert codegree(g.h, *g.s_pair) == ell
+
+
+@pytest.mark.parametrize("m, r", [(m, r) for r in (2, 3) for m in range(r + 1, 9)])
+def test_f_ell_is_complete_minus_bundle_suffix(m, r):
+    bundle = gadgets._special_bundle(m, r)
+    full = Hypergraph.complete(m, r)
+    for ell in range(len(bundle) + 1):
+        g = build_F_ell(m, ell, r)
+        assert g.h.vertices == full.vertices and g.h.edges == full.edges - set(bundle[ell:])
+        assert g.s_pair == (m - 2, m - 1)
 
 
 def test_find_ell_triangle_case():

@@ -1,5 +1,6 @@
 """Seeded sampling, pruning, counting bounds, expectation reports."""
 
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -279,6 +280,14 @@ def test_expectation_report_ok():
     assert {c.name for c in rep.checks} == {"edges", "shared-edges", "cliques"}
     again = expectation_report(10, 0.3, 4, 2, 60, derive_seed("er", 1))
     assert [c.observed for c in again.checks] == [c.observed for c in rep.checks]
+
+
+def test_expectation_report_reads_two_members_whatever_k():
+    # each member draws from its own seed stream, so more members change nothing read
+    two = expectation_report(12, 0.3, 4, 2, 40, 7)
+    for k in (3, 5):
+        rep = expectation_report(12, 0.3, 4, k, 40, 7)
+        assert rep.k == k and dataclasses.replace(rep, k=2) == two
 
 
 def test_expectation_report_degenerate_p():
