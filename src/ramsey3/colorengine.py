@@ -649,25 +649,28 @@ def _luby(i: int) -> int:
 def _clique_core(h: Hypergraph, t: int, k: int, fixed: Mapping[Edge, int] = {}) -> SearchCore:
     """The free-coloring question on h with the edges of fixed pre-colored.
 
-    The variables are the sorted edges of h not in fixed.  Each t-clique is one constraint
-    over its variable edges, its mask narrowed to the color its fixed edges share, if any.
-    The constraints are a generator, made one clique at a time as the core reads them.
-    The core's clauses are the whole encoding: its solves check their colorings against
-    them, and export_cnf writes them.
+    A fixed value is a color mask, bit c for color c: an edge with two bits counts as
+    both colors.  The variables are the sorted edges of h not in fixed.  Each t-clique
+    with a variable edge is one constraint over its variable edges, its mask narrowed
+    to the colors every one of its fixed edges carries; a clique of fixed edges only
+    is no constraint.  The constraints are a generator, made one clique at a time as
+    the core reads them.  The core's clauses are the whole encoding: its solves check
+    their colorings against them, and export_cnf writes them.
     """
     edges = sorted(h.edges.difference(fixed))
-    # one lookup per clique edge: i for variable i, else ~ the fixed color's bit
-    code = {e: ~(1 << c) for e, c in fixed.items()}
+    # one lookup per clique edge: i for variable i, else ~ the fixed edge's mask
+    code = {e: ~m for e, m in fixed.items()}
     code.update((e, i) for i, e in enumerate(edges))
     full = (1 << (k + 1)) - 2
 
     def constraints() -> Iterable[tuple[list[int], int]]:
         # a sorted clique's edges come in sorted order, so its variables in increasing order;
-        # the negative fixed codes sort first, one per color
+        # the negative fixed codes sort first, one per mask
         for q in enumerate_cliques(h, t):
             xs = sorted(set(map(code.__getitem__, itertools.combinations(q, h.r))))
             i = bisect_left(xs, 0)
-            yield xs[i:], reduce(int.__and__, map(operator.invert, xs[:i]), full)
+            if i < len(xs):
+                yield xs[i:], reduce(int.__and__, map(operator.invert, xs[:i]), full)
 
     return SearchCore(edges, k, constraints())
 

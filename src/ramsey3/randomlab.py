@@ -30,7 +30,7 @@ try:
 except ImportError:  # an interpreter built without it
     from hashlib import blake2b
 
-from .colorengine import BudgetExceeded, EdgeColoring, SearchCore
+from .colorengine import BudgetExceeded, EdgeColoring, _clique_core
 from .hypercore import Edge, Hypergraph, enumerate_cliques
 
 __all__ = [
@@ -40,8 +40,6 @@ __all__ = [
     "random_complete_graph_coloring",
     "compute_bad_edges",
     "prune",
-    "count_supported_cliques",
-    "count_bad_supported",
     "property_b_toy_check",
     "FactBoundReport",
     "fact_count_bound",
@@ -143,57 +141,35 @@ def prune(family: Sequence[Hypergraph], t: int) -> tuple[Hypergraph, ...]:
     return pruned
 
 
-def count_supported_cliques(
-    h: Hypergraph, pair_coloring: EdgeColoring, color: int, t: int
-) -> int:
-    """(t-1)-sets whose pairs are all one color and triples all edges of h.
-
-    Such a set plus an apex vertex whose link carries pair_coloring is
-    exactly a monochromatic K_t candidate in the layered construction.
-    """
-    if not 1 <= color <= pair_coloring.k:
-        raise ValueError(f"color {color} outside 1..{pair_coloring.k}")
-    found = 0
-    for q in enumerate_cliques(h, t - 1):
-        if all(pair_coloring.assignment[pq] == color for pq in itertools.combinations(q, 2)):
-            found += 1
-    return found
-
-
-def count_bad_supported(
-    family: Sequence[Hypergraph], pair_coloring: EdgeColoring, t: int
-) -> int:
-    """Supported cliques summed over members, member i in color i."""
-    if len(family) != pair_coloring.k:
-        raise ValueError("one member per color required")
-    return sum(
-        count_supported_cliques(h, pair_coloring, i, t)
-        for i, h in enumerate(family, start=1)
-    )
-
-
 def property_b_toy_check(
     family: Sequence[Hypergraph], t: int, budget: Optional[int] = None
 ) -> bool:
     """Does every pair coloring support a clique in some member?
 
-    The pairs of the shared vertex set are the search core's variables,
-    colored 1..k for k members; each (t-1)-clique of member i is one
-    constraint, its pairs not all of color i.  True means the core finds
-    no coloring, so no coloring of an apex link could avoid a
-    monochromatic clique.  A search needing more than budget decisions
-    raises BudgetExceeded.
+    The clique core of the members' union plus an apex joined to every
+    pair decides it: member i's edges are fixed with bit i, so a shared
+    edge carries both colors, and the apex triples take colors 1..k for
+    k members.  A t-clique through the apex is a (t-1)-clique of the
+    union, constrained for each member it is a clique of; a t-clique of
+    the union alone is all fixed, so no constraint.  True means no apex
+    coloring avoids a monochromatic clique.  A search needing more than
+    budget decisions raises BudgetExceeded.
     """
     if not family:
         raise ValueError("empty family")
-    pairs = list(itertools.combinations(sorted(family[0].vertices), 2))
-    index = {pq: i for i, pq in enumerate(pairs)}
-    constraints = [
-        ([index[pq] for pq in itertools.combinations(q, 2)], 1 << i)
-        for i, h in enumerate(family, start=1)
-        for q in enumerate_cliques(h, t - 1)
-    ]
-    res = SearchCore(pairs, len(family), constraints).solve(budget)
+    if t < 4:  # the apex meets (t-1)-cliques of 3-graphs
+        raise ValueError("property B check needs t >= 4")
+    verts = family[0].vertices
+    if any(h.vertices != verts for h in family):
+        raise ValueError("family members must share one vertex set")
+    fixed: dict[Edge, int] = {}
+    for i, h in enumerate(family, start=1):
+        for e in h.edges:
+            fixed[e] = fixed.get(e, 0) | 1 << i
+    apex = max(verts, default=-1) + 1  # after every vertex, so (u, v, apex) is sorted
+    links = [(u, v, apex) for u, v in itertools.combinations(sorted(verts), 2)]
+    union = Hypergraph(3, verts | {apex}, frozenset(fixed).union(links))
+    res = _clique_core(union, t, len(family), fixed).solve(budget)
     if res.found is None:
         raise BudgetExceeded(f"property B check exceeded {budget} nodes")
     return not res.found

@@ -13,6 +13,7 @@ import math
 import random
 
 from ramsey3 import Hypergraph, find_free_coloring
+from ramsey3.colorengine import SearchCore
 from ramsey3.hypercore import canon_edge
 
 
@@ -314,23 +315,44 @@ def reference_core_index(variables, k, constraints):
 
 
 def reference_clique_constraints(h, t, k, fixed):
-    """colorengine._clique_core's constraints, one per t-clique, as three lists each.
+    """colorengine._clique_core's constraints, one per t-clique with a variable edge.
 
     The translation the core made before it sorted each clique's codes:
     a variable is its rank among the sorted edges not in fixed, a fixed
-    edge of color c is ~(1 << c), and the mask is full narrowed to the
-    fixed edges' colors (0 when they carry two).
+    edge with color mask m is ~m, and the mask is full narrowed to the
+    fixed edges' masks (0 when they share no color).  A clique of fixed
+    edges only gives no constraint.
     """
     edges = sorted(set(h.edges).difference(fixed))
-    code = {e: ~(1 << c) for e, c in fixed.items()}
+    code = {e: ~m for e, m in fixed.items()}
     code.update((e, i) for i, e in enumerate(edges))
     full = (1 << (k + 1)) - 2
     out = []
     for q in brute_cliques(h, t):
         xs = [code[e] for e in itertools.combinations(q, h.r)]
         vs = [x for x in xs if x >= 0]
+        if not vs:
+            continue
         mask = full
         for x in [~x for x in xs if x < 0]:
             mask &= x
         out.append((vs, mask))
     return edges, out
+
+
+def property_b_pair_core(family, t):
+    """randomlab.property_b_toy_check's core before it asked _clique_core.
+
+    The pairs of the shared vertex set are the variables, colored 1..k
+    for k members; each (t-1)-clique of member i is one constraint, its
+    pairs not all of color i.  The family has property B exactly when
+    the core has no solution.
+    """
+    pairs = list(itertools.combinations(sorted(family[0].vertices), 2))
+    index = {pq: i for i, pq in enumerate(pairs)}
+    constraints = [
+        ([index[pq] for pq in itertools.combinations(q, 2)], 1 << i)
+        for i, h in enumerate(family, start=1)
+        for q in brute_cliques(h, t - 1)
+    ]
+    return SearchCore(pairs, len(family), constraints)

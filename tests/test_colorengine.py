@@ -467,34 +467,45 @@ def fixed_instances(draw):
     return Hypergraph.build(3, edges, vertices=range(n)), draw(st.integers(3, 5)), k, fixed
 
 
+# the fixed edges alone hold a monochromatic 4-clique, which is no constraint
+FIXED_MONO_CLIQUE = (K5, 4, 2, dict.fromkeys(itertools.combinations(range(4), 3), 1))
+
+
 @settings(max_examples=150, deadline=None)
 @given(fixed_instances())
+@example(FIXED_MONO_CLIQUE)
 def test_clique_core_with_fixed_edges_matches_brute_force(inst):
-    # solvable exactly when some coloring of the other edges makes the whole
-    # coloring free; its coloring is of exactly those edges
+    # solvable exactly when some coloring of the other edges leaves no monochromatic
+    # clique through one of them; its coloring is of exactly those edges
     h, t, k, fixed = inst
     rest = sorted(h.edges.difference(fixed))
+
+    def mono(cmap):  # the monochromatic cliques with an edge not in fixed
+        return [q for q, _ in brute_mono_cliques(h, cmap, t) if set(itertools.combinations(q, 3)) - fixed.keys()]
+
     brute = any(
-        not brute_mono_cliques(h, {**fixed, **dict(zip(rest, colors))}, t)
+        not mono({**fixed, **dict(zip(rest, colors))})
         for colors in itertools.product(range(1, k + 1), repeat=len(rest))
     )
-    core = colorengine._clique_core(h, t, k, fixed)
+    core = colorengine._clique_core(h, t, k, {e: 1 << c for e, c in fixed.items()})
     assert list(core.variables) == rest
     res = core.solve()
     assert res.found == brute
     if res.found:
         assert set(res.coloring.assignment) == set(rest)
-        assert not brute_mono_cliques(h, {**fixed, **res.coloring.assignment}, t)
+        assert not mono({**fixed, **res.coloring.assignment})
 
 
 @settings(max_examples=150, deadline=None)
 @given(fixed_instances())
 # one 4-clique whose fixed edges carry both colors: mask 0, so no clause
 @example((Hypergraph.complete(4, 3), 4, 2, {(0, 1, 2): 1, (0, 1, 3): 2}))
+@example(FIXED_MONO_CLIQUE)
 def test_clique_core_clauses_match_the_reference_translation(inst):
     h, t, k, fixed = inst
-    edges, cons = reference_clique_constraints(h, t, k, fixed)
-    assert colorengine._clique_core(h, t, k, fixed).clauses == SearchCore(edges, k, cons).clauses
+    masks = {e: 1 << c for e, c in fixed.items()}
+    edges, cons = reference_clique_constraints(h, t, k, masks)
+    assert colorengine._clique_core(h, t, k, masks).clauses == SearchCore(edges, k, cons).clauses
 
 
 def test_core_rejects_bad_off():
@@ -615,11 +626,12 @@ def test_clique_core_streams_its_constraints():
     # constraint list: the t=7 apex core's traced peak was 2.2 times its size
     host = codegree.build_partition_host(7)
     aug = codegree.augment_apex_pair(host)[0]
+    fixed = {e: 1 << c for e, c in host.coloring.assignment.items()}
     gc.collect()
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        core = colorengine._clique_core(aug, 7, 2, host.coloring.assignment)
+        core = colorengine._clique_core(aug, 7, 2, fixed)
         retained, peak = (m - base for m in tracemalloc.get_traced_memory())
     finally:
         tracemalloc.stop()

@@ -9,11 +9,9 @@ from fractions import Fraction
 
 import pytest
 
-from ramsey3 import BudgetExceeded, EdgeColoring, Hypergraph, enumerate_cliques
+from ramsey3 import BudgetExceeded, EdgeColoring, Hypergraph, enumerate_cliques, find_free_coloring
 from ramsey3.randomlab import (
     compute_bad_edges,
-    count_bad_supported,
-    count_supported_cliques,
     derive_seed,
     expectation_report,
     fact_count_bound,
@@ -25,7 +23,7 @@ from ramsey3.randomlab import (
     sample_h3,
 )
 
-from _oracles import brute_cliques
+from _oracles import brute_cliques, property_b_pair_core
 
 
 # -- seeding and sampling -------------------------------------------------
@@ -137,28 +135,7 @@ def test_prune_rejects_mixed_vertex_sets():
         compute_bad_edges((h1, h2), 4)
 
 
-# -- supported cliques ------------------------------------------------------
-
-def test_count_supported_by_hand():
-    # [DERIVED] all-one pair coloring supports every triple as color 1
-    h = Hypergraph.complete(4, 3)
-    pairs = dict.fromkeys(itertools.combinations(range(4), 2), 1)
-    psi = EdgeColoring(2, pairs)
-    assert count_supported_cliques(h, psi, 1, 4) == 4
-    assert count_supported_cliques(h, psi, 2, 4) == 0
-    # only the pairs inside {0,1,2} in color 1: one supported triple
-    mixed = {p: (1 if set(p) <= {0, 1, 2} else 2) for p in pairs}
-    assert count_supported_cliques(h, EdgeColoring(2, mixed), 1, 4) == 1
-
-
-def test_count_bad_supported_sums_members():
-    h = Hypergraph.complete(4, 3)
-    pairs = dict.fromkeys(itertools.combinations(range(4), 2), 1)
-    psi = EdgeColoring(2, pairs)
-    assert count_bad_supported((h, h), psi, 4) == 4
-    with pytest.raises(ValueError):
-        count_bad_supported((h,), psi, 4)
-
+# -- property B ----------------------------------------------------------------
 
 def test_property_b_toy():
     # [KNOWN] every 2-coloring of the 15 pairs of a 6-set has a
@@ -168,8 +145,53 @@ def test_property_b_toy():
     # [DERIVED] a 4-set admits a triangle-free 2-coloring
     k4 = Hypergraph.complete(4, 3)
     assert property_b_toy_check((k4, k4), 4) is False
+    # shared edges give full-mask constraints, so the core pins one color:
+    # the refutation is 9 nodes
     with pytest.raises(BudgetExceeded):
-        property_b_toy_check((k6, k6), 4, budget=10)
+        property_b_toy_check((k6, k6), 4, budget=8)
+    assert property_b_toy_check((k6, k6), 4, budget=9) is True
+
+
+def test_property_b_refuses_bad_input():
+    k4 = Hypergraph.complete(4, 3)
+    for t in (2, 3):
+        with pytest.raises(ValueError, match="t >= 4"):
+            property_b_toy_check((k4, k4), t)
+    h1 = Hypergraph.build(3, [(0, 1, 2)], vertices=range(4))
+    h2 = Hypergraph.build(3, [(0, 1, 2)], vertices=range(5))
+    with pytest.raises(ValueError, match="share one vertex set"):
+        property_b_toy_check((h1, h2), 4)
+
+
+def property_b_families():
+    """(family, t): seeded sample_family draws, raw and pruned, then the two
+    color classes of free colorings of K_9^(3) and K_10^(3) at t=4, relabeled."""
+    for n, p, k, t in itertools.product((5, 6, 7, 8), (0.3, 0.6, 0.9), (2, 3), (4, 5)):
+        for i in range(3):
+            family = sample_family(n, p, k, derive_seed("propb", n, p, k, t, i))
+            yield family, t
+            yield prune(family, t), t
+    for n in (9, 10):
+        colors = find_free_coloring(Hypergraph.complete(n, 3), 4, 2).coloring.assignment
+        for i in range(4):
+            perm = list(range(n))
+            random.Random(derive_seed("propb relabel", n, i)).shuffle(perm)
+            yield tuple(
+                Hypergraph.build(3, ([perm[x] for x in e] for e, c in colors.items() if c == col), vertices=range(n))
+                for col in (1, 2)
+            ), 4
+
+
+def test_property_b_routes_agree():
+    # the apex clique core and the pair core it replaced give one verdict on every family
+    kinds = dict.fromkeys(("property B", "member clique", "overlap"), 0)
+    for family, t in property_b_families():
+        verdict = property_b_toy_check(family, t)
+        assert verdict is not property_b_pair_core(family, t).solve().found, (family, t)
+        kinds["property B"] += verdict
+        kinds["member clique"] += any(brute_cliques(h, t) for h in family)
+        kinds["overlap"] += any(x.edges & y.edges for x, y in itertools.combinations(family, 2))
+    assert min(kinds.values()) >= 1, kinds
 
 
 # -- the counting bound --------------------------------------------------------
